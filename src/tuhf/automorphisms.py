@@ -269,13 +269,17 @@ def normalize_for_word(tower: TowerSpec, w: ShiftWord) -> TowerSpec:
     )
 
 
-def normalize_for_prime(tower: TowerSpec, p: int) -> TowerSpec:
+def _require_common_infinite_prime(tower: TowerSpec, p: int) -> None:
     if p < 2 or not is_prime(p):
         raise InvalidShiftWord(f"{p} is not prime")
     if p not in common_infinite_primes(tower):
         raise PrimeNotCommonInfinite(
             f"prime {p} is not infinite in both supernatural coordinates"
         )
+
+
+def normalize_for_prime(tower: TowerSpec, p: int) -> TowerSpec:
+    _require_common_infinite_prime(tower, p)
     return normalize_for_word(tower, ShiftWord(p, 1))
 
 
@@ -287,12 +291,7 @@ def shift_auto(tower: TowerSpec, p: int) -> Iterator[FiniteAutoData]:
     I_{p*sr} (x) A (x) I_{tr/p} and the family commutes with the tower
     embeddings.  Checks run eagerly; iteration never raises.
     """
-    if p < 2 or not is_prime(p):
-        raise InvalidShiftWord(f"{p} is not prime")
-    if p not in common_infinite_primes(tower):
-        raise PrimeNotCommonInfinite(
-            f"prime {p} is not infinite in both supernatural coordinates"
-        )
+    _require_common_infinite_prime(tower, p)
     w = ShiftWord(p, 1)
     for idx, d in enumerate(tower.preamble + tower.cycle, 1):
         r = d.ratios()

@@ -53,6 +53,7 @@ from .embeddings import (
 from .gelfand import (
     GelfandOrder,
     GelfandPoint,
+    coordinate_sizes,
     gelfand_compare,
     gelfand_compare_via_projections,
     projection_chain,
@@ -311,22 +312,12 @@ def random_interval_tower(rng: random.Random, *, k3_cap: int = 64) -> TowerSpec:
 def random_point(
     rng: random.Random, tower: TowerSpec, depth: int, tail: str = ""
 ) -> GelfandPoint:
-    coords = []
-    prev = 1
-    for n in range(1, depth + 1):
-        k = tower.level_dim(n)
-        coords.append(rng.randrange(k // prev))
-        prev = k
-    return GelfandPoint(tuple(coords), tail)
+    sizes = coordinate_sizes(tower, depth)
+    return GelfandPoint(tuple(rng.randrange(size) for size in sizes), tail)
 
 
 def all_points(tower: TowerSpec, depth: int, tail: str = "") -> Iterator[GelfandPoint]:
-    ranges = []
-    prev = 1
-    for n in range(1, depth + 1):
-        k = tower.level_dim(n)
-        ranges.append(range(k // prev))
-        prev = k
+    ranges = [range(size) for size in coordinate_sizes(tower, depth)]
     for coords in itertools.product(*ranges):
         yield GelfandPoint(coords, tail)
 

@@ -10,12 +10,12 @@ from the parser itself also exit 2.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .automorphisms import (
-    FiniteAutoData,
     factor_report,
     format_auto_data,
     load_auto_data,
@@ -28,7 +28,7 @@ from .automorphisms import (
 )
 from .checks import run_all
 from .embeddings import compare_embeddings, compose_embeddings, tensor_embed
-from .errors import DomainError, FormatError, TuhfError
+from .errors import FormatError, TuhfError
 from .gelfand import (
     gelfand_compare,
     gelfand_compare_via_projections,
@@ -119,14 +119,8 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 def _cmd_shift(args: argparse.Namespace) -> int:
     tower = _load_tower_file(args.file)
     a, b = _parse_level_range(args.levels)
-    walker = shift_auto(tower, args.prime)
-    records: list[FiniteAutoData] = []
-    for datum in walker:
-        if datum.level_from >= b:
-            break
-        if datum.level_from >= a:
-            records.append(datum)
-    sys.stdout.write(format_auto_data(records))
+    records = itertools.islice(shift_auto(tower, args.prime), a - 1, b - 1)
+    sys.stdout.write(format_auto_data(list(records)))
     return 0
 
 
@@ -296,15 +290,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FormatError as exc:
+    except TuhfError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TuhfError as exc:  # internal cross-check contradictions
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, FormatError) else 1
 
 
 if __name__ == "__main__":

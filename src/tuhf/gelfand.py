@@ -66,16 +66,16 @@ def parse_point(text: str, tail: str = "") -> GelfandPoint:
     return GelfandPoint(coords, tail)
 
 
+def coordinate_sizes(tower: TowerSpec, depth: int) -> list[int]:
+    """k_n / k_{n-1} for n = 1..depth (k_0 = 1): how many values x_n takes."""
+    dims = [1] + [tower.level_dim(n) for n in range(1, depth + 1)]
+    return [dims[n] // dims[n - 1] for n in range(1, depth + 1)]
+
+
 def _check_ranges(tower: TowerSpec, x: GelfandPoint) -> None:
-    prev = 1
-    for n, c in enumerate(x.coords, 1):
-        k = tower.level_dim(n)
-        ratio = k // prev
-        if not 0 <= c < ratio:
-            raise OutOfRange(
-                f"coordinate {n} is {c}, allowed range 0..{ratio - 1}"
-            )
-        prev = k
+    for n, (c, size) in enumerate(zip(x.coords, coordinate_sizes(tower, x.depth)), 1):
+        if not 0 <= c < size:
+            raise OutOfRange(f"coordinate {n} is {c}, allowed range 0..{size - 1}")
 
 
 def _prepare(tower: TowerSpec, x: GelfandPoint, y: GelfandPoint) -> bool:

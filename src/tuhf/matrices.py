@@ -1,11 +1,9 @@
 """Finite matrix models: triangular matrices, the normalizer split,
 and the level-straightening recursion.
 
-Two tolerances govern the floating-point lane.  UNIT_TOL (1e-9) decides
+One tolerance governs the floating-point lane.  UNIT_TOL (1e-9) decides
 whether an entry counts as nonzero, whether a phase counts as
-unimodular, and how closely a reconstruction must match.  PATTERN_TOL
-(1e-12) is the tighter bound used when a result is known to be an exact
-integer pattern, such as the Kronecker cross-check.  All phases
+unimodular, and how closely a reconstruction must match.  All phases
 appearing here are explicit inputs, so rounding, not conditioning,
 dominates the error.
 
@@ -29,7 +27,6 @@ from .errors import DomainError, FormatError
 from .partitions import ShapeMismatch
 
 UNIT_TOL = 1e-9
-PATTERN_TOL = 1e-12
 
 
 class NotUpperTriangular(DomainError):

@@ -159,14 +159,6 @@ class OrderedPartition:
                 out[x - 1] = i
         return tuple(out)
 
-    def block_of(self, element: int) -> int:
-        if not 1 <= element <= self.ground_size:
-            raise OutOfRange(f"element {element} outside 1..{self.ground_size}")
-        for i, b in enumerate(self.blocks, 1):
-            if element in b:
-                return i
-        raise AssertionError("unreachable: partition covers the ground set")
-
 
 def compare(a: OrderedPartition, b: OrderedPartition) -> Order:
     """Total order on same-shape partitions.

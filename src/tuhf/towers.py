@@ -26,7 +26,7 @@ Descriptors: ``std <mult>``, ``nest <mult>``, ``alt <s> <t>``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import supernatural
@@ -132,11 +132,7 @@ class Descriptor:
         if self.kind == "alt":
             return alternating(k_from, self.s_mult, self.t_mult)
         assert self.partition is not None
-        if self.partition.block_count != k_from:
-            raise ChainMismatch(
-                f"part descriptor expects k={self.partition.block_count}, got {k_from}"
-            )
-        return RegularEmbedding(k_from, self.partition.ground_size, self.partition)
+        return RegularEmbedding(k_from, self.k_to(k_from), self.partition)
 
 
 def parse_descriptor(text: str) -> Descriptor:
@@ -163,9 +159,7 @@ def parse_descriptor(text: str) -> Descriptor:
             k_to = int(tokens[1])
             try:
                 p = parse_partition(" ".join(tokens[2:]))
-            except InvalidPartition as exc:
-                raise InvalidDescriptor(f"bad partition in descriptor: {exc}") from None
-            except FormatError as exc:
+            except (InvalidPartition, FormatError) as exc:
                 raise InvalidDescriptor(f"bad partition in descriptor: {exc}") from None
             if p.ground_size != k_to:
                 raise InvalidDescriptor(
@@ -190,39 +184,49 @@ def format_descriptor(d: Descriptor) -> str:
 
 @dataclass(frozen=True)
 class TowerSpec:
-    """Base dimension with its declared (s1, t1) split, preamble, cycle."""
+    """Base dimension with its declared (s1, t1) split, preamble, cycle.
+
+    An omitted side of the split defaults to the cofactor of the other
+    in k1, and an omitted split to (1, k1).  Level data (k_n, s_n, t_n)
+    are memoized in one table that grows on demand, so per-level queries
+    cost amortized O(1); the table takes no part in equality or repr.
+    """
 
     k1: int
-    s1: int = 1
-    t1: int = 0  # 0 is a construction-time sentinel for "default to k1/s1"
+    s1: Optional[int] = None
+    t1: Optional[int] = None
     preamble: tuple[Descriptor, ...] = ()
     cycle: tuple[Descriptor, ...] = ()
+    _levels: list[tuple[int, Optional[int], Optional[int]]] = field(
+        default_factory=list, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "preamble", tuple(self.preamble))
         object.__setattr__(self, "cycle", tuple(self.cycle))
         if self.k1 < 1:
             raise ChainMismatch(f"k1 must be positive, got {self.k1}")
-        if self.t1 == 0:
-            if self.k1 % self.s1:
-                raise ChainMismatch(f"declared s1={self.s1} does not divide k1={self.k1}")
-            object.__setattr__(self, "t1", self.k1 // self.s1)
-        if self.s1 < 1 or self.t1 < 1 or self.s1 * self.t1 != self.k1:
-            raise ChainMismatch(
-                f"declared split {self.s1}*{self.t1} does not equal k1={self.k1}"
-            )
+        s1, t1 = self.s1, self.t1
+        if s1 is None and t1 is None:
+            s1 = 1
+        for name, v in (("s1", s1), ("t1", t1)):
+            if v is not None and v < 1:
+                raise ChainMismatch(f"declared {name}={v} must be positive")
+            if v is not None and self.k1 % v:
+                raise ChainMismatch(f"declared {name}={v} does not divide k1={self.k1}")
+        s1 = self.k1 // t1 if s1 is None else s1
+        t1 = self.k1 // s1 if t1 is None else t1
+        if s1 * t1 != self.k1:
+            raise ChainMismatch(f"declared split {s1}*{t1} does not equal k1={self.k1}")
+        object.__setattr__(self, "s1", s1)
+        object.__setattr__(self, "t1", t1)
         if not self.cycle:
             raise ChainMismatch("a tower needs at least one cycle descriptor")
         # Chain dimensions through the preamble and two full cycle passes;
         # a second pass is what rules out explicit partitions whose fixed
         # source dimension cannot recur.
-        k = self.k1
-        steps = list(self.preamble) + list(self.cycle) * 2
-        for level, d in enumerate(steps, 1):
-            try:
-                k = d.k_to(k)
-            except ChainMismatch as exc:
-                raise ChainMismatch(f"level {level}: {exc}") from None
+        self._levels.append((self.k1, s1, t1))
+        self.level_dims(len(self.preamble) + 2 * len(self.cycle) + 1)
 
     # -- per-level data --------------------------------------------------
 
@@ -236,30 +240,27 @@ class TowerSpec:
         return self.cycle[(idx - len(self.preamble)) % len(self.cycle)]
 
     def level_dim(self, n: int) -> int:
-        if n < 1:
-            raise OutOfRange(f"level must be >= 1, got {n}")
-        k = self.k1
-        for step in range(1, n):
-            k = self.descriptor_at(step).k_to(k)
-        return k
+        return self.level_dims(n)[0]
 
     def level_dims(self, n: int) -> tuple[int, Optional[int], Optional[int]]:
         """(k_n, s_n, t_n); the split entries are None past a part level."""
         if n < 1:
             raise OutOfRange(f"level must be >= 1, got {n}")
-        k, s, t = self.k1, self.s1, self.t1
-        split: Optional[tuple[int, int]] = (s, t)
-        for step in range(1, n):
-            d = self.descriptor_at(step)
-            k = d.k_to(k)
+        table = self._levels
+        while len(table) < n:
+            level = len(table)
+            k, s, t = table[-1]
+            d = self.descriptor_at(level)
+            try:
+                k = d.k_to(k)
+            except ChainMismatch as exc:
+                raise ChainMismatch(f"level {level}: {exc}") from None
             r = d.ratios()
-            if split is not None and r is not None:
-                split = (split[0] * r[0], split[1] * r[1])
+            if s is None or r is None:
+                table.append((k, None, None))
             else:
-                split = None
-        if split is None:
-            return (k, None, None)
-        return (k, split[0], split[1])
+                table.append((k, s * r[0], t * r[1]))  # type: ignore[operator]
+        return table[n - 1]
 
     def ratio_at(self, n: int) -> Optional[tuple[int, int]]:
         return self.descriptor_at(n).ratios()
@@ -356,16 +357,6 @@ def load_tower(text: str) -> TowerSpec:
         raise ParseError("missing k1 line")
     if not cycle:
         raise ParseError("missing cycle line")
-    if s1 is None and t1 is None:
-        s1, t1 = 1, k1
-    elif s1 is None:
-        if t1 == 0 or k1 % t1:
-            raise ChainMismatch(f"declared t1={t1} does not divide k1={k1}")
-        s1 = k1 // t1
-    elif t1 is None:
-        if s1 == 0 or k1 % s1:
-            raise ChainMismatch(f"declared s1={s1} does not divide k1={k1}")
-        t1 = k1 // s1
     return TowerSpec(k1, s1, t1, tuple(preamble), tuple(cycle))
 
 
@@ -383,10 +374,4 @@ class TensorTower:
     def embedding(self, n: int) -> RegularEmbedding:
         return tensor_embed(self.phi.embedding(n), self.psi.embedding(n))
 
-    def composite(self, m: int, m_to: int) -> RegularEmbedding:
-        if not 1 <= m <= m_to:
-            raise OutOfRange(f"need 1 <= m <= m_to, got {m}..{m_to}")
-        e = identity_embedding(self.level_dim(m))
-        for n in range(m, m_to):
-            e = compose_embeddings(self.embedding(n), e)
-        return e
+    composite = TowerSpec.composite

@@ -2,7 +2,9 @@
 
 import pytest
 
+import tuhf.automorphisms
 from tuhf.cli import main
+from tuhf.towers import TowerSpec
 
 TWO_INF = "k1 4\ns1 2\nt1 2\ncycle alt 2 2\n"
 NEST = "k1 2\ncycle nest 3\n"
@@ -109,6 +111,41 @@ def test_shift_then_factor(files, capsys, tmp_path):
     assert "status consistent" in lines
 
 
+def test_shift_builds_no_level_past_the_range(files, capsys, monkeypatch):
+    requested = []
+    real = tuhf.automorphisms.word_action
+
+    def spy(tower, w, n):
+        requested.append(n)
+        return real(tower, w, n)
+
+    monkeypatch.setattr(tuhf.automorphisms, "word_action", spy)
+    f = files("two.tower", TWO_INF)
+    code, out, _ = run(capsys, "shift", f, "-p", "2", "--levels", "2..4")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("levels")] == [
+        "levels 2 3",
+        "levels 3 4",
+    ]
+    assert max(requested) < 4
+
+
+def test_tower_show_walks_each_level_once(files, capsys, monkeypatch):
+    calls = 0
+    real = TowerSpec.descriptor_at
+
+    def counted(self, n):
+        nonlocal calls
+        calls += 1
+        return real(self, n)
+
+    monkeypatch.setattr(TowerSpec, "descriptor_at", counted)
+    f = files("two.tower", TWO_INF)
+    code, out, _ = run(capsys, "tower", "show", f, "--levels", "300")
+    assert code == 0 and out.startswith("level 1 k 4 s 2 t 2\n")
+    assert calls <= 2 * 300
+
+
 def test_factor_single_level_errors(files, capsys, tmp_path):
     f = files("two.tower", TWO_INF)
     code, out, _ = run(capsys, "shift", f, "-p", "2", "--levels", "1..2")
@@ -197,3 +234,16 @@ def test_shift_bad_level_range(files, capsys):
     f = files("two.tower", TWO_INF)
     code, _, err = run(capsys, "shift", f, "-p", "2", "--levels", "3..1")
     assert code == 2 and err
+
+
+@pytest.mark.parametrize(
+    "split",
+    ["s1 0\nt1 0\n", "s1 0\n", "t1 0\n", "s1 3\n"],
+    ids=["zero-both", "zero-s1", "zero-t1", "non-divisor"],
+)
+def test_bad_split_is_domain_error(files, capsys, split):
+    f = files("bad.tower", "k1 4\n" + split + "cycle alt 2 2\n")
+    code, out, err = run(capsys, "tower", "show", f)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

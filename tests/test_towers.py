@@ -41,6 +41,15 @@ def test_load_declared_split_must_factor_k1():
         load_tower("k1 2\ns1 2\nt1 2\ncycle alt 3 2\n")
 
 
+def test_level_table_leaves_equality_hash_and_repr_alone(two_inf_alt):
+    t = two_inf_alt
+    before = (hash(t), repr(t))
+    assert t.level_dims(40)[0] == 4**40
+    assert (hash(t), repr(t)) == before
+    reloaded = load_tower(format_tower(t))
+    assert t == reloaded and hash(t) == hash(reloaded)
+
+
 def test_load_comments_and_blank_lines():
     t = load_tower("# the running example\n\nk1 4\ns1 2\nt1 2\ncycle alt 2 2\n")
     assert (t.k1, t.s1, t.t1) == (4, 2, 2)
@@ -64,8 +73,10 @@ def test_load_part_descriptor_chain_checked():
     # (its source dimension is fixed) and load rejects it outright
     t = load_tower("k1 2\npreamble part 4 m=4 n=2 blocks=1,3;2,4\ncycle std 2\n")
     assert [t.level_dim(n) for n in range(1, 4)] == [2, 4, 8]
-    with pytest.raises(ChainMismatch):
+    with pytest.raises(ChainMismatch, match=r"^level 2: part descriptor expects k=2, got 4$"):
         load_tower("k1 2\ncycle part 4 m=4 n=2 blocks=1,3;2,4\n")
+    with pytest.raises(ChainMismatch, match=r"^level 1: part descriptor expects k=2, got 3$"):
+        load_tower("k1 3\npreamble part 4 m=4 n=2 blocks=1,3;2,4\ncycle std 2\n")
 
 
 def test_round_trip_exact():
