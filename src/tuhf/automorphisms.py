@@ -283,8 +283,8 @@ def normalize_for_prime(tower: TowerSpec, p: int) -> TowerSpec:
     return normalize_for_word(tower, ShiftWord(p, 1))
 
 
-def shift_auto(tower: TowerSpec, p: int) -> Iterator[FiniteAutoData]:
-    """Per-level data of the shift theta_p, level 1 upward.
+def shift_auto(tower: TowerSpec, p: int, start: int = 1) -> Iterator[FiniteAutoData]:
+    """Per-level data of the shift theta_p, level ``start`` upward.
 
     The tower must already be normalized for p: p divides both ratio
     components at every level, so each level's action is the pattern
@@ -292,6 +292,8 @@ def shift_auto(tower: TowerSpec, p: int) -> Iterator[FiniteAutoData]:
     embeddings.  Checks run eagerly; iteration never raises.
     """
     _require_common_infinite_prime(tower, p)
+    if start < 1:
+        raise OutOfRange(f"levels start at 1, got {start}")
     w = ShiftWord(p, 1)
     for idx, d in enumerate(tower.preamble + tower.cycle, 1):
         r = d.ratios()
@@ -302,7 +304,7 @@ def shift_auto(tower: TowerSpec, p: int) -> Iterator[FiniteAutoData]:
             )
 
     def walk() -> Iterator[FiniteAutoData]:
-        n = 1
+        n = start
         while True:
             yield FiniteAutoData(n, n + 1, word_action(tower, w, n))
             n += 1

@@ -589,14 +589,25 @@ def _suite_embedding_functoriality(
 def _suite_alternating_closure(
     rng: random.Random, cases: int, tower: Optional[TowerSpec]
 ) -> SuiteResult:
+    """The closed alternating form against explicit partitions: the
+    closure law, block reads, and the standard/nest reference formulas."""
     for idx in range(cases):
         k = rng.randint(1, 4)
         s1, t1 = _random_mult(rng, 5), _random_mult(rng, 5)
         s2, t2 = _random_mult(rng, 5), _random_mult(rng, 5)
         inner = alternating(k, s1, t1)
         outer = alternating(k * s1 * t1, s2, t2)
-        if compose_embeddings(outer, inner).diag != alternating(k, s1 * s2, t1 * t2).diag:
+        closed = alternating(k, s1 * s2, t1 * t2)
+        if compose(outer.diag, inner.diag) != closed.diag:
             return False, f"case {idx}: closure fails at k={k} ({s1},{t1})({s2},{t2})"
+        if compose_embeddings(outer, inner) != closed:
+            return False, (
+                f"case {idx}: closed-form composite differs at k={k} ({s1},{t1})({s2},{t2})"
+            )
+        i = rng.randint(1, k)
+        r = rng.randrange(closed.multiplicity)
+        if closed.rank_image(i, r) != closed.diag.block(i)[r]:
+            return False, f"case {idx}: rank {r} of block {i} misread at k={k}"
         mult = max(2, _random_mult(rng, 6))
         if alternating(k, mult, 1).diag != standard(k, mult).diag:
             return False, f"case {idx}: s-only pattern differs from the standard one"

@@ -119,7 +119,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 def _cmd_shift(args: argparse.Namespace) -> int:
     tower = _load_tower_file(args.file)
     a, b = _parse_level_range(args.levels)
-    records = itertools.islice(shift_auto(tower, args.prime), a - 1, b - 1)
+    records = itertools.islice(shift_auto(tower, args.prime, a), b - a)
     sys.stdout.write(format_auto_data(list(records)))
     return 0
 

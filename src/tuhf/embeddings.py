@@ -10,20 +10,25 @@ order-compatible in every block and keeps images upper triangular.
 
 The three classical patterns all arise from tensoring with identity
 factors: ``standard`` is I_mult (x) A, ``nest`` is A (x) I_mult, and
-``alternating`` is I_s (x) A (x) I_t.  Each constructor builds its block
-formula directly so the tensor identities relating them stay honest,
-independently checkable facts rather than definitions.
+``alternating`` is I_s (x) A (x) I_t.  ``alternating`` is closed-form:
+it records (k, s, t), composes by multiplying multiplicities, reads the
+r-th element of a block by arithmetic, and builds its partition only
+when ``diag`` is read.  ``standard`` and ``nest`` build their block
+formulas explicitly and serve as the reference the closed form is
+checked against, so the tensor identities relating the three stay
+honest, independently checkable facts rather than definitions.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
+
+import numpy as np
 
 from . import partitions
 from .errors import DomainError
-from .partitions import Order, OrderedPartition, ShapeMismatch
+from .partitions import Order, OrderedPartition, OutOfRange, ShapeMismatch
 
 
 class IndexOutOfRange(DomainError):
@@ -34,7 +39,6 @@ class LowerTriangularRequest(DomainError):
     """Asked for the image of a strictly lower-triangular unit."""
 
 
-@dataclass(frozen=True)
 class RegularEmbedding:
     """A rank-paired embedding T_{k_from} -> T_{k_to}.
 
@@ -42,26 +46,91 @@ class RegularEmbedding:
     the diagonal support of the image of the i-th diagonal unit.  The
     partition's own rank-order invariant is exactly the condition that
     rank pairing maps upper-triangular units to upper-triangular sums.
+
+    An embedding in closed alternating form carries ``st = (s, t)``
+    instead of a partition: it is I_s (x) A (x) I_t, and ``diag`` is
+    built (and fully validated) on first access.  Instances are
+    immutable; equality is equality of the diagonal partitions.
     """
 
-    k_from: int
-    k_to: int
-    diag: OrderedPartition
+    def __init__(
+        self,
+        k_from: int,
+        k_to: int,
+        diag: Optional[OrderedPartition] = None,
+        *,
+        st: Optional[tuple[int, int]] = None,
+    ) -> None:
+        if k_from < 1 or k_to < 1 or k_to % k_from:
+            raise ShapeMismatch(
+                f"embedding needs k_from | k_to, got {k_from} -> {k_to}"
+            )
+        if (diag is None) == (st is None):
+            raise ShapeMismatch("an embedding needs exactly one of diag and st")
+        if diag is not None and (
+            diag.block_count != k_from or diag.ground_size != k_to
+        ):
+            raise ShapeMismatch(
+                f"partition shape {diag.block_count}|{diag.ground_size} "
+                f"does not match embedding {k_from} -> {k_to}"
+            )
+        if st is not None and (min(st) < 1 or k_from * st[0] * st[1] != k_to):
+            raise ShapeMismatch(
+                f"alternating multiplicities {st} do not match embedding "
+                f"{k_from} -> {k_to}"
+            )
+        for name, value in (("k_from", k_from), ("k_to", k_to), ("st", st), ("_diag", diag)):
+            object.__setattr__(self, name, value)
 
-    def __post_init__(self) -> None:
-        if self.k_from < 1 or self.k_to < 1 or self.k_to % self.k_from:
-            raise ShapeMismatch(
-                f"embedding needs k_from | k_to, got {self.k_from} -> {self.k_to}"
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"RegularEmbedding is immutable; cannot set {name}")
+
+    @property
+    def diag(self) -> OrderedPartition:
+        if self._diag is None:
+            s, t = self.st  # type: ignore[misc]
+            k = self.k_from
+            rows = (
+                np.arange(1, self.k_to + 1)
+                .reshape(s, k, t)
+                .transpose(1, 0, 2)
+                .reshape(k, s * t)
+                .tolist()
             )
-        if self.diag.block_count != self.k_from or self.diag.ground_size != self.k_to:
-            raise ShapeMismatch(
-                f"partition shape {self.diag.block_count}|{self.diag.ground_size} "
-                f"does not match embedding {self.k_from} -> {self.k_to}"
-            )
+            object.__setattr__(self, "_diag", OrderedPartition(tuple(map(tuple, rows))))
+        return self._diag  # type: ignore[return-value]
 
     @property
     def multiplicity(self) -> int:
         return self.k_to // self.k_from
+
+    def rank_image(self, i: int, r: int) -> int:
+        """The r-th smallest element (r from 0) of block i (from 1)."""
+        if not 1 <= i <= self.k_from:
+            raise OutOfRange(f"block index {i} outside 1..{self.k_from}")
+        if not 0 <= r < self.multiplicity:
+            raise OutOfRange(f"rank {r} outside 0..{self.multiplicity - 1}")
+        if self.st is None:
+            return self.diag.block(i)[r]
+        t = self.st[1]
+        return (r // t) * self.k_from * t + (i - 1) * t + r % t + 1
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RegularEmbedding):
+            return NotImplemented
+        if (self.k_from, self.k_to) != (other.k_from, other.k_to):
+            return False
+        if self.st is not None and other.st is not None:
+            # One block admits a single partition whatever the split.
+            return self.k_from == 1 or self.st == other.st
+        return self.diag == other.diag
+
+    def __hash__(self) -> int:
+        return hash((self.k_from, self.k_to))
+
+    def __repr__(self) -> str:
+        form = f"st={self.st}" if self.st is not None else f"diag={self._diag!r}"
+        return f"RegularEmbedding(k_from={self.k_from}, k_to={self.k_to}, {form})"
 
 
 def standard(k: int, mult: int) -> RegularEmbedding:
@@ -83,7 +152,7 @@ def nest(k: int, mult: int) -> RegularEmbedding:
 
 
 def alternating(k: int, s_mult: int, t_mult: int) -> RegularEmbedding:
-    """The I_s (x) A (x) I_t pattern.
+    """The I_s (x) A (x) I_t pattern, in closed form.
 
     Block i holds {a*k*t + (i-1)*t + b : 0 <= a < s, 1 <= b <= t}: the
     t-fold inflation of slot i repeated in each of the s outer copies.
@@ -94,19 +163,11 @@ def alternating(k: int, s_mult: int, t_mult: int) -> RegularEmbedding:
         raise ShapeMismatch(
             f"need k, s_mult, t_mult >= 1, got k={k} s={s_mult} t={t_mult}"
         )
-    blocks = tuple(
-        tuple(
-            a * k * t_mult + (i - 1) * t_mult + b
-            for a in range(s_mult)
-            for b in range(1, t_mult + 1)
-        )
-        for i in range(1, k + 1)
-    )
-    return RegularEmbedding(k, k * s_mult * t_mult, OrderedPartition(blocks))
+    return RegularEmbedding(k, k * s_mult * t_mult, st=(s_mult, t_mult))
 
 
 def identity_embedding(k: int) -> RegularEmbedding:
-    return standard(k, 1)
+    return alternating(k, 1, 1)
 
 
 def image_of_unit(e: RegularEmbedding, i: int, j: int) -> tuple[tuple[int, int], ...]:
@@ -126,10 +187,18 @@ def image_of_unit(e: RegularEmbedding, i: int, j: int) -> tuple[tuple[int, int],
 def compose_embeddings(
     outer: RegularEmbedding, inner: RegularEmbedding
 ) -> RegularEmbedding:
-    """The embedding applying ``inner`` first, then ``outer``."""
+    """The embedding applying ``inner`` first, then ``outer``.
+
+    Two alternating forms compose in closed form:
+    alt(k*s*t, s', t') o alt(k, s, t) = alt(k, s*s', t*t').
+    """
     if inner.k_to != outer.k_from:
         raise ShapeMismatch(
             f"cannot compose {outer.k_from}->{outer.k_to} after {inner.k_from}->{inner.k_to}"
+        )
+    if outer.st is not None and inner.st is not None:
+        return alternating(
+            inner.k_from, inner.st[0] * outer.st[0], inner.st[1] * outer.st[1]
         )
     return RegularEmbedding(
         inner.k_from, outer.k_to, partitions.compose(outer.diag, inner.diag)

@@ -108,11 +108,15 @@ def projection_chain(tower: TowerSpec, x: GelfandPoint) -> tuple[int, ...]:
     the level-(n-1) embedding.
     """
     _check_ranges(tower, x)
+    return _chain(tower, x)
+
+
+def _chain(tower: TowerSpec, x: GelfandPoint) -> tuple[int, ...]:
+    """``projection_chain`` on a point whose ranges are already checked."""
     i = x.coords[0] + 1
     chain = [i]
     for n in range(2, x.depth + 1):
-        block = tower.embedding(n - 1).diag.block(i)
-        i = block[x.coords[n - 1]]
+        i = tower.embedding(n - 1).rank_image(i, x.coords[n - 1])
         chain.append(i)
     return tuple(chain)
 
@@ -133,8 +137,8 @@ def gelfand_compare_via_projections(
     if x.coords == y.coords:
         return GelfandOrder.EQUAL
     d = max(n for n in range(x.depth) if x.coords[n] != y.coords[n]) + 1
-    ci = projection_chain(tower, x)
-    cj = projection_chain(tower, y)
+    ci = _chain(tower, x)
+    cj = _chain(tower, y)
     return GelfandOrder.LESS if ci[d - 1] < cj[d - 1] else GelfandOrder.GREATER
 
 
@@ -174,8 +178,8 @@ def relation_member(
     _check_ranges(tower, y)
     if x.tail != y.tail or x.coords[depth:] != y.coords[depth:]:
         return None
-    ci = projection_chain(tower, x)
-    cj = projection_chain(tower, y)
+    ci = _chain(tower, x)
+    cj = _chain(tower, y)
     if x.coords == y.coords:
         return RelationPair(x, y, 1, ci[0], cj[0])
     d = max(n for n in range(x.depth) if x.coords[n] != y.coords[n]) + 1

@@ -35,8 +35,6 @@ from .embeddings import (
     alternating,
     compose_embeddings,
     identity_embedding,
-    nest,
-    standard,
     tensor_embed,
 )
 from .errors import DomainError, FormatError
@@ -125,14 +123,11 @@ class Descriptor:
         return k_from * self.s_mult * self.t_mult
 
     def embedding(self, k_from: int) -> RegularEmbedding:
-        if self.kind == "std":
-            return standard(k_from, self.s_mult)
-        if self.kind == "nest":
-            return nest(k_from, self.t_mult)
-        if self.kind == "alt":
-            return alternating(k_from, self.s_mult, self.t_mult)
-        assert self.partition is not None
-        return RegularEmbedding(k_from, self.k_to(k_from), self.partition)
+        """The level embedding; closed alternating form for every kind but ``part``."""
+        if self.kind == "part":
+            assert self.partition is not None
+            return RegularEmbedding(k_from, self.k_to(k_from), self.partition)
+        return alternating(k_from, self.s_mult, self.t_mult)
 
 
 def parse_descriptor(text: str) -> Descriptor:

@@ -40,6 +40,7 @@ from tuhf.automorphisms import (
     UnderdeterminedWord,
     word_action,
 )
+from tuhf.partitions import OutOfRange
 from tuhf.towers import NotAlternatingTower
 
 IDENT = ShiftWord.identity()
@@ -123,6 +124,15 @@ def test_shift_requires_normalized_tower():
     fixed = normalize_for_prime(t, 2)
     datum = next(shift_auto(fixed, 2))
     assert datum.action.block_count == fixed.level_dim(1)
+
+
+def test_shift_starts_at_the_requested_level(two_inf_alt):
+    from_one = list(zip(range(3), shift_auto(two_inf_alt, 2)))
+    from_three = next(shift_auto(two_inf_alt, 2, 3))
+    assert (from_three.level_from, from_three.level_to) == (3, 4)
+    assert from_three == from_one[2][1]
+    with pytest.raises(OutOfRange):
+        shift_auto(two_inf_alt, 2, 0)
 
 
 def test_shift_preserves_total_size(two_inf_alt):

@@ -3,6 +3,7 @@
 import pytest
 
 import tuhf.automorphisms
+import tuhf.gelfand
 from tuhf.cli import main
 from tuhf.towers import TowerSpec
 
@@ -127,7 +128,24 @@ def test_shift_builds_no_level_past_the_range(files, capsys, monkeypatch):
         "levels 2 3",
         "levels 3 4",
     ]
-    assert max(requested) < 4
+    assert min(requested) == 2 and max(requested) < 4
+
+
+def test_gelfand_cmp_checks_each_point_once_per_order(files, capsys, monkeypatch):
+    calls = 0
+    real = tuhf.gelfand._check_ranges
+
+    def counted(tower, x):
+        nonlocal calls
+        calls += 1
+        return real(tower, x)
+
+    monkeypatch.setattr(tuhf.gelfand, "_check_ranges", counted)
+    f = files("two.tower", TWO_INF)
+    code, out, _ = run(capsys, "gelfand", "cmp", f, "--x", "0,1", "--y", "1,0")
+    assert code == 0 and out.endswith("witness level 2 i 2 j 3\n")
+    # coordinate order, projection order and witness validate both points once each
+    assert calls == 6
 
 
 def test_tower_show_walks_each_level_once(files, capsys, monkeypatch):

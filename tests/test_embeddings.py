@@ -1,7 +1,10 @@
 """Regular embeddings: constructors, unit images, composition, tensor."""
 
+import itertools
+
 import pytest
 
+from tuhf import partitions
 from tuhf import (
     EmbeddingOrder,
     OrderedPartition,
@@ -17,7 +20,9 @@ from tuhf import (
     tensor_embed,
 )
 from tuhf.embeddings import IndexOutOfRange, LowerTriangularRequest
-from tuhf.partitions import InvalidPartition, ShapeMismatch
+from tuhf.partitions import InvalidPartition, OutOfRange, ShapeMismatch
+
+SMALL = range(1, 5)  # exhaustive ranges of k, s and t for the closed form
 
 
 def blocks(e: RegularEmbedding) -> tuple[tuple[int, ...], ...]:
@@ -40,7 +45,7 @@ def test_nest_patterns():
 
 def test_alternating_pattern():
     assert blocks(alternating(2, 2, 2)) == ((1, 2, 5, 6), (3, 4, 7, 8))
-    assert alternating(3, 1, 1).diag == identity_embedding(3).diag
+    assert alternating(3, 1, 1).diag == standard(3, 1).diag
 
 
 def test_alternating_degenerate_factors():
@@ -57,6 +62,75 @@ def test_embedding_shape_validation():
         RegularEmbedding(2, 5, nest(2, 2).diag)  # 2 does not divide 5
     with pytest.raises(ShapeMismatch):
         RegularEmbedding(4, 8, nest(2, 4).diag)  # wrong block count
+    with pytest.raises(ShapeMismatch):
+        RegularEmbedding(2, 8, st=(2, 1))  # 2*2*1 != 8
+    with pytest.raises(ShapeMismatch):
+        RegularEmbedding(2, 4)  # neither a partition nor a split
+    with pytest.raises(ShapeMismatch):
+        RegularEmbedding(2, 4, nest(2, 2).diag, st=(1, 2))  # both
+
+
+# -- closed alternating form ----------------------------------------------
+
+def test_alternating_is_closed_form_until_diag_is_read():
+    e = alternating(2, 3, 2)
+    assert e.st == (3, 2) and e.k_to == 12
+    assert e.diag.blocks == (
+        (1, 2, 5, 6, 9, 10),
+        (3, 4, 7, 8, 11, 12),
+    )
+    assert e.diag is e.diag  # built once, then cached
+    with pytest.raises(AttributeError):
+        e.k_to = 24
+
+
+def test_rank_image_matches_diag_exhaustively():
+    for k, s, t in itertools.product(SMALL, SMALL, SMALL):
+        e = alternating(k, s, t)
+        explicit = RegularEmbedding(k, e.k_to, e.diag)
+        for i in range(1, k + 1):
+            for r in range(s * t):
+                assert e.rank_image(i, r) == e.diag.block(i)[r]
+                assert explicit.rank_image(i, r) == e.diag.block(i)[r]
+
+
+def test_rank_image_ranges():
+    for e in (alternating(2, 2, 3), standard(2, 6)):
+        with pytest.raises(OutOfRange):
+            e.rank_image(3, 0)
+        with pytest.raises(OutOfRange):
+            e.rank_image(1, 6)
+        with pytest.raises(OutOfRange):
+            e.rank_image(1, -1)
+
+
+def test_closed_compose_matches_explicit_exhaustively():
+    for k, s1, t1, s2, t2 in itertools.product(SMALL, repeat=5):
+        inner = alternating(k, s1, t1)
+        outer = alternating(k * s1 * t1, s2, t2)
+        got = compose_embeddings(outer, inner)
+        assert got.st == (s1 * s2, t1 * t2)
+        assert got.diag == partitions.compose(outer.diag, inner.diag)
+
+
+def test_alternating_equals_reference_formulas_with_equal_hashes():
+    for k, m in itertools.product(SMALL, SMALL):
+        for closed, reference in (
+            (alternating(k, m, 1), standard(k, m)),
+            (alternating(k, 1, m), nest(k, m)),
+        ):
+            assert closed == reference and reference == closed
+            assert hash(closed) == hash(reference)
+
+
+def test_alternating_equality_is_partition_equality():
+    # one block admits a single partition, so every split of k = 1 agrees
+    assert alternating(1, 2, 3) == alternating(1, 6, 1)
+    assert alternating(1, 2, 3).diag == alternating(1, 6, 1).diag
+    # from two blocks on, the split is visible in the partition
+    assert alternating(2, 2, 3) != alternating(2, 6, 1)
+    assert alternating(2, 2, 3).diag != alternating(2, 6, 1).diag
+    assert len({alternating(3, 2, 2), nest(3, 4), standard(3, 4)}) == 3
 
 
 # -- unit images ---------------------------------------------------------
@@ -96,8 +170,9 @@ def test_image_of_unit_errors():
 # -- composition ---------------------------------------------------------
 
 def test_compose_alternating_closure():
-    got = compose_embeddings(alternating(8, 2, 2), alternating(2, 2, 2))
-    assert got.diag == alternating(2, 4, 4).diag
+    outer, inner = alternating(8, 2, 2), alternating(2, 2, 2)
+    assert compose_embeddings(outer, inner) == alternating(2, 4, 4)
+    assert partitions.compose(outer.diag, inner.diag) == alternating(2, 4, 4).diag
 
 
 def test_compose_with_identity():
@@ -109,6 +184,7 @@ def test_compose_with_identity():
 def test_compose_std_then_nest_is_alternating():
     got = compose_embeddings(nest(4, 2), standard(2, 2))
     assert blocks(got) == ((1, 2, 5, 6), (3, 4, 7, 8))
+    assert got.diag == partitions.compose(nest(4, 2).diag, standard(2, 2).diag)
     assert got.diag == alternating(2, 2, 2).diag
 
 

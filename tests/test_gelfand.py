@@ -16,7 +16,7 @@ from tuhf import (
     relation_member,
 )
 from tuhf.gelfand import DepthMismatch
-from tuhf.partitions import OutOfRange
+from tuhf.partitions import OutOfRange, parse_partition
 
 
 def chain_by_hand(tower, point):
@@ -85,6 +85,23 @@ def test_projection_chain_matches_hand_walk(two_inf_alt, nest_tower):
         for coords in itertools.product(*ranges):
             p = GelfandPoint(coords)
             assert projection_chain(tower, p) == chain_by_hand(tower, p)
+
+
+def test_projection_chain_reads_part_levels_explicitly():
+    # the part level has no closed form, so its blocks are read from the
+    # stored partition; the alternating levels above it are arithmetic
+    part = parse_partition("m=6 n=2 blocks=1,3,4;2,5,6")
+    tower = TowerSpec(
+        2,
+        preamble=(Descriptor("part", partition=part),),
+        cycle=(Descriptor("alt", 2, 2),),
+    )
+    assert tower.embedding(1).st is None and tower.embedding(2).st == (2, 2)
+    for coords in itertools.product(range(2), range(3), range(4)):
+        i1 = coords[0] + 1
+        i2 = part.block(i1)[coords[1]]
+        i3 = tower.embedding(2).diag.block(i2)[coords[2]]
+        assert projection_chain(tower, GelfandPoint(coords)) == (i1, i2, i3)
 
 
 def test_projection_compare_agreeing_example(two_inf_alt):
