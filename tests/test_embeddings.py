@@ -49,12 +49,15 @@ def test_alternating_pattern():
 
 
 def test_alternating_degenerate_factors():
-    assert alternating(2, 2, 1).diag == standard(2, 2).diag
-    assert alternating(2, 1, 2).diag == nest(2, 2).diag
-    for k in (1, 2, 3):
-        for mult in (2, 3):
-            assert alternating(k, mult, 1).diag == standard(k, mult).diag
-            assert alternating(k, 1, mult).diag == nest(k, mult).diag
+    # the closed form against the explicit reference formulas
+    for k, m in itertools.product(SMALL, SMALL):
+        for closed, reference in (
+            (alternating(k, m, 1), standard(k, m)),
+            (alternating(k, 1, m), nest(k, m)),
+        ):
+            assert closed.diag == reference.diag
+            assert closed == reference and reference == closed
+            assert hash(closed) == hash(reference)
 
 
 def test_embedding_shape_validation():
@@ -104,25 +107,6 @@ def test_rank_image_ranges():
             e.rank_image(1, -1)
 
 
-def test_closed_compose_matches_explicit_exhaustively():
-    for k, s1, t1, s2, t2 in itertools.product(SMALL, repeat=5):
-        inner = alternating(k, s1, t1)
-        outer = alternating(k * s1 * t1, s2, t2)
-        got = compose_embeddings(outer, inner)
-        assert got.st == (s1 * s2, t1 * t2)
-        assert got.diag == partitions.compose(outer.diag, inner.diag)
-
-
-def test_alternating_equals_reference_formulas_with_equal_hashes():
-    for k, m in itertools.product(SMALL, SMALL):
-        for closed, reference in (
-            (alternating(k, m, 1), standard(k, m)),
-            (alternating(k, 1, m), nest(k, m)),
-        ):
-            assert closed == reference and reference == closed
-            assert hash(closed) == hash(reference)
-
-
 def test_alternating_equality_is_partition_equality():
     # one block admits a single partition, so every split of k = 1 agrees
     assert alternating(1, 2, 3) == alternating(1, 6, 1)
@@ -170,9 +154,14 @@ def test_image_of_unit_errors():
 # -- composition ---------------------------------------------------------
 
 def test_compose_alternating_closure():
-    outer, inner = alternating(8, 2, 2), alternating(2, 2, 2)
-    assert compose_embeddings(outer, inner) == alternating(2, 4, 4)
-    assert partitions.compose(outer.diag, inner.diag) == alternating(2, 4, 4).diag
+    # closed-form composition against explicit partition composition
+    for k, s1, t1, s2, t2 in itertools.product(SMALL, repeat=5):
+        inner = alternating(k, s1, t1)
+        outer = alternating(k * s1 * t1, s2, t2)
+        got = compose_embeddings(outer, inner)
+        assert got == alternating(k, s1 * s2, t1 * t2)
+        assert got.st == (s1 * s2, t1 * t2)
+        assert got.diag == partitions.compose(outer.diag, inner.diag)
 
 
 def test_compose_with_identity():
