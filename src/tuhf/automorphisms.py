@@ -43,7 +43,7 @@ from .supernatural import (
     is_prime,
     rational_pair_witness,
 )
-from .towers import Descriptor, NotAlternatingTower, TensorTower, TowerSpec
+from .towers import Descriptor, NotAlternatingTower, TensorTower, TowerSpec, _ratio_product
 
 
 class InvalidShiftWord(DomainError):
@@ -224,16 +224,14 @@ def word_action(tower: TowerSpec, w: ShiftWord, n: int) -> OrderedPartition:
     return alternating(tower.level_dim(n), sr * w.u // w.v, tr * w.v // w.u).diag
 
 
-def is_normalized_for_word(tower: TowerSpec, w: ShiftWord) -> bool:
-    """Whether u*v divides both ratio components at every level."""
-    uv = w.u * w.v
-    for d in tower.preamble + tower.cycle:
+def _first_unnormalized(tower: TowerSpec, uv: int) -> Optional[tuple[int, Descriptor]]:
+    """The first descriptor, with its 1-based index, whose ratio misses
+    the factor uv on either side; None when uv divides them all."""
+    for idx, d in enumerate(tower.preamble + tower.cycle, 1):
         r = d.ratios()
-        if r is None:
-            return False
-        if r[0] % uv or r[1] % uv:
-            return False
-    return True
+        if r is None or r[0] % uv or r[1] % uv:
+            return idx, d
+    return None
 
 
 def normalize_for_word(tower: TowerSpec, w: ShiftWord) -> TowerSpec:
@@ -245,16 +243,12 @@ def normalize_for_word(tower: TowerSpec, w: ShiftWord) -> TowerSpec:
     what makes per-level shift actions well defined for the word.
     """
     validate_word(tower, w)
-    if w.is_identity or is_normalized_for_word(tower, w):
+    if w.is_identity or _first_unnormalized(tower, w.u * w.v) is None:
         return tower
     base_level = len(tower.preamble) + 1
     k0, s0, t0 = tower.level_dims(base_level)
     assert s0 is not None and t0 is not None  # alternating-form per validate_word
-    cyc_s = cyc_t = 1
-    for d in tower.cycle:
-        rs, rt = d.ratios()  # type: ignore[misc]
-        cyc_s *= rs
-        cyc_t *= rt
+    cyc_s, cyc_t = _ratio_product(tower.cycle)
     fs = factorize(cyc_s)
     ft = factorize(cyc_t)
     passes = 1
@@ -295,13 +289,13 @@ def shift_auto(tower: TowerSpec, p: int, start: int = 1) -> Iterator[FiniteAutoD
     if start < 1:
         raise OutOfRange(f"levels start at 1, got {start}")
     w = ShiftWord(p, 1)
-    for idx, d in enumerate(tower.preamble + tower.cycle, 1):
-        r = d.ratios()
-        if r is None or r[0] % p or r[1] % p:
-            raise TowerNotNormalizedForPrime(
-                f"descriptor {idx} ({d.kind}) lacks the factor {p} in a ratio; "
-                f"normalize the tower for {p} first"
-            )
+    bad = _first_unnormalized(tower, p)
+    if bad is not None:
+        idx, d = bad
+        raise TowerNotNormalizedForPrime(
+            f"descriptor {idx} ({d.kind}) lacks the factor {p} in a ratio; "
+            f"normalize the tower for {p} first"
+        )
 
     def walk() -> Iterator[FiniteAutoData]:
         n = start
@@ -329,18 +323,17 @@ def materialize_word(tower: TowerSpec, w: ShiftWord, m: int, m_to: int) -> Finit
     return FiniteAutoData(m, m_to, acc)
 
 
-def factor_automorphism(tower: TowerSpec, data: Sequence[FiniteAutoData]) -> ShiftWord:
-    """Recover the shift word from recorded actions at >= 2 level pairs.
-
-    Each informative datum (k_m > 1) must be an interval pattern; its
-    detected s divided by the tower's own s-growth between the levels is
-    the word, and all data must agree.  Data at k_m = 1 are skipped: a
-    single block fits every interval reading.
-    """
+def _factor_walk(
+    tower: TowerSpec, data: Sequence[FiniteAutoData]
+) -> tuple[list[tuple[FiniteAutoData, Optional[IntervalForm]]], ShiftWord]:
+    """Read each record once, in level order: check its shape against
+    the tower, detect its interval form (None where k_m = 1) and derive
+    the word, which every informative record must agree on."""
     if len(data) < 2:
         raise UnderdeterminedWord(
             f"need at least two level pairs for a cross-checked word, got {len(data)}"
         )
+    readings: list[tuple[FiniteAutoData, Optional[IntervalForm]]] = []
     fractions: list[Fraction] = []
     for datum in sorted(data, key=lambda d: (d.level_from, d.level_to)):
         k_m, s_m, _ = tower.level_dims(datum.level_from)
@@ -354,6 +347,7 @@ def factor_automorphism(tower: TowerSpec, data: Sequence[FiniteAutoData]) -> Shi
                 f"tower expects {k_m}|{k_n}"
             )
         if k_m == 1:
+            readings.append((datum, None))
             continue
         iv = detect_interval_form(datum.action, k_m)
         if iv is None:
@@ -361,6 +355,7 @@ def factor_automorphism(tower: TowerSpec, data: Sequence[FiniteAutoData]) -> Shi
                 f"action at levels {datum.level_from}..{datum.level_to} "
                 f"is not an interval pattern"
             )
+        readings.append((datum, iv))
         fractions.append(Fraction(iv.s * s_m, s_n))
     if not fractions:
         raise UnderdeterminedWord("every datum has k_m = 1 and carries no information")
@@ -370,24 +365,29 @@ def factor_automorphism(tower: TowerSpec, data: Sequence[FiniteAutoData]) -> Shi
             raise InconsistentLevels(str(first), str(frac))
     w = ShiftWord.from_fraction(first)
     validate_word(tower, w)
-    return w
+    return readings, w
+
+
+def factor_automorphism(tower: TowerSpec, data: Sequence[FiniteAutoData]) -> ShiftWord:
+    """Recover the shift word from recorded actions at >= 2 level pairs.
+
+    Each informative datum (k_m > 1) must be an interval pattern; its
+    detected s divided by the tower's own s-growth between the levels is
+    the word, and all data must agree.  Data at k_m = 1 are skipped: a
+    single block fits every interval reading.
+    """
+    return _factor_walk(tower, data)[1]
 
 
 def factor_report(tower: TowerSpec, data: Sequence[FiniteAutoData]) -> str:
     """Human-readable factorization record: one line per level pair with
     its detected interval shape, then the word and a consistency stamp."""
-    lines: list[str] = []
-    for datum in sorted(data, key=lambda d: (d.level_from, d.level_to)):
-        k_m = tower.level_dim(datum.level_from)
-        if k_m == 1:
-            lines.append(
-                f"levels {datum.level_from} {datum.level_to} uninformative (k = 1)"
-            )
-            continue
-        iv = detect_interval_form(datum.action, k_m)
-        shape = "not interval form" if iv is None else f"interval s={iv.s} t={iv.t}"
-        lines.append(f"levels {datum.level_from} {datum.level_to} {shape}")
-    w = factor_automorphism(tower, data)
+    readings, w = _factor_walk(tower, data)
+    lines = [
+        f"levels {datum.level_from} {datum.level_to} "
+        + ("uninformative (k = 1)" if iv is None else f"interval s={iv.s} t={iv.t}")
+        for datum, iv in readings
+    ]
     lines.append(f"word {w}")
     lines.append("status consistent")
     return "\n".join(lines) + "\n"

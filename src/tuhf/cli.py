@@ -64,11 +64,17 @@ def _parse_level_range(text: str) -> tuple[int, int]:
     return a, b
 
 
+def _positive(value: int, option: str) -> int:
+    if value < 1:
+        raise FormatError(f"{option} must be at least 1, got {value}")
+    return value
+
+
 # -- subcommand bodies ---------------------------------------------------
 
 def _cmd_tower_show(args: argparse.Namespace) -> int:
     tower = _load_tower_file(args.file)
-    for n in range(1, args.levels + 1):
+    for n in range(1, _positive(args.levels, "--levels") + 1):
         k, s, t = tower.level_dims(n)
         if s is None:
             print(f"level {n} k {k}")
@@ -182,7 +188,7 @@ def _cmd_normalizer_split(args: argparse.Namespace) -> int:
 def _cmd_check_all(args: argparse.Namespace) -> int:
     tower = _load_tower_file(args.file)
     failures = 0
-    for name, ok, detail in run_all(tower, args.seed, args.cases):
+    for name, ok, detail in run_all(tower, args.seed, _positive(args.cases, "--cases")):
         if ok:
             print(f"{name} ok ({detail})")
         else:

@@ -170,13 +170,10 @@ def relation_member(
     points are not tail-equivalent at that depth or when y is strictly
     below x.
     """
-    if x.depth != y.depth:
-        raise DepthMismatch(f"depths differ: {x.depth} vs {y.depth}")
+    same_tail = _prepare(tower, x, y)
     if not 1 <= depth <= x.depth:
         raise OutOfRange(f"depth {depth} outside 1..{x.depth}")
-    _check_ranges(tower, x)
-    _check_ranges(tower, y)
-    if x.tail != y.tail or x.coords[depth:] != y.coords[depth:]:
+    if not same_tail or x.coords[depth:] != y.coords[depth:]:
         return None
     ci = _chain(tower, x)
     cj = _chain(tower, y)

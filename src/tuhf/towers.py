@@ -177,6 +177,16 @@ def format_descriptor(d: Descriptor) -> str:
     return f"part {d.partition.ground_size} {format_partition(d.partition)}"
 
 
+def _ratio_product(descriptors: tuple[Descriptor, ...]) -> tuple[int, int]:
+    """Products of the s and of the t ratios of alternating-form descriptors."""
+    s = t = 1
+    for d in descriptors:
+        rs, rt = d.ratios()  # type: ignore[misc]
+        s *= rs
+        t *= rt
+    return s, t
+
+
 @dataclass(frozen=True)
 class TowerSpec:
     """Base dimension with its declared (s1, t1) split, preamble, cycle.
@@ -285,15 +295,8 @@ class TowerSpec:
             raise NotAlternatingTower(
                 "supernatural pair needs s/t ratios at every level"
             )
-        s_pre = t_pre = s_cyc = t_cyc = 1
-        for d in self.preamble:
-            rs, rt = d.ratios()  # type: ignore[misc]
-            s_pre *= rs
-            t_pre *= rt
-        for d in self.cycle:
-            rs, rt = d.ratios()  # type: ignore[misc]
-            s_cyc *= rs
-            t_cyc *= rt
+        s_pre, t_pre = _ratio_product(self.preamble)
+        s_cyc, t_cyc = _ratio_product(self.cycle)
 
         def build(pre: int, cyc: int) -> SupernaturalNumber:
             factors: dict[int, object] = dict(supernatural.factorize(pre))
@@ -312,9 +315,7 @@ def format_tower(spec: TowerSpec) -> str:
 
 
 def load_tower(text: str) -> TowerSpec:
-    k1: Optional[int] = None
-    s1: Optional[int] = None
-    t1: Optional[int] = None
+    header: dict[str, Optional[int]] = {"k1": None, "s1": None, "t1": None}
     preamble: list[Descriptor] = []
     cycle: list[Descriptor] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -323,23 +324,14 @@ def load_tower(text: str) -> TowerSpec:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        if head in ("k1", "s1", "t1"):
+        if head in header:
             try:
                 value = int(rest)
             except ValueError:
                 raise ParseError(f"{head} needs an integer, got {rest!r}", lineno) from None
-            if head == "k1":
-                if k1 is not None:
-                    raise ParseError("duplicate k1 line", lineno)
-                k1 = value
-            elif head == "s1":
-                if s1 is not None:
-                    raise ParseError("duplicate s1 line", lineno)
-                s1 = value
-            else:
-                if t1 is not None:
-                    raise ParseError("duplicate t1 line", lineno)
-                t1 = value
+            if header[head] is not None:
+                raise ParseError(f"duplicate {head} line", lineno)
+            header[head] = value
         elif head in ("preamble", "cycle"):
             try:
                 d = parse_descriptor(rest)
@@ -348,11 +340,12 @@ def load_tower(text: str) -> TowerSpec:
             (preamble if head == "preamble" else cycle).append(d)
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
+    k1 = header["k1"]
     if k1 is None:
         raise ParseError("missing k1 line")
     if not cycle:
         raise ParseError("missing cycle line")
-    return TowerSpec(k1, s1, t1, tuple(preamble), tuple(cycle))
+    return TowerSpec(k1, header["s1"], header["t1"], tuple(preamble), tuple(cycle))
 
 
 @dataclass(frozen=True)

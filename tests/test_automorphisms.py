@@ -117,7 +117,9 @@ def test_shift_requires_normalized_tower():
         1, cycle=(Descriptor("alt", 4, 2), Descriptor("alt", 1, 2))
     )
     assert 2 in common_infinite_primes(t)
-    with pytest.raises(TowerNotNormalizedForPrime):
+    with pytest.raises(
+        TowerNotNormalizedForPrime, match=r"^descriptor 2 \(alt\) lacks the factor 2 "
+    ):
         next(shift_auto(t, 2))
     from tuhf import normalize_for_prime
 

@@ -107,9 +107,51 @@ def test_shift_then_factor(files, capsys, tmp_path):
     auto.write_text(out)
     code, out, _ = run(capsys, "factor", f, "--auto", str(auto))
     assert code == 0
-    lines = out.splitlines()
-    assert "word 2/1" in lines
-    assert "status consistent" in lines
+    assert out == (
+        "levels 1 2 interval s=4 t=1\n"
+        "levels 2 3 interval s=4 t=1\n"
+        "word 2/1\n"
+        "status consistent\n"
+    )
+
+
+def test_factor_detects_each_informative_record_once(files, capsys, monkeypatch):
+    shapes = []
+    real = tuhf.automorphisms.detect_interval_form
+
+    def spy(q, k_m):
+        shapes.append(k_m)
+        return real(q, k_m)
+
+    monkeypatch.setattr(tuhf.automorphisms, "detect_interval_form", spy)
+    # level 1 has k = 1, so the first of the three records is uninformative
+    f = files("one.tower", "k1 1\ncycle alt 2 2\n")
+    _, record, _ = run(capsys, "shift", f, "-p", "2", "--levels", "1..4")
+    auto = files("one.auto", record)
+    code, out, _ = run(capsys, "factor", f, "--auto", auto)
+    assert code == 0 and out.splitlines()[0] == "levels 1 2 uninformative (k = 1)"
+    assert shapes == [4, 16]
+
+
+def test_factor_on_part_tower_names_the_missing_ratios(files, capsys):
+    f = files("two.tower", TWO_INF)
+    _, record, _ = run(capsys, "shift", f, "-p", "2", "--levels", "1..3")
+    auto = files("two.auto", record)
+    part = files(
+        "p.tower", "k1 4\npreamble part 8 m=8 n=4 blocks=1,5;2,6;3,7;4,8\ncycle std 2\n"
+    )
+    code, out, err = run(capsys, "factor", part, "--auto", auto)
+    assert code == 1 and out == ""
+    assert err == "error: factorization needs s/t ratios at every level\n"
+
+
+def test_factor_mis_shaped_record_names_the_tower_shape(files, capsys):
+    small = files("small.tower", "k1 2\ncycle alt 2 2\n")
+    _, record, _ = run(capsys, "shift", small, "-p", "2", "--levels", "1..3")
+    auto = files("small.auto", record)
+    code, _, err = run(capsys, "factor", files("two.tower", TWO_INF), "--auto", auto)
+    assert code == 1
+    assert err == "error: datum at levels 1..2 has shape 2|8, tower expects 4|16\n"
 
 
 def test_shift_builds_no_level_past_the_range(files, capsys, monkeypatch):
@@ -252,6 +294,21 @@ def test_shift_bad_level_range(files, capsys):
     f = files("two.tower", TWO_INF)
     code, _, err = run(capsys, "shift", f, "-p", "2", "--levels", "3..1")
     assert code == 2 and err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("tower", "show", "{f}", "--levels", "0"), "--levels must be at least 1, got 0"),
+        (("tower", "show", "{f}", "--levels", "-3"), "--levels must be at least 1, got -3"),
+        (("check", "all", "{f}", "--cases", "-5"), "--cases must be at least 1, got -5"),
+    ],
+    ids=["levels-zero", "levels-negative", "cases-negative"],
+)
+def test_counts_below_one_are_parse_errors(files, capsys, argv, message):
+    f = files("two.tower", TWO_INF)
+    code, out, err = run(capsys, *(a.format(f=f) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

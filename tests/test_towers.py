@@ -56,13 +56,19 @@ def test_load_comments_and_blank_lines():
 
 
 def test_load_parse_errors():
-    with pytest.raises(ParseError):
-        load_tower("cycle alt 2 2\n")  # no k1
-    with pytest.raises(ParseError):
-        load_tower("k1 4\n")  # no cycle
-    with pytest.raises(ParseError):
-        load_tower("k1 4\nk1 2\ncycle alt 2 2\n")  # duplicate
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^missing k1 line$"):
+        load_tower("cycle alt 2 2\n")
+    with pytest.raises(ParseError, match=r"^missing cycle line$"):
+        load_tower("k1 4\n")
+    with pytest.raises(ParseError, match=r"^line 2: duplicate k1 line$"):
+        load_tower("k1 4\nk1 2\ncycle alt 2 2\n")
+    with pytest.raises(ParseError, match=r"^line 3: duplicate s1 line$"):
+        load_tower("k1 4\ns1 2\ns1 2\ncycle alt 2 2\n")
+    with pytest.raises(ParseError, match=r"^line 3: duplicate t1 line$"):
+        load_tower("k1 4\nt1 2\nt1 4\ncycle alt 2 2\n")
+    with pytest.raises(ParseError, match=r"^line 2: s1 needs an integer, got 'two'$"):
+        load_tower("k1 4\ns1 two\ncycle alt 2 2\n")
+    with pytest.raises(ParseError, match=r"^line 2: unknown directive 'width'$"):
         load_tower("k1 4\nwidth 3\ncycle alt 2 2\n")
     with pytest.raises(InvalidDescriptor):
         load_tower("k1 4\ncycle bogus 2\n")
