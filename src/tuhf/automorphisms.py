@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from . import partitions
-from .embeddings import alternating
+from .embeddings import _tensor_blocks, alternating
 from .errors import DomainError, FormatError, TuhfError
 from .partitions import (
     InvalidPartition,
@@ -441,11 +441,7 @@ def lift_block_words(
         raise ShapeMismatch(
             f"{parent.block_count} blocks need {parent.block_count} words, got {len(words)}"
         )
-    out: list[Optional[ShiftWord]] = [None] * parent.ground_size
-    for i in range(1, parent.block_count + 1):
-        for x in parent.block(i):
-            out[x - 1] = words[i - 1]
-    return tuple(out)  # type: ignore[arg-type]
+    return tuple(words[i - 1] for i in parent.assignment())
 
 
 def combine_tensor_autos(
@@ -462,30 +458,20 @@ def combine_tensor_autos(
     identity this reproduces the tensor tower's own level embedding.
     """
     k_n = tensor.phi.level_dim(n)
-    j_n = tensor.psi.level_dim(n)
-    j_to = tensor.psi.level_dim(n + 1)
     if len(block_words) != k_n:
         raise ShapeMismatch(
             f"level {n} has {k_n} first-factor units, got {len(block_words)} words"
         )
     validate_word(tensor.phi, global_word)
     g_action = word_action(tensor.phi, global_word, n)
-    cache: dict[tuple[int, int], OrderedPartition] = {}
+    actions: dict[ShiftWord, OrderedPartition] = {}
     for w in block_words:
-        key = (w.u, w.v)
-        if key not in cache:
+        if w not in actions:
             validate_word(tensor.psi, w)
-            cache[key] = word_action(tensor.psi, w, n)
-    blocks: list[tuple[int, ...]] = []
-    for i in range(1, k_n + 1):
-        g_block = g_action.block(i)
-        w_action = cache[(block_words[i - 1].u, block_words[i - 1].v)]
-        for a in range(1, j_n + 1):
-            w_block = w_action.block(a)
-            blocks.append(
-                tuple(sorted((i2 - 1) * j_to + b for i2 in g_block for b in w_block))
-            )
-    return FiniteAutoData(n, n + 1, OrderedPartition(tuple(blocks)))
+            actions[w] = word_action(tensor.psi, w, n)
+    return FiniteAutoData(
+        n, n + 1, _tensor_blocks(g_action, [actions[w] for w in block_words])
+    )
 
 
 def dirichlet_dimension_check(k: int) -> bool:

@@ -86,7 +86,7 @@ from .partitions import (
     restrict_prefix,
     runs_of,
 )
-from .supernatural import SupernaturalNumber, multiply
+from .supernatural import SupernaturalNumber, factorize, multiply
 from .towers import (
     Descriptor,
     TensorTower,
@@ -96,6 +96,16 @@ from .towers import (
 )
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
+# Largest level dimension a shift suite materializes, and the smaller
+# one for the torsion power chains and the optional third record.
+_DIM_CAP = 120_000
+_SMALL_DIM_CAP = 60_000
+# Largest level-3 dimension of the interval towers the point-order
+# suites enumerate exhaustively.
+_K3_CAP = 64
+# Target ground sizes and search attempts of a random run-size instance.
+_PSIZE_GROUND = (13, 24)
+_PSIZE_ATTEMPTS = 600
 
 SuiteResult = tuple[bool, str]
 Suite = Callable[[random.Random, int, Optional[TowerSpec]], SuiteResult]
@@ -143,13 +153,11 @@ def random_diagonal_unitary(rng: random.Random, k: int) -> DiagonalUnitary:
     return DiagonalUnitary(tuple(random_phase(rng) for _ in range(k)))
 
 
-def random_partial_permutation(
-    rng: random.Random, k: int, density: float = 0.8
-) -> PartialPermutationMatrix:
+def random_partial_permutation(rng: random.Random, k: int) -> PartialPermutationMatrix:
     pairs: list[tuple[int, int]] = []
     used: set[int] = set()
     for r in range(1, k + 1):
-        if rng.random() >= density:
+        if rng.random() >= 0.8:
             continue
         cands = [c for c in range(r, k + 1) if c not in used]
         if not cands:
@@ -193,39 +201,24 @@ def random_descriptor(rng: random.Random, max_ratio: int) -> Descriptor:
 
 
 def random_alternating_tower(
-    rng: random.Random,
-    *,
-    k1_max: int = 4,
-    max_ratio: int = 8,
-    max_preamble: int = 1,
-    max_cycle: int = 2,
+    rng: random.Random, *, k1_max: int = 4, max_ratio: int = 8
 ) -> TowerSpec:
     """A small alternating-form tower; no promise about common primes."""
     k1 = rng.randint(1, k1_max)
-    s1 = rng.choice([d for d in range(1, k1 + 1) if k1 % d == 0])
-    pre = tuple(
-        random_descriptor(rng, max_ratio) for _ in range(rng.randint(0, max_preamble))
-    )
-    cyc = tuple(
-        random_descriptor(rng, max_ratio) for _ in range(rng.randint(1, max_cycle))
-    )
+    s1 = rng.choice(_divisors(k1))
+    pre = tuple(random_descriptor(rng, max_ratio) for _ in range(rng.randint(0, 1)))
+    cyc = tuple(random_descriptor(rng, max_ratio) for _ in range(rng.randint(1, 2)))
     return TowerSpec(k1, s1, k1 // s1, pre, cyc)
 
 
-def random_shift_instance(
-    rng: random.Random,
-    *,
-    max_prime: int = 13,
-    max_ratio: int = 30,
-    dim_cap: int = 120_000,
-) -> tuple[TowerSpec, ShiftWord]:
+def random_shift_instance(rng: random.Random) -> tuple[TowerSpec, ShiftWord]:
     """A tower and a nontrivial word the tower supports.
 
     The word's primes all occur in the cycle on both sides with at least
     the word's exponent, so normalize_for_word never needs more than one
-    cycle pass and materialized levels stay within dim_cap.
+    cycle pass and materialized levels stay within _DIM_CAP.
     """
-    primes = [p for p in _PRIMES if p <= max_prime]
+    max_ratio = 30
     for _ in range(200):
         if rng.random() < 0.2:
             # square style: one prime, exponent up to 2 on each side
@@ -234,7 +227,7 @@ def random_shift_instance(
             s_mult = t_mult = p * p
             exps = {p: rng.randint(1, 2)}
         else:
-            chosen = rng.sample(primes, rng.randint(1, 2))
+            chosen = rng.sample(_PRIMES, rng.randint(1, 2))
             prod = 1
             for p in chosen:
                 prod *= p
@@ -245,7 +238,7 @@ def random_shift_instance(
             s_mult, t_mult = prod * extra_s, prod * extra_t
             exps = {p: 1 for p in chosen}
         k1 = rng.randint(1, 4)
-        s1 = rng.choice([d for d in range(1, k1 + 1) if k1 % d == 0])
+        s1 = rng.choice(_divisors(k1))
         pre: tuple[Descriptor, ...] = ()
         if rng.random() < 0.3:
             pre = (random_descriptor(rng, 6),)
@@ -264,14 +257,12 @@ def random_shift_instance(
             else:
                 v = p ** exps[p]
         w = ShiftWord(u, v)
-        if normalize_for_word(tower, w).level_dim(3) <= dim_cap:
+        if normalize_for_word(tower, w).level_dim(3) <= _DIM_CAP:
             return tower, w
     raise RuntimeError("could not generate a shift instance within the caps")
 
 
-def random_torsion_instance(
-    rng: random.Random, *, dim_cap: int = 60_000
-) -> tuple[TowerSpec, ShiftWord, int]:
+def random_torsion_instance(rng: random.Random) -> tuple[TowerSpec, ShiftWord, int]:
     """A (tower, nontrivial word, power) triple small enough to cross-check."""
     style = rng.random()
     if style < 0.25:
@@ -288,12 +279,12 @@ def random_torsion_instance(
     w = rng.choice(choices)
     base = 1 if tower.level_dim(1) > 1 else 2
     m = rng.randint(1, 6)
-    while m > 1 and tower.level_dim(base + m) > dim_cap:
+    while m > 1 and tower.level_dim(base + m) > _SMALL_DIM_CAP:
         m -= 1
     return tower, w, m
 
 
-def random_interval_tower(rng: random.Random, *, k3_cap: int = 64) -> TowerSpec:
+def random_interval_tower(rng: random.Random) -> TowerSpec:
     """A nest-form tower (every step A |-> A (x) I)."""
     while True:
         k1 = rng.choice((2, 3, 4))
@@ -305,7 +296,7 @@ def random_interval_tower(rng: random.Random, *, k3_cap: int = 64) -> TowerSpec:
             for _ in range(rng.choice((1, 1, 2)))
         )
         tower = TowerSpec(k1, 1, k1, pre, cyc)
-        if tower.level_dim(3) <= k3_cap:
+        if tower.level_dim(3) <= _K3_CAP:
             return tower
 
 
@@ -374,6 +365,30 @@ def _piece_decomps(
     yield from rec(0, [])
 
 
+def _psize_runs(
+    p: OrderedPartition, elems: Sequence[int], rng: Optional[random.Random] = None
+) -> Iterator[tuple[tuple[Run, ...], tuple[Run, ...]]]:
+    """Every (source runs, target runs) pair over the source elements
+    ``elems`` of p: the image is cut into n runs of size h plus a
+    remainder, and the elements into matching intervals.  ``rng``
+    shuffles the (n, h) candidates."""
+    image: set[int] = set()
+    for e in elems:
+        image.update(p.block(e))
+    sorted_image = sorted(image)
+    t = len(sorted_image)
+    pairs = [(n, h) for n in range(1, len(elems) + 1) for h in range(1, (t - 1) // n + 1)]
+    if rng is not None:
+        rng.shuffle(pairs)
+    for n, h in pairs:
+        s_runs = _chunk_runs(sorted_image, h, n)
+        if s_runs is None:
+            continue
+        chunks = [frozenset(run.elements()) for run in s_runs[:n]]
+        for r_runs in _piece_decomps(p, elems, chunks):
+            yield r_runs, s_runs
+
+
 def enumerate_psize_instances(
     s_max: int,
 ) -> Iterator[tuple[tuple[Run, ...], tuple[Run, ...], OrderedPartition]]:
@@ -382,32 +397,18 @@ def enumerate_psize_instances(
     for s in range(1, s_max + 1):
         for r in _divisors(s):
             for p in ordered_partitions(s, r):
-                blocks = [set(b) for b in p.blocks]
                 for mask in range(1, 1 << r):
                     elems = [e + 1 for e in range(r) if mask >> e & 1]
-                    image: set[int] = set()
-                    for e in elems:
-                        image |= blocks[e - 1]
-                    sorted_image = sorted(image)
-                    t = len(sorted_image)
-                    for n in range(1, len(elems) + 1):
-                        for h in range(1, (t - 1) // n + 1):
-                            s_runs = _chunk_runs(sorted_image, h, n)
-                            if s_runs is None:
-                                continue
-                            chunks = [
-                                frozenset(run.elements()) for run in s_runs[:n]
-                            ]
-                            for r_runs in _piece_decomps(p, elems, chunks):
-                                yield r_runs, s_runs, p
+                    for r_runs, s_runs in _psize_runs(p, elems):
+                        yield r_runs, s_runs, p
 
 
 def random_psize_instance(
-    rng: random.Random, *, s_lo: int = 13, s_hi: int = 24, attempts: int = 600
+    rng: random.Random,
 ) -> tuple[tuple[Run, ...], tuple[Run, ...], OrderedPartition]:
     """One random hypothesis-satisfying configuration, by filtered search."""
-    for _ in range(attempts):
-        s = rng.randint(s_lo, s_hi)
+    for _ in range(_PSIZE_ATTEMPTS):
+        s = rng.randint(*_PSIZE_GROUND)
         r = rng.choice([d for d in _divisors(s) if d >= 2])
         p = random_ordered_partition(rng, s, r)
         if rng.random() < 0.5:
@@ -417,26 +418,10 @@ def random_psize_instance(
             elems = [e for e in range(1, r + 1) if rng.random() < 0.5]
             if not elems:
                 continue
-        image: set[int] = set()
-        for e in elems:
-            image |= set(p.block(e))
-        sorted_image = sorted(image)
-        t = len(sorted_image)
-        pairs = [
-            (n, h)
-            for n in range(1, len(elems) + 1)
-            for h in range(1, (t - 1) // n + 1)
-        ]
-        rng.shuffle(pairs)
-        for n, h in pairs:
-            s_runs = _chunk_runs(sorted_image, h, n)
-            if s_runs is None:
-                continue
-            chunks = [frozenset(run.elements()) for run in s_runs[:n]]
-            for r_runs in _piece_decomps(p, elems, chunks):
-                return r_runs, s_runs, p
+        for r_runs, s_runs in _psize_runs(p, elems, rng):
+            return r_runs, s_runs, p
     raise RuntimeError(
-        f"no run-size instance found in {attempts} attempts (s in {s_lo}..{s_hi})"
+        f"no run-size instance found in {_PSIZE_ATTEMPTS} attempts (s in {_PSIZE_GROUND})"
     )
 
 
@@ -698,9 +683,9 @@ def _suite_level_straightening(
     return True, f"{cases} cases, worst residual {worst:g}"
 
 
-def _word_pool(tower: Optional[TowerSpec], dim_cap: int) -> list[tuple[TowerSpec, ShiftWord]]:
+def _word_pool(tower: Optional[TowerSpec]) -> list[tuple[TowerSpec, ShiftWord]]:
     """Fold the CLI-supplied tower into a suite's pool when it carries
-    a usable word and stays within the size cap."""
+    a usable word and stays within _DIM_CAP."""
     if tower is None or not tower.is_alternating_form:
         return []
     primes = sorted(common_infinite_primes(tower))
@@ -708,7 +693,7 @@ def _word_pool(tower: Optional[TowerSpec], dim_cap: int) -> list[tuple[TowerSpec
         return []
     w = ShiftWord(primes[0], 1)
     nt = normalize_for_word(tower, w)
-    if nt.level_dim(3) > dim_cap:
+    if nt.level_dim(3) > _DIM_CAP:
         return []
     return [(tower, w)]
 
@@ -716,13 +701,13 @@ def _word_pool(tower: Optional[TowerSpec], dim_cap: int) -> list[tuple[TowerSpec
 def _suite_shift_well_defined(
     rng: random.Random, cases: int, tower: Optional[TowerSpec]
 ) -> SuiteResult:
-    pool = _word_pool(tower, 120_000)
+    pool = _word_pool(tower)
     checked = 0
     for idx in range(cases):
         t, w = pool[idx] if idx < len(pool) else random_shift_instance(rng)
         nt = normalize_for_word(t, w)
         for n in range(1, 4):
-            if nt.level_dim(n + 2) > 120_000:
+            if nt.level_dim(n + 2) > _DIM_CAP:
                 break
             lhs = compose(word_action(nt, w, n + 1), nt.embedding(n).diag)
             rhs = compose(nt.embedding(n + 1).diag, word_action(nt, w, n))
@@ -738,12 +723,12 @@ def _suite_shift_well_defined(
 def _suite_factor_round_trip(
     rng: random.Random, cases: int, tower: Optional[TowerSpec]
 ) -> SuiteResult:
-    pool = _word_pool(tower, 120_000)
+    pool = _word_pool(tower)
     for idx in range(cases):
         t, w = pool[idx] if idx < len(pool) else random_shift_instance(rng)
         nt = normalize_for_word(t, w)
         data = [materialize_word(nt, w, 1, 2), materialize_word(nt, w, 2, 3)]
-        if rng.random() < 0.3 and nt.level_dim(3) <= 60_000:
+        if rng.random() < 0.3 and nt.level_dim(3) <= _SMALL_DIM_CAP:
             data.append(materialize_word(nt, w, 1, 3))
         got = factor_automorphism(nt, data)
         if got != w:
@@ -769,7 +754,7 @@ def _suite_gelfand_agreement(
     towers = []
     if tower is not None and tower.is_alternating_form:
         if all(d.kind == "nest" for d in tower.preamble + tower.cycle):
-            if tower.level_dim(3) <= 64:
+            if tower.level_dim(3) <= _K3_CAP:
                 towers.append(tower)
     while len(towers) < max(1, cases // 10):
         towers.append(random_interval_tower(rng))
@@ -937,13 +922,7 @@ def _suite_iso_witness(
         cyc_s = rng.choice((2, 5, 6))
         cyc_t = rng.choice((2, 3, 5))
         cyc = (Descriptor("alt", cyc_s, cyc_t),)
-        cycle_primes = set()
-        for side in (cyc_s, cyc_t):
-            v = side
-            for q in _PRIMES:
-                while v % q == 0:
-                    cycle_primes.add(q)
-                    v //= q
+        cycle_primes = factorize(cyc_s).keys() | factorize(cyc_t).keys()
         free = [q for q in _PRIMES if q not in cycle_primes]
         if not free:
             continue

@@ -17,18 +17,34 @@ when ``diag`` is read.  ``standard`` and ``nest`` build their block
 formulas explicitly and serve as the reference the closed form is
 checked against, so the tensor identities relating the three stay
 honest, independently checkable facts rather than definitions.
+
+``_tensor_blocks`` is the one row-major tensor formula: ``tensor_embed``
+and the blockwise automorphisms of tensor towers both build through it.
+Partitions whose size comes from arithmetic rather than from an input
+(a closed form's ``diag``, a tensor product) are refused with a
+``DomainError`` above ``MAX_GROUND`` elements instead of exhausting
+memory.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import partitions
 from .errors import DomainError
 from .partitions import Order, OrderedPartition, OutOfRange, ShapeMismatch
+
+MAX_GROUND = 1 << 22
+
+
+def _require_within_budget(m: int) -> None:
+    if m > MAX_GROUND:
+        raise DomainError(
+            f"refusing to build a partition of {m} elements (limit {MAX_GROUND})"
+        )
 
 
 class IndexOutOfRange(DomainError):
@@ -90,6 +106,7 @@ class RegularEmbedding:
         if self._diag is None:
             s, t = self.st  # type: ignore[misc]
             k = self.k_from
+            _require_within_budget(self.k_to)
             rows = (
                 np.arange(1, self.k_to + 1)
                 .reshape(s, k, t)
@@ -248,24 +265,33 @@ def regularize(raw: Mapping[int, Iterable[int]]) -> RegularEmbedding:
     return RegularEmbedding(k, diag.ground_size, diag)
 
 
-def tensor_embed(ephi: RegularEmbedding, epsi: RegularEmbedding) -> RegularEmbedding:
-    """Tensor product of embeddings, row-major on (outer, inner) indices.
+def _tensor_blocks(
+    outer: OrderedPartition, inners: Sequence[OrderedPartition]
+) -> OrderedPartition:
+    """Row-major tensor of ``outer`` with one inner partition per outer block.
 
-    The diagonal unit indexed (i, a) -- stored at position (i-1)*j + a
-    for ephi: k -> k' and epsi: j -> j' -- maps to the slots
-    {(i''-1)*j' + b : i'' in ephi block i, b in epsi block a}.
+    The unit (i, a) -- stored at position (i-1)*j + a, for inner
+    partitions of j blocks on {1..j'} -- maps to the slots
+    {(i''-1)*j' + b : i'' in outer block i, b in block a of inners[i-1]}.
+    Both factors ascend, so every block comes out sorted.
     """
-    j_from, j_to = epsi.k_from, epsi.k_to
-    blocks = []
-    for i in range(1, ephi.k_from + 1):
-        phi_block = ephi.diag.block(i)
-        for a in range(1, j_from + 1):
-            psi_block = epsi.diag.block(a)
-            blocks.append(
-                tuple(
-                    sorted((i2 - 1) * j_to + b for i2 in phi_block for b in psi_block)
-                )
-            )
+    j_to = inners[0].ground_size
+    _require_within_budget(outer.ground_size * j_to)
+    return OrderedPartition(
+        tuple(
+            tuple((i2 - 1) * j_to + b for i2 in o_block for b in i_block)
+            for o_block, inner in zip(outer.blocks, inners, strict=True)
+            for i_block in inner.blocks
+        )
+    )
+
+
+def tensor_embed(ephi: RegularEmbedding, epsi: RegularEmbedding) -> RegularEmbedding:
+    """Tensor product of embeddings, row-major on (outer, inner) indices:
+    the diagonal unit (i, a) maps to ephi's block i tensored with epsi's
+    block a (see ``_tensor_blocks``)."""
     return RegularEmbedding(
-        ephi.k_from * j_from, ephi.k_to * j_to, OrderedPartition(tuple(blocks))
+        ephi.k_from * epsi.k_from,
+        ephi.k_to * epsi.k_to,
+        _tensor_blocks(ephi.diag, [epsi.diag] * ephi.k_from),
     )

@@ -17,6 +17,7 @@ permutation pattern.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -188,7 +189,7 @@ def normalizer_split(
                 raise NotNormalizingPartialIsometry(f"two entries in column {c}")
             if abs(abs(entry) - 1.0) > UNIT_TOL:
                 raise NotNormalizingPartialIsometry(
-                    f"entry ({r},{c}) has modulus {abs(entry)!r}, not 1"
+                    f"entry ({r},{c}) has modulus {float(abs(entry))!r}, not 1"
                 )
             rows.add(r)
             cols.add(c)
@@ -312,9 +313,12 @@ def parse_matrix(text: str) -> ComplexUpperTriangular:
             if not sep:
                 raise FormatError(f"entry ({r + 1},{c + 1}) is not a re,im pair: {cell!r}")
             try:
-                a[r, c] = complex(float(re_part), float(im_part))
+                z = complex(float(re_part), float(im_part))
             except ValueError:
                 raise FormatError(
                     f"entry ({r + 1},{c + 1}) is not numeric: {cell!r}"
                 ) from None
+            if not cmath.isfinite(z):
+                raise FormatError(f"entry ({r + 1},{c + 1}) is not finite: {cell!r}")
+            a[r, c] = z
     return ComplexUpperTriangular(a)

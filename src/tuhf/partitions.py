@@ -255,9 +255,6 @@ class Run:
     def elements(self) -> range:
         return range(self.lo, self.hi + 1)
 
-    def __contains__(self, x: int) -> bool:
-        return self.lo <= x <= self.hi
-
 
 def runs_of(s: Iterable[int]) -> tuple[Run, ...]:
     """Decompose a set of integers into maximal runs, in increasing order."""

@@ -229,16 +229,13 @@ def rational_pair_witness(
     r = Fraction(1)
     for p in primes:
         wanted: list[int] = []
-        ea, eb = s_a.exponent(p), s_b.exponent(p)
-        if (ea is INF) != (eb is INF):
-            return None
-        if ea is not INF:
-            wanted.append(ea - eb)
-        fa, fb = t_a.exponent(p), t_b.exponent(p)
-        if (fa is INF) != (fb is INF):
-            return None
-        if fa is not INF:
-            wanted.append(fb - fa)
+        # s_a = r * s_b and t_b = r * t_a: each side pins r's exponent
+        for x, y in ((s_a, s_b), (t_b, t_a)):
+            ex, ey = x.exponent(p), y.exponent(p)
+            if (ex is INF) != (ey is INF):
+                return None
+            if ex is not INF:
+                wanted.append(ex - ey)
         if not wanted:
             continue
         if len(wanted) == 2 and wanted[0] != wanted[1]:

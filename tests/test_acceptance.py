@@ -398,7 +398,7 @@ def test_13_point_order_conditions_agree_on_interval_towers():
     towers = []
     seen: set[str] = set()
     while len(towers) < 10:
-        t = random_interval_tower(rng, k3_cap=64)
+        t = random_interval_tower(rng)
         key = format_tower(t)
         if key not in seen:
             seen.add(key)

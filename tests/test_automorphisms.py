@@ -9,6 +9,7 @@ from tuhf import (
     FiniteAutoData,
     IntervalForm,
     OrderedPartition,
+    RegularEmbedding,
     ShiftWord,
     TensorTower,
     TowerSpec,
@@ -28,6 +29,7 @@ from tuhf import (
     out_rank,
     parse_word,
     shift_auto,
+    tensor_embed,
     torsion_check,
     validate_word,
 )
@@ -328,6 +330,21 @@ def test_combine_identity_reproduces_inclusion():
         k_n = phi.level_dim(n)
         got = combine_tensor_autos(tensor, n, [IDENT] * k_n, IDENT)
         assert got.action == tensor.embedding(n).diag
+
+
+def test_combine_uniform_block_word_is_tensor_of_word_actions():
+    # one word on every block acts on the second factor as a whole, so the
+    # blockwise construction must equal the tensor of the two word actions
+    phi = alt_tower(2, 2, 2)
+    psi = alt_tower(2, 2, 2)
+    tensor = TensorTower(phi, psi)
+    for n in (1, 2):
+        k_n, j_n = phi.level_dim(n), psi.level_dim(n)
+        for w, gamma in ((ShiftWord(2, 1), ShiftWord(1, 2)), (ShiftWord(1, 2), IDENT)):
+            got = combine_tensor_autos(tensor, n, [w] * k_n, gamma).action
+            g = RegularEmbedding(k_n, phi.level_dim(n + 1), word_action(phi, gamma, n))
+            a = RegularEmbedding(j_n, psi.level_dim(n + 1), word_action(psi, w, n))
+            assert got == tensor_embed(g, a).diag
 
 
 def test_combine_single_block_word_moves_only_its_clopen_set():
