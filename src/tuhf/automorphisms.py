@@ -20,13 +20,21 @@ the matrix lane's straightening.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from . import partitions
-from .embeddings import _tensor_blocks, alternating
+from .embeddings import (
+    _alternating_grid,
+    _require_within_budget,
+    _tensor_blocks,
+    alternating,
+)
 from .errors import DomainError, FormatError, TuhfError
 from .partitions import (
     InvalidPartition,
@@ -35,7 +43,6 @@ from .partitions import (
     ShapeMismatch,
     format_partition,
     parse_partition,
-    runs_of,
 )
 from .supernatural import (
     common_infinite_count,
@@ -194,11 +201,12 @@ def detect_interval_form(q: OrderedPartition, k_m: int) -> Optional[IntervalForm
     if q.block_count != k_m:
         raise ShapeMismatch(f"expected {k_m} blocks, got {q.block_count}")
     k_n = q.ground_size
-    t = runs_of(q.block(1))[0].size
+    gaps = np.diff(q.array[0]) != 1
+    t = int(gaps.argmax()) + 1 if gaps.any() else q.block_size
     if k_n % (k_m * t):
         return None
     s = k_n // (k_m * t)
-    if alternating(k_m, s, t).diag == q:
+    if np.array_equal(q.array, _alternating_grid(k_m, s, t)):
         return IntervalForm(s, t)
     return None
 
@@ -277,13 +285,19 @@ def normalize_for_prime(tower: TowerSpec, p: int) -> TowerSpec:
     return normalize_for_word(tower, ShiftWord(p, 1))
 
 
-def shift_auto(tower: TowerSpec, p: int, start: int = 1) -> Iterator[FiniteAutoData]:
-    """Per-level data of the shift theta_p, level ``start`` upward.
+def shift_auto(
+    tower: TowerSpec, p: int, start: int = 1, stop: Optional[int] = None
+) -> Iterator[FiniteAutoData]:
+    """Per-level data of the shift theta_p, level ``start`` upward, or
+    levels start..stop-1 when ``stop`` is given.
 
     The tower must already be normalized for p: p divides both ratio
     components at every level, so each level's action is the pattern
     I_{p*sr} (x) A (x) I_{tr/p} and the family commutes with the tower
-    embeddings.  Checks run eagerly; iteration never raises.
+    embeddings.  Checks run eagerly; iteration never raises.  With a
+    ``stop`` that includes the materialization budget: level dimensions
+    are walked upward from start+1 and the first action ground over the
+    limit is refused before any level is built.
     """
     _require_common_infinite_prime(tower, p)
     if start < 1:
@@ -297,13 +311,11 @@ def shift_auto(tower: TowerSpec, p: int, start: int = 1) -> Iterator[FiniteAutoD
             f"normalize the tower for {p} first"
         )
 
-    def walk() -> Iterator[FiniteAutoData]:
-        n = start
-        while True:
-            yield FiniteAutoData(n, n + 1, word_action(tower, w, n))
-            n += 1
-
-    return walk()
+    if stop is not None:
+        for n in range(start + 1, stop + 1):
+            _require_within_budget(tower.level_dim(n))
+    levels = itertools.count(start) if stop is None else range(start, stop)
+    return (FiniteAutoData(n, n + 1, word_action(tower, w, n)) for n in levels)
 
 
 def materialize_word(tower: TowerSpec, w: ShiftWord, m: int, m_to: int) -> FiniteAutoData:

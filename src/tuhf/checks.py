@@ -19,6 +19,7 @@ every instance.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
@@ -319,47 +320,48 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _chunk_runs(sorted_image: Sequence[int], h: int, n: int) -> Optional[tuple[Run, ...]]:
+def _chunk_runs(
+    sorted_image: Sequence[int], jumps: Sequence[int], h: int, n: int
+) -> Optional[tuple[Run, ...]]:
     """Slice a sorted image into n runs of size h plus a remainder run.
 
-    Returns None unless every slice is a contiguous interval; the slices
-    are forced once h is chosen, which is what makes enumeration cheap.
+    ``jumps`` holds the ascending positions j where sorted_image[j] does
+    not follow sorted_image[j-1].  Every slice is a contiguous interval
+    exactly when each jump falls on a slice boundary, a multiple of h up
+    to n*h, so all slices are checked at once before any run is built;
+    None otherwise.  The slices are forced once h is chosen, which is
+    what makes enumeration cheap.
     """
     t = len(sorted_image)
-    if n * h >= t:
+    if n * h >= t or math.gcd(*jumps) % h or (jumps and jumps[-1] > n * h):
         return None
     bounds = [(j * h, (j + 1) * h) for j in range(n)] + [(n * h, t)]
-    out: list[Run] = []
-    for lo, hi in bounds:
-        first, last = sorted_image[lo], sorted_image[hi - 1]
-        if last - first != hi - 1 - lo:
-            return None
-        out.append(Run(first, last))
-    return tuple(out)
+    return tuple(Run(sorted_image[lo], sorted_image[hi - 1]) for lo, hi in bounds)
 
 
 def _piece_decomps(
-    p: OrderedPartition, elems: Sequence[int], chunks: Sequence[frozenset[int]]
+    images: Sequence[Sequence[int]], elems: Sequence[int], chunks: Sequence[frozenset[int]]
 ) -> Iterator[tuple[Run, ...]]:
     """All ways to cut the source elements into len(chunks) intervals
-    whose images contain the matching chunks.  Containment prunes the
-    recursion hard, so the fan-out stays small in practice."""
-    n = len(chunks)
+    whose images contain the matching chunks; ``images[j]`` is the block
+    of ``elems[j]``.  Containment prunes the recursion hard, so the
+    fan-out stays small in practice."""
+    n, size = len(chunks), len(elems)
 
-    def rec(start: int, pieces: list[Run]) -> Iterator[tuple[Run, ...]]:
+    def rec(start: int, pieces: list[tuple[int, int]]) -> Iterator[tuple[Run, ...]]:
         i = len(pieces)
-        if i == n:
-            if start == len(elems):
-                yield tuple(pieces)
-            return
+        left = n - 1 - i  # pieces still to cut, one element each at least
         img: set[int] = set()
-        for end in range(start + 1, len(elems) + 1):
+        for end in range(start + 1, size + 1 - left):
             if elems[end - 1] - elems[start] != end - 1 - start:
                 break  # a gap inside the piece never heals
-            img.update(p.block(elems[end - 1]))
-            if chunks[i] <= img:
-                pieces.append(Run(elems[start], elems[end - 1]))
-                yield from rec(end, pieces)
+            img.update(images[end - 1])
+            if chunks[i] <= img and (left or end == size):
+                pieces.append((elems[start], elems[end - 1]))
+                if left:
+                    yield from rec(end, pieces)
+                else:
+                    yield tuple(Run(lo, hi) for lo, hi in pieces)
                 pieces.pop()
 
     yield from rec(0, [])
@@ -372,20 +374,20 @@ def _psize_runs(
     ``elems`` of p: the image is cut into n runs of size h plus a
     remainder, and the elements into matching intervals.  ``rng``
     shuffles the (n, h) candidates."""
-    image: set[int] = set()
-    for e in elems:
-        image.update(p.block(e))
-    sorted_image = sorted(image)
+    blocks = p.blocks
+    images = [blocks[e - 1] for e in elems]
+    sorted_image = sorted(set().union(*images))
     t = len(sorted_image)
+    jumps = [j for j in range(1, t) if sorted_image[j] != sorted_image[j - 1] + 1]
     pairs = [(n, h) for n in range(1, len(elems) + 1) for h in range(1, (t - 1) // n + 1)]
     if rng is not None:
         rng.shuffle(pairs)
     for n, h in pairs:
-        s_runs = _chunk_runs(sorted_image, h, n)
+        s_runs = _chunk_runs(sorted_image, jumps, h, n)
         if s_runs is None:
             continue
         chunks = [frozenset(run.elements()) for run in s_runs[:n]]
-        for r_runs in _piece_decomps(p, elems, chunks):
+        for r_runs in _piece_decomps(images, elems, chunks):
             yield r_runs, s_runs
 
 

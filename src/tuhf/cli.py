@@ -10,10 +10,9 @@ from the parser itself also exit 2.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .automorphisms import (
     factor_report,
@@ -125,8 +124,8 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 def _cmd_shift(args: argparse.Namespace) -> int:
     tower = _load_tower_file(args.file)
     a, b = _parse_level_range(args.levels)
-    records = itertools.islice(shift_auto(tower, args.prime, a), b - a)
-    sys.stdout.write(format_auto_data(list(records)))
+    for record in shift_auto(tower, args.prime, a, b):
+        sys.stdout.write(format_auto_data([record]))
     return 0
 
 
@@ -203,8 +202,15 @@ def _cmd_check_all(args: argparse.Namespace) -> int:
 
 # -- parser --------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as one ``error: <message>`` line, exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tuhf",
         description="Exact calculus for triangular limit-algebra towers.",
     )

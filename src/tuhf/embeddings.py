@@ -47,6 +47,13 @@ def _require_within_budget(m: int) -> None:
         )
 
 
+def _alternating_grid(k: int, s: int, t: int) -> np.ndarray:
+    """The blocks of I_s (x) A_k (x) I_t as a (k, s*t) array: the ground
+    1..kst laid out as s copies of k slots of t, read slot by slot."""
+    _require_within_budget(k * s * t)
+    return np.arange(1, k * s * t + 1).reshape(s, k, t).transpose(1, 0, 2).reshape(k, s * t)
+
+
 class IndexOutOfRange(DomainError):
     """A matrix-unit index is outside 1..k_from."""
 
@@ -105,16 +112,9 @@ class RegularEmbedding:
     def diag(self) -> OrderedPartition:
         if self._diag is None:
             s, t = self.st  # type: ignore[misc]
-            k = self.k_from
-            _require_within_budget(self.k_to)
-            rows = (
-                np.arange(1, self.k_to + 1)
-                .reshape(s, k, t)
-                .transpose(1, 0, 2)
-                .reshape(k, s * t)
-                .tolist()
+            object.__setattr__(
+                self, "_diag", OrderedPartition(_alternating_grid(self.k_from, s, t))
             )
-            object.__setattr__(self, "_diag", OrderedPartition(tuple(map(tuple, rows))))
         return self._diag  # type: ignore[return-value]
 
     @property
@@ -128,7 +128,7 @@ class RegularEmbedding:
         if not 0 <= r < self.multiplicity:
             raise OutOfRange(f"rank {r} outside 0..{self.multiplicity - 1}")
         if self.st is None:
-            return self.diag.block(i)[r]
+            return int(self.diag.array[i - 1, r])
         t = self.st[1]
         return (r // t) * self.k_from * t + (i - 1) * t + r % t + 1
 
@@ -154,7 +154,7 @@ def standard(k: int, mult: int) -> RegularEmbedding:
     """The I_mult (x) A pattern: block i = {i, i+k, ..., i+(mult-1)k}."""
     if k < 1 or mult < 1:
         raise ShapeMismatch(f"need k, mult >= 1, got k={k} mult={mult}")
-    blocks = tuple(tuple(i + a * k for a in range(mult)) for i in range(1, k + 1))
+    blocks = np.arange(1, k + 1)[:, None] + k * np.arange(mult)
     return RegularEmbedding(k, k * mult, OrderedPartition(blocks))
 
 
@@ -162,9 +162,7 @@ def nest(k: int, mult: int) -> RegularEmbedding:
     """The A (x) I_mult refinement pattern: block i = {(i-1)mult+1 .. i*mult}."""
     if k < 1 or mult < 1:
         raise ShapeMismatch(f"need k, mult >= 1, got k={k} mult={mult}")
-    blocks = tuple(
-        tuple(range((i - 1) * mult + 1, i * mult + 1)) for i in range(1, k + 1)
-    )
+    blocks = mult * np.arange(k)[:, None] + np.arange(1, mult + 1)
     return RegularEmbedding(k, k * mult, OrderedPartition(blocks))
 
 
@@ -277,13 +275,13 @@ def _tensor_blocks(
     """
     j_to = inners[0].ground_size
     _require_within_budget(outer.ground_size * j_to)
-    return OrderedPartition(
-        tuple(
-            tuple((i2 - 1) * j_to + b for i2 in o_block for b in i_block)
-            for o_block, inner in zip(outer.blocks, inners, strict=True)
-            for i_block in inner.blocks
-        )
-    )
+    # One broadcast per outer block: its slots, as offsets, against every
+    # element of every block of its inner partition.
+    rows = [
+        (offsets[None, :, None] + inner.array[:, None, :]).reshape(inner.block_count, -1)
+        for offsets, inner in zip((outer.array - 1) * j_to, inners, strict=True)
+    ]
+    return OrderedPartition(np.concatenate(rows))
 
 
 def tensor_embed(ephi: RegularEmbedding, epsi: RegularEmbedding) -> RegularEmbedding:

@@ -15,13 +15,24 @@ embedding stretches over consecutive targets can only grow.  The three
 supporting operations (prefix restriction, interleaving, run-size
 monotonicity) live here so they can be exercised independently of any
 matrix algebra.
+
+An ordered partition is stored as one read-only (n, m/n) int64 array
+whose row i is block i+1 in ascending order, so construction,
+composition, comparison and the text form are whole-array numpy
+operations.  Every build is still validated in full, by vectorized
+checks; when they fail, the element-by-element scan ``_scan``, kept as
+the reference, names the offending block or element.  ``blocks`` gives
+the same data as tuples of Python ints.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import DomainError, FormatError
 
@@ -68,46 +79,125 @@ class Order(enum.Enum):
     GREATER = "greater"
 
 
-@dataclass(frozen=True)
+def _scan(blocks: Sequence[Sequence[object]]) -> None:
+    """Element-by-element check of the ordered-partition invariant.
+
+    The reference that ``OrderedPartition`` falls back to whenever its
+    vectorized checks fail: it raises the precise error for the first
+    offending block or element.  Only Python ints are elements (``True``
+    and numpy scalars are not).
+    """
+    if not blocks:
+        raise InvalidPartition("a partition needs at least one block")
+    size = len(blocks[0])
+    for b in blocks:
+        if len(b) != size:
+            raise UnequalBlockSizes(
+                f"block sizes differ: {sorted({len(x) for x in blocks})}"
+            )
+    if size == 0:
+        raise InvalidPartition("blocks must be nonempty")
+    m = size * len(blocks)
+    seen = [False] * (m + 1)
+    for b in blocks:
+        prev = 0
+        for x in b:
+            if type(x) is not int or not 1 <= x <= m:
+                raise InvalidPartition(f"element {x!r} outside 1..{m}")
+            if x <= prev:
+                raise InvalidPartition("block elements must be sorted and distinct")
+            if seen[x]:
+                raise InvalidPartition(f"element {x} occurs twice")
+            seen[x] = True
+            prev = x
+    for i in range(len(blocks) - 1):
+        a, b = blocks[i], blocks[i + 1]
+        for l in range(size):
+            if a[l] >= b[l]:
+                raise RankOrderViolation(i + 1, i + 2, l + 1)
+
+
+def _int_array(values: Iterable[object], flat: Iterable[object]) -> Optional[np.ndarray]:
+    """``values`` as an int64 array when every item of ``flat`` (its
+    elements) is a Python int and the shape is rectangular, else None."""
+    try:
+        if set(map(type, flat)) != {int}:
+            return None
+        return np.array(values, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _is_partition_grid(a: np.ndarray) -> bool:
+    """The ordered-partition invariant on an (n, m/n) array: rows and
+    columns strictly increase, so the corners are the extremes and must
+    lie in 1..m, and every element of 1..m occurs once."""
+    if a.ndim != 2 or a.size == 0:
+        return False
+    m = a.size
+    return bool(
+        (a[:, 1:] > a[:, :-1]).all()
+        and (a[1:] > a[:-1]).all()
+        and a[0, 0] >= 1
+        and a[-1, -1] <= m
+        and np.bincount(a.ravel(), minlength=m + 1)[1:].max() == 1
+    )
+
+
 class OrderedPartition:
     """Equal-size blocks of {1..m} with strictly increasing rank entries.
 
-    ``blocks[i]`` is the sorted tuple of ground elements in block i+1.
-    Construction validates the full invariant; adjacent blocks suffice
-    for the rank check because rankwise comparison is transitive.
+    The partition is one read-only (n, m/n) int64 ``array`` whose row i
+    holds block i+1 in ascending order; ``blocks`` is the same data as a
+    tuple of tuples of Python ints, built on first read.  Construction
+    accepts an integer array or nested sequences of Python ints and
+    validates the full invariant with vectorized checks (rows increase,
+    columns increase -- the rank-order condition, transitive, so
+    adjacent blocks suffice -- the corners lie in 1..m, and every
+    element occurs once).  Input that fails them goes through the
+    element-by-element ``_scan``, which raises the precise error.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("array", "_blocks")
 
-    def __post_init__(self) -> None:
-        if not self.blocks:
-            raise InvalidPartition("a partition needs at least one block")
-        size = len(self.blocks[0])
-        for b in self.blocks:
-            if len(b) != size:
-                raise UnequalBlockSizes(
-                    f"block sizes differ: {sorted({len(x) for x in self.blocks})}"
-                )
-        if size == 0:
-            raise InvalidPartition("blocks must be nonempty")
-        m = size * len(self.blocks)
-        seen = [False] * (m + 1)
-        for b in self.blocks:
-            prev = 0
-            for x in b:
-                if not isinstance(x, int) or not 1 <= x <= m:
-                    raise InvalidPartition(f"element {x!r} outside 1..{m}")
-                if x <= prev:
-                    raise InvalidPartition("block elements must be sorted and distinct")
-                if seen[x]:
-                    raise InvalidPartition(f"element {x} occurs twice")
-                seen[x] = True
-                prev = x
-        for i in range(len(self.blocks) - 1):
-            a, b = self.blocks[i], self.blocks[i + 1]
-            for l in range(size):
-                if a[l] >= b[l]:
-                    raise RankOrderViolation(i + 1, i + 2, l + 1)
+    def __init__(self, blocks: np.ndarray | Sequence[Sequence[int]]) -> None:
+        object.__setattr__(self, "_blocks", None)
+        self.__post_init__(blocks)
+
+    def __post_init__(self, raw: np.ndarray | Sequence[Sequence[int]]) -> None:
+        if isinstance(raw, np.ndarray) and raw.dtype.kind not in "iu":
+            raw = raw.tolist()
+        if isinstance(raw, np.ndarray):
+            a: Optional[np.ndarray] = raw.astype(np.int64)
+        else:
+            a = _int_array(raw, itertools.chain.from_iterable(raw))
+        if a is None or not _is_partition_grid(a):
+            # The scan reads Python ints, so an integer array goes in as lists.
+            _scan(raw.tolist() if isinstance(raw, np.ndarray) else raw)
+            raise AssertionError("vectorized validation rejected a partition the scan accepts")
+        a.flags.writeable = False
+        object.__setattr__(self, "array", a)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"OrderedPartition is immutable; cannot set {name}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OrderedPartition):
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash((self.array.shape, self.array.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"OrderedPartition(blocks={self.blocks!r})"
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """``blocks[i]`` is the sorted tuple of ground elements in block i+1."""
+        if self._blocks is None:
+            object.__setattr__(self, "_blocks", tuple(map(tuple, self.array.tolist())))
+        return self._blocks  # type: ignore[return-value]
 
     # -- construction --------------------------------------------------
 
@@ -125,39 +215,47 @@ class OrderedPartition:
         n = block_count if block_count is not None else max(assign)
         if n < 1:
             raise InvalidPartition(f"bad block count {n}")
-        buckets: list[list[int]] = [[] for _ in range(n)]
-        for pos, b in enumerate(assign, 1):
-            if not isinstance(b, int) or not 1 <= b <= n:
-                raise InvalidPartition(f"assignment value {b!r} outside 1..{n}")
-            buckets[b - 1].append(pos)
-        return cls.from_blocks(buckets)
+        values = _int_array(assign, assign)
+        if values is None or values.min() < 1 or values.max() > n:
+            bad = next(b for b in assign if type(b) is not int or not 1 <= b <= n)
+            raise InvalidPartition(f"assignment value {bad!r} outside 1..{n}")
+        # A stable sort lists each block's positions in ascending order.
+        order = np.argsort(values, kind="stable") + 1
+        counts = np.bincount(values, minlength=n + 1)[1:]
+        if (counts != counts[0]).any():
+            return cls.from_blocks(b.tolist() for b in np.split(order, np.cumsum(counts)[:-1]))
+        return cls(order.reshape(n, -1))
 
     # -- shape ----------------------------------------------------------
 
     @property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return self.array.shape[0]
 
     @property
     def block_size(self) -> int:
-        return len(self.blocks[0])
+        return self.array.shape[1]
 
     @property
     def ground_size(self) -> int:
-        return self.block_count * self.block_size
+        return self.array.size
 
     def block(self, i: int) -> tuple[int, ...]:
         """The sorted elements of block i (1-based)."""
-        if not 1 <= i <= self.block_count:
-            raise OutOfRange(f"block index {i} outside 1..{self.block_count}")
-        return self.blocks[i - 1]
+        blocks = self.blocks
+        if not 1 <= i <= len(blocks):
+            raise OutOfRange(f"block index {i} outside 1..{len(blocks)}")
+        return blocks[i - 1]
 
     def assignment(self) -> tuple[int, ...]:
-        out = [0] * self.ground_size
-        for i, b in enumerate(self.blocks, 1):
-            for x in b:
-                out[x - 1] = i
-        return tuple(out)
+        return tuple(_assignment(self).tolist())
+
+
+def _assignment(p: OrderedPartition) -> np.ndarray:
+    """Entry x-1 is the block (from 1) that holds ground element x."""
+    out = np.empty(p.ground_size, dtype=np.int64)
+    out[p.array.ravel() - 1] = np.repeat(np.arange(1, p.block_count + 1), p.block_size)
+    return out
 
 
 def compare(a: OrderedPartition, b: OrderedPartition) -> Order:
@@ -171,12 +269,11 @@ def compare(a: OrderedPartition, b: OrderedPartition) -> Order:
             f"cannot compare shapes {a.block_count}|{a.ground_size} "
             f"and {b.block_count}|{b.ground_size}"
         )
-    if a.blocks == b.blocks:
+    if a == b:
         return Order.EQUAL
-    for x, y in zip(a.assignment(), b.assignment()):
-        if x != y:
-            return Order.LESS if x < y else Order.GREATER
-    return Order.EQUAL
+    x, y = _assignment(a), _assignment(b)
+    first = int((x != y).argmax())
+    return Order.LESS if x[first] < y[first] else Order.GREATER
 
 
 @dataclass(frozen=True)
@@ -233,7 +330,7 @@ def restrict_prefix(p: OrderedPartition, m_prime: int) -> OrderedSubpartition:
     if not 1 <= m_prime <= p.ground_size:
         raise OutOfRange(f"prefix bound {m_prime} outside 1..{p.ground_size}")
     return OrderedSubpartition.from_blocks(
-        tuple(x for x in b if x <= m_prime) for b in p.blocks
+        row[row <= m_prime].tolist() for row in p.array
     )
 
 
@@ -354,14 +451,9 @@ def compose(outer: OrderedPartition, inner: OrderedPartition) -> OrderedPartitio
         raise ShapeMismatch(
             f"outer has {outer.block_count} blocks but inner ground is {inner.ground_size}"
         )
-    blocks = []
-    for b in inner.blocks:
-        acc: list[int] = []
-        for e in b:
-            acc.extend(outer.blocks[e - 1])
-        acc.sort()
-        blocks.append(tuple(acc))
-    return OrderedPartition(tuple(blocks))
+    grid = outer.array[inner.array - 1].reshape(inner.block_count, -1)
+    grid.sort(axis=1)
+    return OrderedPartition(grid)
 
 
 def ordered_partitions(m: int, n: int) -> Iterator[OrderedPartition]:
@@ -395,7 +487,7 @@ def ordered_partitions(m: int, n: int) -> Iterator[OrderedPartition]:
 # -- text form --------------------------------------------------------
 
 def format_partition(p: OrderedPartition) -> str:
-    body = ";".join(",".join(str(x) for x in b) for b in p.blocks)
+    body = ";".join(",".join(map(str, b)) for b in p.array.tolist())
     return f"m={p.ground_size} n={p.block_count} blocks={body}"
 
 
@@ -413,12 +505,16 @@ def parse_partition(text: str) -> OrderedPartition:
     try:
         m = int(fields["m"])
         n = int(fields["n"])
-        blocks = [
-            [int(x) for x in group.split(",")] for group in fields["blocks"].split(";")
-        ]
+        tokens = [group.split(",") for group in fields["blocks"].split(";")]
+        try:
+            grid = np.sort(np.array(tokens, dtype=np.int64), axis=1)
+        except (ValueError, OverflowError):
+            # Ragged, huge or malformed: convert token by token, so the
+            # first bad token names the error.
+            grid = [sorted(int(x) for x in group) for group in tokens]
     except ValueError as exc:
         raise FormatError(f"bad partition text: {exc}") from None
-    p = OrderedPartition.from_blocks(blocks)
+    p = OrderedPartition(grid)
     if p.ground_size != m or p.block_count != n:
         raise FormatError(
             f"declared shape m={m} n={n} does not match blocks "

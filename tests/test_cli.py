@@ -174,6 +174,49 @@ def test_shift_builds_no_level_past_the_range(files, capsys, monkeypatch):
     assert min(requested) == 2 and max(requested) < 4
 
 
+def test_shift_refuses_the_whole_range_before_building_a_level(files, capsys, monkeypatch):
+    requested = []
+    real = tuhf.automorphisms.word_action
+
+    def spy(tower, w, n):
+        requested.append(n)
+        return real(tower, w, n)
+
+    monkeypatch.setattr(tuhf.automorphisms, "word_action", spy)
+    monkeypatch.setattr(tuhf.embeddings, "MAX_GROUND", 64)
+    f = files("two.tower", TWO_INF)
+    code, out, err = run(capsys, "shift", f, "-p", "2", "--levels", "1..30")
+    assert (code, out, requested) == (1, "", [])
+    assert err == "error: refusing to build a partition of 256 elements (limit 64)\n"
+    # the budget walk stops at the first level over the limit
+    code, out, err = run(capsys, "shift", f, "-p", "2", "--levels", "1..1000000000")
+    assert (code, out, requested) == (1, "", [])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("shift",), "the following arguments are required: file, -p/--prime"),
+        (("tower", "show", "t", "--levels", "x"), "argument --levels: invalid int value: 'x'"),
+        (("bogus",), "argument command: invalid choice: 'bogus'"),
+    ],
+    ids=["missing", "bad-int", "bad-command"],
+)
+def test_argument_errors_are_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+def test_help_is_unchanged(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["shift", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tuhf shift [-h] -p PRIME")
+
+
 def test_gelfand_cmp_checks_each_point_once_per_order(files, capsys, monkeypatch):
     calls = 0
     real = tuhf.gelfand._check_ranges

@@ -2,7 +2,10 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuhf import (
     Order,
@@ -18,13 +21,17 @@ from tuhf import (
     restrict_prefix,
     runs_of,
 )
+from tuhf.checks import random_ordered_partition
+from tuhf.errors import FormatError
 from tuhf.partitions import (
     HypothesisViolated,
+    InvalidPartition,
     OutOfRange,
     RankOrderViolation,
     Run,
     ShapeMismatch,
     UnequalBlockSizes,
+    _scan,
 )
 
 
@@ -264,3 +271,186 @@ def test_parse_rejects_garbage():
         parse_partition("m=4 n=2 blocks=1,2;3")  # sizes differ
     with pytest.raises(Exception):
         parse_partition("blocks=1,2;3,4")
+
+
+# -- array storage ------------------------------------------------------
+
+def test_array_storage_is_read_only_and_blocks_hold_python_ints():
+    p = from_blocks((1, 2, 5, 6), (3, 4, 7, 8))
+    assert p.array.shape == (2, 4) and p.array.dtype == np.int64
+    assert not p.array.flags.writeable
+    with pytest.raises(ValueError):
+        p.array[0, 0] = 3
+    with pytest.raises(AttributeError):
+        p.array = np.zeros((2, 4), dtype=np.int64)
+    assert all(type(x) is int for b in p.blocks for x in b)
+    assert all(type(x) is int for x in p.block(2) + p.assignment())
+    assert p == OrderedPartition(np.array([[1, 2, 5, 6], [3, 4, 7, 8]], dtype=np.int32))
+    assert repr(p) == "OrderedPartition(blocks=((1, 2, 5, 6), (3, 4, 7, 8)))"
+
+
+def test_input_array_is_copied():
+    grid = np.array([[1, 3], [2, 4]])
+    p = OrderedPartition(grid)
+    grid[0, 0] = 9
+    assert p.blocks == ((1, 3), (2, 4))
+
+
+def test_true_is_not_a_ground_element():
+    # bool subclasses int, but a truth value names no element of 1..m
+    with pytest.raises(InvalidPartition, match=r"^element True outside 1\.\.2$"):
+        OrderedPartition(((True, 2),))
+    with pytest.raises(InvalidPartition, match=r"^assignment value True outside 1\.\.1$"):
+        OrderedPartition.from_assignment([True, 1], 1)
+
+
+def test_assignment_round_trip_and_errors():
+    for p in ordered_partitions(6, 3):
+        assert OrderedPartition.from_assignment(p.assignment()) == p
+    with pytest.raises(UnequalBlockSizes, match=r"^block sizes differ: \[1, 3\]$"):
+        OrderedPartition.from_assignment([1, 2, 1, 1])
+    with pytest.raises(UnequalBlockSizes, match=r"^block sizes differ: \[0, 2\]$"):
+        OrderedPartition.from_assignment([1, 1], 2)
+    with pytest.raises(InvalidPartition, match=r"^assignment value 3 outside 1\.\.2$"):
+        OrderedPartition.from_assignment([1, 3], 2)
+    with pytest.raises(RankOrderViolation):
+        OrderedPartition.from_assignment([2, 1], 2)
+
+
+# -- the vectorized checks against the element-by-element scan ----------
+
+_BAD_ELEMENTS = [0, -1, 1.5, "1", np.int64(1), True, 2**70]
+
+
+def _outcome(build, *args):
+    """("ok", blocks) or the raised (class, message)."""
+    try:
+        return "ok", build(*args).blocks
+    except InvalidPartition as exc:
+        return type(exc), str(exc)
+
+
+def _scan_outcome(blocks):
+    try:
+        _scan(blocks)
+    except InvalidPartition as exc:
+        return type(exc), str(exc)
+    return "ok", tuple(map(tuple, blocks))
+
+
+def _valid_blocks(rng):
+    """The blocks of a random valid partition of at most 16 elements, as lists."""
+    n, size = rng.randint(1, 4), rng.randint(1, 4)
+    return [list(b) for b in random_ordered_partition(rng, n * size, n).blocks]
+
+
+def _position(rng, blocks):
+    i = rng.randrange(len(blocks))
+    return i, rng.randrange(len(blocks[i]))
+
+
+_RNGS = st.randoms(use_true_random=False)
+_BLOCK_MUTATIONS = [
+    "none", "swap", "duplicate", "over", "bad", "ragged", "shrink", "empty", "no-blocks",
+]
+
+
+@st.composite
+def mutated_blocks(draw):
+    """Blocks of a valid partition, as lists, after at most one mutation."""
+    kind, rng = draw(st.sampled_from(_BLOCK_MUTATIONS)), draw(_RNGS)
+    blocks = _valid_blocks(rng)
+    m = sum(map(len, blocks))
+    i, j = _position(rng, blocks)
+    if kind == "swap":
+        i2, j2 = _position(rng, blocks)
+        blocks[i][j], blocks[i2][j2] = blocks[i2][j2], blocks[i][j]
+    elif kind == "duplicate":
+        blocks[i][j] = rng.randint(1, m)
+    elif kind == "over":
+        blocks[i][j] = m + 1
+    elif kind == "bad":
+        blocks[i][j] = rng.choice(_BAD_ELEMENTS)
+    elif kind == "ragged":
+        blocks[i].append(m + 1)
+    elif kind == "shrink":
+        del blocks[i][j]
+    elif kind == "empty":
+        blocks[i] = []
+    elif kind == "no-blocks":
+        blocks = []
+    return blocks
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(blocks=mutated_blocks())
+def test_validation_agrees_with_the_scan(blocks):
+    expected = _scan_outcome(blocks)
+    assert _outcome(OrderedPartition, blocks) == expected
+    assert _outcome(OrderedPartition, tuple(map(tuple, blocks))) == expected
+    if blocks and all(type(x) is int and abs(x) < 2**63 for b in blocks for x in b):
+        if len({len(b) for b in blocks}) == 1:
+            assert _outcome(OrderedPartition, np.array(blocks)) == expected
+
+
+def _parse_by_token(text):
+    """The per-token reading of partition text: int() on every token."""
+    head_m, head_n, body = (part.split("=", 1)[1] for part in text.split())
+    try:
+        m, n = int(head_m), int(head_n)
+        blocks = [sorted(int(x) for x in group.split(",")) for group in body.split(";")]
+    except ValueError as exc:
+        return FormatError, f"bad partition text: {exc}"
+    outcome = _scan_outcome(blocks)
+    if outcome[0] != "ok":
+        return outcome
+    if (len(blocks) * len(blocks[0]), len(blocks)) != (m, n):
+        return FormatError, (
+            f"declared shape m={m} n={n} does not match blocks "
+            f"(m={len(blocks) * len(blocks[0])} n={len(blocks)})"
+        )
+    return outcome
+
+
+_BAD_TOKENS = ["", "0", "-1", "1.5", "x", "+1", "0x1", "1_0", "٣", str(2**70), str(2**63)]
+
+
+@st.composite
+def mutated_texts(draw):
+    """Partition text of a valid partition after at most one mutation."""
+    kind = draw(st.sampled_from(["none", "swap", "bad", "ragged", "empty", "shape"]))
+    rng = draw(_RNGS)
+    tokens = [[str(x) for x in b] for b in _valid_blocks(rng)]
+    m, n = sum(map(len, tokens)), len(tokens)
+    i, j = _position(rng, tokens)
+    if kind == "swap":
+        i2, j2 = _position(rng, tokens)
+        tokens[i][j], tokens[i2][j2] = tokens[i2][j2], tokens[i][j]
+    elif kind == "bad":
+        tokens[i][j] = rng.choice(_BAD_TOKENS + [str(m + 1)])
+    elif kind == "ragged":
+        tokens[i].append(str(m + 1))
+    elif kind == "empty":
+        tokens[i] = [""]
+    elif kind == "shape":
+        m, n = rng.choice([(m + 1, n), (m, n + 1), (m, n * 2)])
+    body = ";".join(",".join(b) for b in tokens)
+    return f"m={m} n={n} blocks={body}"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(text=mutated_texts())
+def test_parse_agrees_with_the_per_token_path(text):
+    expected = _parse_by_token(text)
+    try:
+        got = "ok", parse_partition(text).blocks
+    except (InvalidPartition, FormatError) as exc:
+        got = type(exc), str(exc)
+    assert got == expected
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(rng=_RNGS)
+def test_format_parse_round_trip_property(rng):
+    p = OrderedPartition(_valid_blocks(rng))
+    assert parse_partition(format_partition(p)) == p
