@@ -79,7 +79,6 @@ from .gelfand import (
 )
 from .automorphisms import (
     FiniteAutoData,
-    IntervalForm,
     ShiftWord,
     alternating_iso,
     combine_tensor_autos,

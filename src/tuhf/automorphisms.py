@@ -20,16 +20,16 @@ the matrix lane's straightening.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import partitions
+from . import embeddings, partitions
 from .embeddings import (
+    RegularEmbedding,
     _alternating_grid,
     _require_within_budget,
     _tensor_blocks,
@@ -150,12 +150,23 @@ def validate_word(tower: TowerSpec, w: ShiftWord) -> None:
     """Check that every prime of the word is infinite on both sides."""
     if w.is_identity:
         return
-    common = common_infinite_primes(tower)
-    for q in factorize(w.u * w.v):
-        if q not in common:
-            raise InvalidShiftWord(
-                f"prime {q} of word {w} is not infinite in both supernatural coordinates"
-            )
+    rest = _split_off(w.u * w.v, common_infinite_primes(tower))[1]
+    if rest > 1:
+        raise InvalidShiftWord(
+            f"prime {min(factorize(rest))} of word {w} "
+            f"is not infinite in both supernatural coordinates"
+        )
+
+
+def _split_off(n: int, primes: Iterable[int]) -> tuple[dict[int, int], int]:
+    """The exponent in n of each of the given primes that divides it, and
+    the cofactor of n free of them; no other number is factored."""
+    exponents: dict[int, int] = {}
+    for q in primes:
+        while n % q == 0:
+            exponents[q] = exponents.get(q, 0) + 1
+            n //= q
+    return exponents, n
 
 
 @dataclass(frozen=True)
@@ -177,20 +188,9 @@ class FiniteAutoData:
             )
 
 
-@dataclass(frozen=True)
-class IntervalForm:
-    """The (s, t) of an I_s (x) . (x) I_t diagonal pattern."""
-
-    s: int
-    t: int
-
-    def __post_init__(self) -> None:
-        if self.s < 1 or self.t < 1:
-            raise OutOfRange(f"interval multiplicities must be >= 1, got ({self.s},{self.t})")
-
-
-def detect_interval_form(q: OrderedPartition, k_m: int) -> Optional[IntervalForm]:
-    """Recognize q as the alternating pattern on k_m blocks, if it is one.
+def detect_interval_form(q: OrderedPartition, k_m: int) -> Optional[RegularEmbedding]:
+    """Recognize q as the alternating pattern on k_m blocks, if it is one,
+    and return that closed-form embedding, alternating(k_m, s, t).
 
     The candidate is forced: t must be the length of block 1's first run
     and s the complementary cofactor; a full pattern comparison then
@@ -207,7 +207,7 @@ def detect_interval_form(q: OrderedPartition, k_m: int) -> Optional[IntervalForm
         return None
     s = k_n // (k_m * t)
     if np.array_equal(q.array, _alternating_grid(k_m, s, t)):
-        return IntervalForm(s, t)
+        return alternating(k_m, s, t)
     return None
 
 
@@ -217,7 +217,7 @@ def word_action(tower: TowerSpec, w: ShiftWord, n: int) -> OrderedPartition:
     Needs v | sr and u | tr for the level's ratio pair; a normalized
     tower (see normalize_for_word) guarantees both.
     """
-    r = tower.ratio_at(n)
+    r = tower.descriptor_at(n).ratios()
     if r is None:
         raise NotAlternatingTower(f"level {n} has no (s, t) ratio")
     sr, tr = r
@@ -260,7 +260,7 @@ def normalize_for_word(tower: TowerSpec, w: ShiftWord) -> TowerSpec:
     fs = factorize(cyc_s)
     ft = factorize(cyc_t)
     passes = 1
-    for q, e in factorize(w.u * w.v).items():
+    for q, e in _split_off(w.u * w.v, fs.keys() & ft.keys())[0].items():
         passes = max(passes, -(-e // fs[q]), -(-e // ft[q]))
     return TowerSpec(
         k0,
@@ -272,12 +272,12 @@ def normalize_for_word(tower: TowerSpec, w: ShiftWord) -> TowerSpec:
 
 
 def _require_common_infinite_prime(tower: TowerSpec, p: int) -> None:
+    # Membership first: a common infinite prime needs no primality test.
+    if p in common_infinite_primes(tower):
+        return
     if p < 2 or not is_prime(p):
         raise InvalidShiftWord(f"{p} is not prime")
-    if p not in common_infinite_primes(tower):
-        raise PrimeNotCommonInfinite(
-            f"prime {p} is not infinite in both supernatural coordinates"
-        )
+    raise PrimeNotCommonInfinite(f"prime {p} is not infinite in both supernatural coordinates")
 
 
 def normalize_for_prime(tower: TowerSpec, p: int) -> TowerSpec:
@@ -285,19 +285,24 @@ def normalize_for_prime(tower: TowerSpec, p: int) -> TowerSpec:
     return normalize_for_word(tower, ShiftWord(p, 1))
 
 
-def shift_auto(
-    tower: TowerSpec, p: int, start: int = 1, stop: Optional[int] = None
-) -> Iterator[FiniteAutoData]:
-    """Per-level data of the shift theta_p, level ``start`` upward, or
-    levels start..stop-1 when ``stop`` is given.
+def _first_level_over(tower: TowerSpec, bound: int, last: int) -> Optional[int]:
+    """The first level in 2..last whose dimension exceeds bound, or None.
+    Dimensions never shrink, so no level past that one is asked for."""
+    return next((n for n in range(2, last + 1) if tower.level_dim(n) > bound), None)
+
+
+def shift_auto(tower: TowerSpec, p: int, start: int, stop: int) -> Iterator[FiniteAutoData]:
+    """Per-level data of the shift theta_p at levels start..stop-1.
 
     The tower must already be normalized for p: p divides both ratio
     components at every level, so each level's action is the pattern
     I_{p*sr} (x) A (x) I_{tr/p} and the family commutes with the tower
-    embeddings.  Checks run eagerly; iteration never raises.  With a
-    ``stop`` that includes the materialization budget: level dimensions
-    are walked upward from start+1 and the first action ground over the
-    limit is refused before any level is built.
+    embeddings.  Checks run eagerly; iteration never raises.  They
+    include the materialization budget: level dimensions are walked
+    upward from level 2 and the first action ground over the limit is
+    refused before any level is built.  Every step multiplies k by at
+    least p^2, so at the default limit the walk ends by level 13
+    whatever the range.
     """
     _require_common_infinite_prime(tower, p)
     if start < 1:
@@ -310,12 +315,16 @@ def shift_auto(
             f"descriptor {idx} ({d.kind}) lacks the factor {p} in a ratio; "
             f"normalize the tower for {p} first"
         )
-
-    if stop is not None:
-        for n in range(start + 1, stop + 1):
-            _require_within_budget(tower.level_dim(n))
-    levels = itertools.count(start) if stop is None else range(start, stop)
-    return (FiniteAutoData(n, n + 1, word_action(tower, w, n)) for n in levels)
+    over = _first_level_over(tower, embeddings.MAX_GROUND, stop)
+    if over is not None:
+        k = tower.level_dim(over)
+        if over > start:
+            _require_within_budget(k)  # level `over` is the ground of a requested action
+        raise DomainError(
+            f"refusing to build a partition of more than {k} elements "
+            f"(limit {embeddings.MAX_GROUND})"
+        )
+    return (FiniteAutoData(n, n + 1, word_action(tower, w, n)) for n in range(start, stop))
 
 
 def materialize_word(tower: TowerSpec, w: ShiftWord, m: int, m_to: int) -> FiniteAutoData:
@@ -337,38 +346,39 @@ def materialize_word(tower: TowerSpec, w: ShiftWord, m: int, m_to: int) -> Finit
 
 def _factor_walk(
     tower: TowerSpec, data: Sequence[FiniteAutoData]
-) -> tuple[list[tuple[FiniteAutoData, Optional[IntervalForm]]], ShiftWord]:
+) -> tuple[list[tuple[FiniteAutoData, Optional[RegularEmbedding]]], ShiftWord]:
     """Read each record once, in level order: check its shape against
     the tower, detect its interval form (None where k_m = 1) and derive
-    the word, which every informative record must agree on."""
+    the word, which every informative record must agree on.  Below a
+    record's top level the tower is read no deeper than the first level
+    past the record's ground, which already rules the record out."""
     if len(data) < 2:
         raise UnderdeterminedWord(
             f"need at least two level pairs for a cross-checked word, got {len(data)}"
         )
-    readings: list[tuple[FiniteAutoData, Optional[IntervalForm]]] = []
+    readings: list[tuple[FiniteAutoData, Optional[RegularEmbedding]]] = []
     fractions: list[Fraction] = []
     for datum in sorted(data, key=lambda d: (d.level_from, d.level_to)):
-        k_m, s_m, _ = tower.level_dims(datum.level_from)
-        k_n, s_n, _ = tower.level_dims(datum.level_to)
+        a, b, q = datum.level_from, datum.level_to, datum.action
+        over = _first_level_over(tower, q.ground_size, b - 1)
+        top = b if over is None else over
+        k_m, s_m, _ = tower.level_dims(min(a, top))
+        k_n, s_n, _ = tower.level_dims(top)
         if s_m is None or s_n is None:
             raise NotAlternatingTower("factorization needs s/t ratios at every level")
-        if datum.action.block_count != k_m or datum.action.ground_size != k_n:
-            raise ShapeMismatch(
-                f"datum at levels {datum.level_from}..{datum.level_to} has shape "
-                f"{datum.action.block_count}|{datum.action.ground_size}, "
-                f"tower expects {k_m}|{k_n}"
-            )
+        shape = f"datum at levels {a}..{b} has shape {q.block_count}|{q.ground_size}"
+        if over is not None:
+            raise ShapeMismatch(f"{shape}, tower level {over} already has dimension {k_n}")
+        if q.block_count != k_m or q.ground_size != k_n:
+            raise ShapeMismatch(f"{shape}, tower expects {k_m}|{k_n}")
         if k_m == 1:
             readings.append((datum, None))
             continue
-        iv = detect_interval_form(datum.action, k_m)
+        iv = detect_interval_form(q, k_m)
         if iv is None:
-            raise NotIntervalForm(
-                f"action at levels {datum.level_from}..{datum.level_to} "
-                f"is not an interval pattern"
-            )
+            raise NotIntervalForm(f"action at levels {a}..{b} is not an interval pattern")
         readings.append((datum, iv))
-        fractions.append(Fraction(iv.s * s_m, s_n))
+        fractions.append(Fraction(iv.st[0] * s_m, s_n))
     if not fractions:
         raise UnderdeterminedWord("every datum has k_m = 1 and carries no information")
     first = fractions[0]
@@ -397,7 +407,7 @@ def factor_report(tower: TowerSpec, data: Sequence[FiniteAutoData]) -> str:
     readings, w = _factor_walk(tower, data)
     lines = [
         f"levels {datum.level_from} {datum.level_to} "
-        + ("uninformative (k = 1)" if iv is None else f"interval s={iv.s} t={iv.t}")
+        + ("uninformative (k = 1)" if iv is None else "interval s={} t={}".format(*iv.st))
         for datum, iv in readings
     ]
     lines.append(f"word {w}")

@@ -301,17 +301,15 @@ def random_interval_tower(rng: random.Random) -> TowerSpec:
             return tower
 
 
-def random_point(
-    rng: random.Random, tower: TowerSpec, depth: int, tail: str = ""
-) -> GelfandPoint:
+def random_point(rng: random.Random, tower: TowerSpec, depth: int) -> GelfandPoint:
     sizes = coordinate_sizes(tower, depth)
-    return GelfandPoint(tuple(rng.randrange(size) for size in sizes), tail)
+    return GelfandPoint(tuple(rng.randrange(size) for size in sizes))
 
 
-def all_points(tower: TowerSpec, depth: int, tail: str = "") -> Iterator[GelfandPoint]:
+def all_points(tower: TowerSpec, depth: int) -> Iterator[GelfandPoint]:
     ranges = [range(size) for size in coordinate_sizes(tower, depth)]
     for coords in itertools.product(*ranges):
-        yield GelfandPoint(coords, tail)
+        yield GelfandPoint(coords)
 
 
 # -- run-size instances -------------------------------------------------

@@ -299,6 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # Level data are exact integers of any length; lift Python's default
+    # cap on int <-> str conversion (4300 digits) where it exists.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -61,23 +61,6 @@ class ComplexUpperTriangular:
     def __setattr__(self, name, value):  # value semantics
         raise AttributeError("ComplexUpperTriangular is immutable")
 
-    @classmethod
-    def zero(cls, k: int) -> "ComplexUpperTriangular":
-        return cls(np.zeros((k, k), dtype=complex))
-
-    @classmethod
-    def identity(cls, k: int) -> "ComplexUpperTriangular":
-        return cls(np.eye(k, dtype=complex))
-
-    @classmethod
-    def unit(cls, k: int, i: int, j: int) -> "ComplexUpperTriangular":
-        """The matrix unit e_{ij}, 1-based, i <= j."""
-        if not 1 <= i <= j <= k:
-            raise ShapeMismatch(f"unit ({i},{j}) not upper-triangular in 1..{k}")
-        a = np.zeros((k, k), dtype=complex)
-        a[i - 1, j - 1] = 1.0
-        return cls(a)
-
     def __repr__(self) -> str:
         return f"ComplexUpperTriangular(k={self.k})"
 
@@ -111,10 +94,6 @@ class PartialPermutationMatrix:
             cols.add(c)
         object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
 
-    @classmethod
-    def identity(cls, k: int) -> "PartialPermutationMatrix":
-        return cls(k, tuple((i, i) for i in range(1, k + 1)))
-
     def rows(self) -> frozenset[int]:
         return frozenset(r for r, _ in self.pairs)
 
@@ -145,10 +124,6 @@ class DiagonalUnitary:
     @property
     def k(self) -> int:
         return len(self.phases)
-
-    @classmethod
-    def identity(cls, k: int) -> "DiagonalUnitary":
-        return cls(tuple(1.0 + 0.0j for _ in range(k)))
 
     def to_matrix(self) -> np.ndarray:
         return np.diag(np.array(self.phases, dtype=complex))

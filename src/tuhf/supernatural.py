@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Mapping, Optional, Union
 
-from .errors import FormatError
+from .errors import DomainError, FormatError
 
 
 class _Infinity:
@@ -62,6 +62,12 @@ class DuplicatePrime(FormatError):
     """The same prime occurs twice in a supernatural literal."""
 
 
+# Trial division stops at this divisor, which still factors every
+# number below TRIAL_LIMIT**2 = 10^12 exactly; past it a number that is
+# not yet split is refused rather than divided on without bound.
+TRIAL_LIMIT = 10**6
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -69,23 +75,31 @@ def is_prime(n: int) -> bool:
         return True
     if n % 2 == 0:
         return False
-    for d in range(3, isqrt(n) + 1, 2):
+    root = isqrt(n)
+    for d in range(3, min(root, TRIAL_LIMIT) + 1, 2):
         if n % d == 0:
             return False
+    if root > TRIAL_LIMIT:
+        raise DomainError(
+            f"cannot decide whether {n} is prime by trial division up to {TRIAL_LIMIT}"
+        )
     return True
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; meant for small ratio values."""
+    """Prime factorization by trial division up to TRIAL_LIMIT."""
     if n < 1:
         raise ValueError(f"cannot factor {n}")
+    whole = n
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= TRIAL_LIMIT:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
+    if d * d <= n:
+        raise DomainError(f"cannot factor {whole} by trial division up to {TRIAL_LIMIT}")
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
@@ -124,10 +138,6 @@ class SupernaturalNumber:
         if n < 1:
             raise ValueError(f"{n} has no prime factorization")
         return cls.from_dict(factorize(n)) if n > 1 else cls()
-
-    @classmethod
-    def one(cls) -> "SupernaturalNumber":
-        return cls()
 
     @classmethod
     def parse(cls, text: str) -> "SupernaturalNumber":

@@ -267,9 +267,6 @@ class TowerSpec:
                 table.append((k, s * r[0], t * r[1]))  # type: ignore[operator]
         return table[n - 1]
 
-    def ratio_at(self, n: int) -> Optional[tuple[int, int]]:
-        return self.descriptor_at(n).ratios()
-
     def embedding(self, n: int) -> RegularEmbedding:
         return self.descriptor_at(n).embedding(self.level_dim(n))
 

@@ -7,12 +7,12 @@ import pytest
 from tuhf import (
     Descriptor,
     FiniteAutoData,
-    IntervalForm,
     OrderedPartition,
     RegularEmbedding,
     ShiftWord,
     TensorTower,
     TowerSpec,
+    alternating,
     alternating_iso,
     combine_tensor_autos,
     common_infinite_primes,
@@ -97,8 +97,7 @@ def test_common_infinite_primes(two_inf_alt):
 # -- shift automorphisms --------------------------------------------------
 
 def test_shift_level_one_blocks(two_inf_alt):
-    gen = shift_auto(two_inf_alt, 2)
-    first = next(gen)
+    first = next(shift_auto(two_inf_alt, 2, 1, 2))
     assert first.level_from == 1 and first.level_to == 2
     assert first.action.blocks == (
         (1, 5, 9, 13),
@@ -110,7 +109,7 @@ def test_shift_level_one_blocks(two_inf_alt):
 
 def test_shift_rejects_finite_prime(two_inf_alt):
     with pytest.raises(PrimeNotCommonInfinite):
-        next(shift_auto(two_inf_alt, 3))
+        shift_auto(two_inf_alt, 3, 1, 2)
 
 
 def test_shift_requires_normalized_tower():
@@ -122,26 +121,25 @@ def test_shift_requires_normalized_tower():
     with pytest.raises(
         TowerNotNormalizedForPrime, match=r"^descriptor 2 \(alt\) lacks the factor 2 "
     ):
-        next(shift_auto(t, 2))
+        shift_auto(t, 2, 1, 2)
     from tuhf import normalize_for_prime
 
     fixed = normalize_for_prime(t, 2)
-    datum = next(shift_auto(fixed, 2))
+    datum = next(shift_auto(fixed, 2, 1, 2))
     assert datum.action.block_count == fixed.level_dim(1)
 
 
 def test_shift_starts_at_the_requested_level(two_inf_alt):
-    from_one = list(zip(range(3), shift_auto(two_inf_alt, 2)))
-    from_three = next(shift_auto(two_inf_alt, 2, 3))
+    from_one = list(shift_auto(two_inf_alt, 2, 1, 4))
+    (from_three,) = shift_auto(two_inf_alt, 2, 3, 4)
     assert (from_three.level_from, from_three.level_to) == (3, 4)
-    assert from_three == from_one[2][1]
+    assert from_three == from_one[2]
     with pytest.raises(OutOfRange):
-        shift_auto(two_inf_alt, 2, 0)
+        shift_auto(two_inf_alt, 2, 0, 2)
 
 
 def test_shift_preserves_total_size(two_inf_alt):
-    for datum in zip(range(3), shift_auto(two_inf_alt, 2)):
-        _, d = datum
+    for d in shift_auto(two_inf_alt, 2, 1, 4):
         assert d.action.ground_size == two_inf_alt.level_dim(d.level_to)
 
 
@@ -167,11 +165,14 @@ def test_shift_words_commute():
 # -- interval form and factorization ---------------------------------------
 
 def test_detect_interval_form_examples():
+    # the reading is the closed-form embedding whose diagonal is the input
     alt_p = OrderedPartition.from_blocks(((1, 2, 5, 6), (3, 4, 7, 8)))
-    assert detect_interval_form(alt_p, 2) == IntervalForm(2, 2)
+    alt_e = detect_interval_form(alt_p, 2)
+    assert alt_e.st == (2, 2) and alt_e == alternating(2, 2, 2) and alt_e.diag == alt_p
 
     std_p = OrderedPartition.from_blocks(((1, 3), (2, 4)))
-    assert detect_interval_form(std_p, 2) == IntervalForm(2, 1)
+    std_e = detect_interval_form(std_p, 2)
+    assert std_e.st == (2, 1) and std_e.diag == std_p
 
     ragged = OrderedPartition.from_blocks(((1, 2, 3, 5), (4, 6, 7, 8)))
     assert detect_interval_form(ragged, 2) is None

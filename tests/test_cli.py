@@ -1,5 +1,7 @@
 """End-to-end runs of every subcommand through main()."""
 
+import time
+
 import pytest
 
 import tuhf.automorphisms
@@ -426,3 +428,64 @@ def test_materialization_budget_refuses_large_partitions(
     code, out, err = run(capsys, *(a.format(f=f) for a in argv))
     assert (code, out) == (1, "")
     assert err == f"error: refusing to build a partition of {size} elements (limit 64)\n"
+
+
+DEEP = "k1 2\ncycle alt 2 2\n"
+
+
+@pytest.mark.parametrize("command", ["shift", "factor"])
+def test_deep_level_requests_stop_at_the_first_level_over_the_limit(
+    files, capsys, monkeypatch, command
+):
+    requested = []
+    real = TowerSpec.level_dims
+
+    def spy(self, n):
+        requested.append(n)
+        assert n <= 20, f"asked for level {n}"
+        return real(self, n)
+
+    monkeypatch.setattr(TowerSpec, "level_dims", spy)
+    f = files("deep.tower", DEEP)
+    if command == "shift":
+        argv = ["shift", f, "-p", "2", "--levels", "200000..200001"]
+        message = "refusing to build a partition of more than 8388608 elements (limit 4194304)"
+    else:
+        record = "levels 1 2\naction m=8 n=2 blocks=1,2,5,6;3,4,7,8\n"
+        deep = "levels 199999 200000\naction m=8 n=2 blocks=1,2,5,6;3,4,7,8\n"
+        argv = ["factor", f, "--auto", files("deep.auto", record + deep)]
+        message = "datum at levels 199999..200000 has shape 2|8, tower level 3 already has dimension 32"
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert max(requested) <= 20
+
+
+def test_tower_show_prints_integers_of_any_length(files, capsys):
+    # k passes Python's default 4300-digit str conversion cap from level 3573
+    f = files("deep.tower", DEEP)
+    code, out, err = run(capsys, "tower", "show", f, "--levels", "7200")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[7199] == f"level 7200 k {2 * 4**7199} s {2**7199} t {2**7200}"
+
+
+BIG_PRIME = 1000000000000000003
+
+
+@pytest.mark.parametrize(
+    "argv, tower",
+    [
+        (("shift", "{f}", "-p", str(BIG_PRIME)), DEEP),
+        (("tower", "normalize", "{f}", "-p", str(BIG_PRIME)), DEEP),
+        (("tower", "normalize", "{f}", "--word", f"{BIG_PRIME}/1"), DEEP),
+        (("tower", "show", "{f}"), f"k1 1\ncycle alt {BIG_PRIME} 2\n"),
+    ],
+    ids=["shift", "normalize-prime", "normalize-word", "show"],
+)
+def test_large_user_numbers_are_refused_quickly(files, capsys, argv, tower):
+    f = files("t.tower", tower)
+    start = time.perf_counter()
+    code, _, err = run(capsys, *(a.format(f=f) for a in argv))
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{BIG_PRIME} " in err

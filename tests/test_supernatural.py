@@ -6,6 +6,7 @@ import pytest
 
 from tuhf import (
     INF,
+    DomainError,
     SupernaturalNumber,
     common_infinite_count,
     factorize,
@@ -28,6 +29,17 @@ def test_factorize_examples():
     assert factorize(12) == {2: 2, 3: 1}
     assert factorize(1) == {}
     assert factorize(97) == {97: 1}
+
+
+def test_trial_division_stops_at_its_limit():
+    # every number below TRIAL_LIMIT**2 = 10^12 is still factored exactly
+    assert factorize(999983**2) == {999983: 2}
+    assert factorize(999999999989) == {999999999989: 1}
+    # past it a number with no factor up to the limit is refused
+    for fn in (factorize, is_prime):
+        with pytest.raises(DomainError, match=r"by trial division up to 1000000$"):
+            fn(1000003**2)
+    assert is_prime(3 * 1000003**2) is False
 
 
 def test_factorize_reconstructs():
