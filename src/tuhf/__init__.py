@@ -22,7 +22,6 @@ from .partitions import (
     Order,
     OrderedPartition,
     OrderedSubpartition,
-    Run,
     compare,
     compose,
     format_partition,

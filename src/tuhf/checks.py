@@ -76,7 +76,6 @@ from .matrices import (
 from .partitions import (
     Order,
     OrderedPartition,
-    Run,
     compare,
     compose,
     format_partition,
@@ -320,7 +319,7 @@ def _divisors(n: int) -> list[int]:
 
 def _chunk_runs(
     sorted_image: Sequence[int], jumps: Sequence[int], h: int, n: int
-) -> Optional[tuple[Run, ...]]:
+) -> Optional[tuple[range, ...]]:
     """Slice a sorted image into n runs of size h plus a remainder run.
 
     ``jumps`` holds the ascending positions j where sorted_image[j] does
@@ -334,19 +333,19 @@ def _chunk_runs(
     if n * h >= t or math.gcd(*jumps) % h or (jumps and jumps[-1] > n * h):
         return None
     bounds = [(j * h, (j + 1) * h) for j in range(n)] + [(n * h, t)]
-    return tuple(Run(sorted_image[lo], sorted_image[hi - 1]) for lo, hi in bounds)
+    return tuple(range(sorted_image[lo], sorted_image[hi - 1] + 1) for lo, hi in bounds)
 
 
 def _piece_decomps(
     images: Sequence[Sequence[int]], elems: Sequence[int], chunks: Sequence[frozenset[int]]
-) -> Iterator[tuple[Run, ...]]:
+) -> Iterator[tuple[range, ...]]:
     """All ways to cut the source elements into len(chunks) intervals
     whose images contain the matching chunks; ``images[j]`` is the block
     of ``elems[j]``.  Containment prunes the recursion hard, so the
     fan-out stays small in practice."""
     n, size = len(chunks), len(elems)
 
-    def rec(start: int, pieces: list[tuple[int, int]]) -> Iterator[tuple[Run, ...]]:
+    def rec(start: int, pieces: list[range]) -> Iterator[tuple[range, ...]]:
         i = len(pieces)
         left = n - 1 - i  # pieces still to cut, one element each at least
         img: set[int] = set()
@@ -355,11 +354,11 @@ def _piece_decomps(
                 break  # a gap inside the piece never heals
             img.update(images[end - 1])
             if chunks[i] <= img and (left or end == size):
-                pieces.append((elems[start], elems[end - 1]))
+                pieces.append(range(elems[start], elems[end - 1] + 1))
                 if left:
                     yield from rec(end, pieces)
                 else:
-                    yield tuple(Run(lo, hi) for lo, hi in pieces)
+                    yield tuple(pieces)
                 pieces.pop()
 
     yield from rec(0, [])
@@ -367,7 +366,7 @@ def _piece_decomps(
 
 def _psize_runs(
     p: OrderedPartition, elems: Sequence[int], rng: Optional[random.Random] = None
-) -> Iterator[tuple[tuple[Run, ...], tuple[Run, ...]]]:
+) -> Iterator[tuple[tuple[range, ...], tuple[range, ...]]]:
     """Every (source runs, target runs) pair over the source elements
     ``elems`` of p: the image is cut into n runs of size h plus a
     remainder, and the elements into matching intervals.  ``rng``
@@ -384,14 +383,14 @@ def _psize_runs(
         s_runs = _chunk_runs(sorted_image, jumps, h, n)
         if s_runs is None:
             continue
-        chunks = [frozenset(run.elements()) for run in s_runs[:n]]
+        chunks = [frozenset(run) for run in s_runs[:n]]
         for r_runs in _piece_decomps(images, elems, chunks):
             yield r_runs, s_runs
 
 
 def enumerate_psize_instances(
     s_max: int,
-) -> Iterator[tuple[tuple[Run, ...], tuple[Run, ...], OrderedPartition]]:
+) -> Iterator[tuple[tuple[range, ...], tuple[range, ...], OrderedPartition]]:
     """Every hypothesis-satisfying run-size configuration with target
     ground size up to s_max, as (source runs, target runs, embedding)."""
     for s in range(1, s_max + 1):
@@ -405,7 +404,7 @@ def enumerate_psize_instances(
 
 def random_psize_instance(
     rng: random.Random,
-) -> tuple[tuple[Run, ...], tuple[Run, ...], OrderedPartition]:
+) -> tuple[tuple[range, ...], tuple[range, ...], OrderedPartition]:
     """One random hypothesis-satisfying configuration, by filtered search."""
     for _ in range(_PSIZE_ATTEMPTS):
         s = rng.randint(*_PSIZE_GROUND)
@@ -513,7 +512,7 @@ def _suite_interleaved_runs(
         if not flat or flat[0] is None:
             return False, f"case {idx}: cell (1,1) empty"
         occupied = [cell for cell in flat if cell is not None]
-        if any(occupied[i].hi >= occupied[i + 1].lo for i in range(len(occupied) - 1)):
+        if any(occupied[i][-1] >= occupied[i + 1].start for i in range(len(occupied) - 1)):
             return False, f"case {idx}: grid cells out of global order"
         gap = worst = 0
         for cell in flat:
@@ -523,7 +522,7 @@ def _suite_interleaved_runs(
             return False, f"case {idx}: {worst} consecutive empty cells with {n} columns"
         for i in range(1, n + 1):
             col = [row[i - 1] for row in grid if row[i - 1] is not None]
-            got = [x for run in col for x in run.elements()]
+            got = [x for run in col for x in run]
             if tuple(sorted(got)) != p.block(i) or col != list(runs_of(p.block(i))):
                 return False, f"case {idx}: column {i} does not rebuild its block"
     return True, f"{cases} cases"

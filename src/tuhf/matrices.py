@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embeddings import RegularEmbedding, image_of_unit
+from .embeddings import RegularEmbedding
 from .errors import DomainError, FormatError
 from .partitions import ShapeMismatch
 
@@ -102,8 +102,8 @@ class PartialPermutationMatrix:
 
     def to_matrix(self) -> np.ndarray:
         a = np.zeros((self.k, self.k), dtype=complex)
-        for r, c in self.pairs:
-            a[r - 1, c - 1] = 1.0
+        r, c = (np.array(self.pairs, dtype=np.int64).reshape(-1, 2) - 1).T
+        a[r, c] = 1.0
         return a
 
 
@@ -134,8 +134,8 @@ def recompose(d: DiagonalUnitary, w: PartialPermutationMatrix) -> ComplexUpperTr
     if d.k != w.k:
         raise ShapeMismatch(f"dimension mismatch {d.k} vs {w.k}")
     a = np.zeros((w.k, w.k), dtype=complex)
-    for r, c in w.pairs:
-        a[r - 1, c - 1] = d.phases[r - 1]
+    r, c = (np.array(w.pairs, dtype=np.int64).reshape(-1, 2) - 1).T
+    a[r, c] = np.array(d.phases, dtype=complex)[r]
     return ComplexUpperTriangular(a)
 
 
@@ -146,31 +146,24 @@ def normalizer_split(
 
     W is the 0/1 support pattern of V (entries above UNIT_TOL); D holds
     each entry's phase on its row and 1 elsewhere, making the split
-    unique.  Rejects any matrix with two entries in a row or column, or
-    an entry whose modulus is not 1 within UNIT_TOL.
+    unique.  Rejects two entries in a row or column (as a
+    ``PartialPermutationMatrix``), then an entry of modulus not 1.
     """
+    a = v.entries
+    # np.hypot equals the scalar abs bit for bit; np.abs on a complex
+    # array does not, and the phases are printed to 17 digits.
+    modulus = np.hypot(a.real, a.imag)
+    r, c = np.nonzero(modulus > UNIT_TOL)
+    w = PartialPermutationMatrix(v.k, tuple(zip((r + 1).tolist(), (c + 1).tolist())))
+    off = np.abs(modulus[r, c] - 1.0) > UNIT_TOL
+    if off.any():
+        i = int(off.argmax())
+        raise NotNormalizingPartialIsometry(
+            f"entry ({r[i] + 1},{c[i] + 1}) has modulus {float(modulus[r[i], c[i]])!r}, not 1"
+        )
     phases = np.ones(v.k, dtype=complex)
-    pairs: list[tuple[int, int]] = []
-    rows: set[int] = set()
-    cols: set[int] = set()
-    for r in range(1, v.k + 1):
-        for c in range(1, v.k + 1):
-            entry = v.entries[r - 1, c - 1]
-            if abs(entry) <= UNIT_TOL:
-                continue
-            if r in rows:
-                raise NotNormalizingPartialIsometry(f"two entries in row {r}")
-            if c in cols:
-                raise NotNormalizingPartialIsometry(f"two entries in column {c}")
-            if abs(abs(entry) - 1.0) > UNIT_TOL:
-                raise NotNormalizingPartialIsometry(
-                    f"entry ({r},{c}) has modulus {float(abs(entry))!r}, not 1"
-                )
-            rows.add(r)
-            cols.add(c)
-            pairs.append((r, c))
-            phases[r - 1] = entry / abs(entry)
-    return DiagonalUnitary(tuple(phases)), PartialPermutationMatrix(v.k, tuple(pairs))
+    phases[r] = a[r, c] / modulus[r, c]
+    return DiagonalUnitary(tuple(phases)), w
 
 
 def apply_to_matrix(
@@ -183,14 +176,13 @@ def apply_to_matrix(
     """
     if m.k != e.k_from:
         raise ShapeMismatch(f"matrix has k={m.k} but embedding starts at {e.k_from}")
+    a = e.diag.array - 1
     out = np.zeros((e.k_to, e.k_to), dtype=complex)
-    for i in range(1, m.k + 1):
-        for j in range(i, m.k + 1):
-            entry = m.entries[i - 1, j - 1]
-            if entry == 0:
-                continue
-            for r, c in image_of_unit(e, i, j):
-                out[r - 1, c - 1] += entry
+    # Unit (i, j) lands on (a[i, r], a[j, r]) for the diagonal rows a.
+    # Distinct (i, j, r) hit distinct slots, and i > j lands strictly
+    # below the diagonal, where m is exactly 0, so one scatter of every
+    # entry of m is the linear extension.
+    out[a[:, None, :], a[None, :, :]] = m.entries[:, :, None]
     return ComplexUpperTriangular(out)
 
 

@@ -8,10 +8,11 @@ block to block.  That rank-order condition *is* triangularity, and
 scanning the ground set for the first element whose block index
 differs induces a total order on same-shape partitions.
 
-Runs -- maximal integer intervals -- are the finer decomposition used
-to recognize interval-form actions: a block splits into runs, the runs
-of all blocks interleave into a row grid, and the sizes of runs that an
-embedding stretches over consecutive targets can only grow.  The three
+Runs -- maximal integer intervals, held as step-1 ``range`` objects --
+are the finer decomposition used to recognize interval-form actions: a
+block splits into runs, the runs of all blocks interleave into a row
+grid, and the sizes of runs that an embedding stretches over
+consecutive targets can only grow.  The three
 supporting operations (prefix restriction, interleaving, run-size
 monotonicity) live here so they can be exercised independently of any
 matrix algebra.
@@ -334,38 +335,18 @@ def restrict_prefix(p: OrderedPartition, m_prime: int) -> OrderedSubpartition:
     )
 
 
-@dataclass(frozen=True)
-class Run:
-    """A nonempty integer interval lo..hi."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"empty run {self.lo}..{self.hi}")
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo + 1
-
-    def elements(self) -> range:
-        return range(self.lo, self.hi + 1)
-
-
-def runs_of(s: Iterable[int]) -> tuple[Run, ...]:
-    """Decompose a set of integers into maximal runs, in increasing order."""
-    xs = sorted(set(s))
-    out: list[Run] = []
-    for x in xs:
-        if out and x == out[-1].hi + 1:
-            out[-1] = Run(out[-1].lo, x)
+def runs_of(s: Iterable[int]) -> tuple[range, ...]:
+    """Decompose a set of integers into maximal runs (ranges), in increasing order."""
+    out: list[range] = []
+    for x in sorted(set(s)):
+        if out and x == out[-1].stop:
+            out[-1] = range(out[-1].start, x + 1)
         else:
-            out.append(Run(x, x))
+            out.append(range(x, x + 1))
     return tuple(out)
 
 
-def interleaved_runs(p: OrderedPartition) -> tuple[tuple[Optional[Run], ...], ...]:
+def interleaved_runs(p: OrderedPartition) -> tuple[tuple[Optional[range], ...], ...]:
     """Arrange all blocks' runs on a row grid in global interval order.
 
     Cell (j, i) holds the run of block i placed on row j, or None.  Runs
@@ -377,12 +358,9 @@ def interleaved_runs(p: OrderedPartition) -> tuple[tuple[Optional[Run], ...], ..
     cells can be empty and cell (1, 1) is always occupied.
     """
     k = p.block_count
-    items: list[tuple[Run, int]] = []
-    for i, b in enumerate(p.blocks, 1):
-        for run in runs_of(b):
-            items.append((run, i))
-    items.sort(key=lambda rc: rc[0].lo)
-    rows: list[list[Optional[Run]]] = []
+    items = [(run, i) for i, b in enumerate(p.blocks, 1) for run in runs_of(b)]
+    items.sort(key=lambda rc: rc[0].start)
+    rows: list[list[Optional[range]]] = []
     next_col = k + 1
     for run, i in items:
         if i < next_col:
@@ -393,19 +371,19 @@ def interleaved_runs(p: OrderedPartition) -> tuple[tuple[Optional[Run], ...], ..
 
 
 def psize_oracle(
-    r_runs: Sequence[Run],
-    s_runs: Sequence[Run],
+    r_runs: Sequence[range],
+    s_runs: Sequence[range],
     unit_embedding: OrderedPartition,
 ) -> bool:
     """Run-size monotonicity oracle.
 
-    Hypotheses (each checked, naming the offender on failure): the n
-    source runs R_1 < ... < R_n live in 1..r where r is the embedding's
-    block count; the n+1 target runs S_1 < ... < S_{n+1} live in 1..s;
-    |S_1| = ... = |S_n| >= 1; the embedding maps the union of the R_i
-    exactly onto the union of the S_j; and the image of R_i contains
-    S_i.  Returns whether |R_1| <= ... <= |R_n| -- which the hypotheses
-    force, a fact the test suite checks exhaustively.
+    Hypotheses (each checked, naming the offender on failure): every run
+    is a nonempty step-1 range; the n source runs R_1 < ... < R_n live in
+    1..r where r is the embedding's block count; the n+1 target runs
+    S_1 < ... < S_{n+1} live in 1..s; |S_1| = ... = |S_n|; the embedding
+    maps the union of the R_i exactly onto the union of the S_j; and the
+    image of R_i contains S_i.  Returns whether |R_1| <= ... <= |R_n| --
+    which the hypotheses force, a fact the test suite checks exhaustively.
     """
     r = unit_embedding.block_count
     s = unit_embedding.ground_size
@@ -417,31 +395,22 @@ def psize_oracle(
     for runs, bound, label in ((r_runs, r, "source"), (s_runs, s, "target")):
         prev_hi = 0
         for run in runs:
-            if run.lo <= prev_hi:
+            if not run or run.step != 1:
+                raise HypothesisViolated(f"{label} run {run!r} is not a nonempty step-1 range")
+            if run.start <= prev_hi:
                 raise HypothesisViolated(f"{label} runs must be disjoint and increasing")
-            if not 1 <= run.lo <= run.hi <= bound:
-                raise HypothesisViolated(f"{label} run {run.lo}..{run.hi} outside 1..{bound}")
-            prev_hi = run.hi
-    head_size = s_runs[0].size
-    for run in s_runs[:n]:
-        if run.size != head_size:
-            raise HypothesisViolated("the first n target runs must have equal sizes")
-    image: set[int] = set()
-    for run in r_runs:
-        for x in run.elements():
-            image.update(unit_embedding.block(x))
-    target: set[int] = set()
-    for run in s_runs:
-        target.update(run.elements())
-    if image != target:
+            if not 1 <= run.start <= run[-1] <= bound:
+                raise HypothesisViolated(f"{label} run {run.start}..{run[-1]} outside 1..{bound}")
+            prev_hi = run[-1]
+    if any(len(run) != len(s_runs[0]) for run in s_runs[:n]):
+        raise HypothesisViolated("the first n target runs must have equal sizes")
+    images = [set().union(*(unit_embedding.block(x) for x in run)) for run in r_runs]
+    if set().union(*images) != set().union(*s_runs):
         raise HypothesisViolated("embedding image of the source union must equal the target union")
-    for i, run in enumerate(r_runs[:n]):
-        img_i: set[int] = set()
-        for x in run.elements():
-            img_i.update(unit_embedding.block(x))
-        if not set(s_runs[i].elements()) <= img_i:
-            raise HypothesisViolated(f"target run {i + 1} must lie in the image of source run {i + 1}")
-    sizes = [run.size for run in r_runs]
+    for i, (run, img) in enumerate(zip(s_runs, images), 1):
+        if not img.issuperset(run):
+            raise HypothesisViolated(f"target run {i} must lie in the image of source run {i}")
+    sizes = [len(run) for run in r_runs]
     return all(sizes[i] <= sizes[i + 1] for i in range(n - 1))
 
 

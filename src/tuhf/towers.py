@@ -232,6 +232,12 @@ class TowerSpec:
         # source dimension cannot recur.
         self._levels.append((self.k1, s1, t1))
         self.level_dims(len(self.preamble) + 2 * len(self.cycle) + 1)
+        # No descriptor shrinks k, so a pass that keeps k keeps it forever:
+        # the limit would be finite-dimensional, and level walks looking
+        # for a larger dimension would never stop.
+        k = self.level_dim(len(self.preamble) + 1)
+        if self.level_dim(len(self.preamble) + len(self.cycle) + 1) == k:
+            raise ChainMismatch(f"the cycle leaves k={k} unchanged; tower dimensions must grow")
 
     # -- per-level data --------------------------------------------------
 

@@ -5,6 +5,7 @@ import time
 import pytest
 
 import tuhf.automorphisms
+import tuhf.cli
 import tuhf.embeddings
 import tuhf.gelfand
 from tuhf.cli import main
@@ -489,3 +490,53 @@ def test_large_user_numbers_are_refused_quickly(files, capsys, argv, tower):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{BIG_PRIME} " in err
+
+
+def test_the_parser_is_built_once_per_process(files, capsys, monkeypatch):
+    built = []
+    init = tuhf.cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(tuhf.cli._Parser, "__init__", counted)
+    tuhf.cli.build_parser.cache_clear()
+    f = files("two.tower", TWO_INF)
+    assert run(capsys, "out-rank", f) == (0, "1\n", "")
+    once = len(built)
+    assert run(capsys, "out-rank", f) == (0, "1\n", "")
+    assert once > 0 and len(built) == once
+
+
+def test_a_reused_parser_still_gives_help_and_argument_errors(files, capsys):
+    assert run(capsys, "out-rank", files("two.tower", TWO_INF))[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["shift", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tuhf shift [-h] -p PRIME")
+    with pytest.raises(SystemExit) as exc:
+        main(["shift"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("error: the following arguments are required") and err.count("\n") == 1
+
+
+STALLED = "error: the cycle leaves k=2 unchanged; tower dimensions must grow\n"
+
+
+@pytest.mark.parametrize(
+    "cycle", ["std 1", "nest 1", "alt 1 1", "part 2 m=2 n=2 blocks=1;2"]
+)
+def test_a_cycle_that_keeps_k_is_refused(files, capsys, cycle):
+    f = files("flat.tower", f"k1 2\ncycle {cycle}\n")
+    assert run(capsys, "tower", "show", f) == (1, "", STALLED)
+
+
+def test_factor_on_a_tower_that_stops_growing_is_refused_at_once(files, capsys):
+    f = files("flat.tower", "k1 2\ncycle std 1\n")
+    record = "levels {} {}\naction m=2 n=2 blocks=1;2\n"
+    auto = files("flat.auto", record.format(1, 2) + record.format(999999, 1000000))
+    start = time.perf_counter()
+    assert run(capsys, "factor", f, "--auto", auto) == (1, "", STALLED)
+    assert time.perf_counter() - start < 1

@@ -1,5 +1,7 @@
 """Matrix-level checks: splits, straightening, and the Kronecker bridge."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,12 @@ from tuhf import (
     ComplexUpperTriangular,
     DiagonalUnitary,
     PartialPermutationMatrix,
+    RegularEmbedding,
     alternating,
     apply_to_matrix,
     conjugate_by_diagonal,
     format_matrix,
+    image_of_unit,
     nest,
     normalizer_split,
     parse_matrix,
@@ -18,6 +22,7 @@ from tuhf import (
     standard,
     straighten_level,
 )
+from tuhf.checks import random_ordered_partition, random_upper_triangular
 from tuhf.matrices import (
     NonUnimodularPhase,
     NotNormalizingPartialIsometry,
@@ -78,6 +83,24 @@ def test_split_rejects_row_conflict():
     v = upper(3, {(1, 2): 1.0, (1, 3): 1.0})
     with pytest.raises(NotNormalizingPartialIsometry):
         normalizer_split(v)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({(1, 2): 1.0, (1, 3): 1.0}, "two entries in row 1"),
+        ({(1, 3): 1j, (2, 3): 1.0}, "two entries in column 3"),
+        # the conflict is named even after an entry of the wrong modulus
+        ({(1, 1): 0.5, (2, 2): 1.0, (2, 3): -1.0}, "two entries in row 2"),
+    ],
+    ids=["row", "column", "row-after-modulus"],
+)
+def test_split_conflicts_carry_the_partial_permutation_message(entries, message):
+    with pytest.raises(NotNormalizingPartialIsometry) as want:
+        PartialPermutationMatrix(3, tuple(sorted(entries)))
+    with pytest.raises(NotNormalizingPartialIsometry) as got:
+        normalizer_split(upper(3, entries))
+    assert str(got.value) == str(want.value) == message
 
 
 def test_split_rejects_nonunimodular_entry():
@@ -141,6 +164,27 @@ def test_apply_zero_and_identity():
     assert not apply_to_matrix(e, zero).entries.any()
     ident = ComplexUpperTriangular(np.eye(2, dtype=complex))
     assert np.array_equal(apply_to_matrix(e, ident).entries, np.eye(8))
+
+
+def _apply_by_units(e, m):
+    """Reference: the sum over units (i, j) of m[i, j] times the image
+    of the unit, read pair by pair."""
+    out = np.zeros((e.k_to, e.k_to), dtype=complex)
+    for i in range(1, m.k + 1):
+        for j in range(i, m.k + 1):
+            for r, c in image_of_unit(e, i, j):
+                out[r - 1, c - 1] += m.entries[i - 1, j - 1]
+    return out
+
+
+def test_apply_matches_the_unit_sum_on_part_embeddings():
+    rng = random.Random(11)
+    for _ in range(40):
+        k = rng.randint(1, 6)
+        mult = rng.randint(1, 5)
+        e = RegularEmbedding(k, k * mult, random_ordered_partition(rng, k * mult, k))
+        m = random_upper_triangular(rng, k)
+        assert np.array_equal(apply_to_matrix(e, m).entries, _apply_by_units(e, m))
 
 
 def test_apply_shape_mismatch():

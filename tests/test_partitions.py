@@ -28,7 +28,6 @@ from tuhf.partitions import (
     InvalidPartition,
     OutOfRange,
     RankOrderViolation,
-    Run,
     ShapeMismatch,
     UnequalBlockSizes,
     _scan,
@@ -137,32 +136,33 @@ def test_subpartition_invariants_checked():
 # -- runs ---------------------------------------------------------------
 
 def test_runs_of_examples():
-    assert runs_of((1, 3, 4, 7)) == (Run(1, 1), Run(3, 4), Run(7, 7))
+    assert runs_of((1, 3, 4, 7)) == (range(1, 2), range(3, 5), range(7, 8))
     assert runs_of(()) == ()
-    assert runs_of((1, 2, 5, 6)) == (Run(1, 2), Run(5, 6))
+    assert runs_of((1, 2, 5, 6)) == (range(1, 3), range(5, 7))
 
 
 def test_runs_cover_and_are_maximal():
     s = (2, 3, 4, 8, 10, 11)
     runs = runs_of(s)
-    flat = [e for run in runs for e in run.elements()]
+    assert all(type(run) is range and run and run.step == 1 for run in runs)
+    flat = [e for run in runs for e in run]
     assert flat == list(s)
     for a, b in zip(runs, runs[1:]):
-        assert a.hi + 1 < b.lo  # maximality: no two runs touch
+        assert a.stop < b.start  # maximality: no two runs touch
 
 
 def test_interleaved_runs_examples():
     std_p = from_blocks((1, 3), (2, 4))
     grid = interleaved_runs(std_p)
-    assert grid == ((Run(1, 1), Run(2, 2)), (Run(3, 3), Run(4, 4)))
+    assert grid == ((range(1, 2), range(2, 3)), (range(3, 4), range(4, 5)))
 
     nest_p = from_blocks((1, 2), (3, 4))
-    assert interleaved_runs(nest_p) == ((Run(1, 2), Run(3, 4)),)
+    assert interleaved_runs(nest_p) == ((range(1, 3), range(3, 5)),)
 
     alt_p = from_blocks((1, 2, 5, 6), (3, 4, 7, 8))
     assert interleaved_runs(alt_p) == (
-        (Run(1, 2), Run(3, 4)),
-        (Run(5, 6), Run(7, 8)),
+        (range(1, 3), range(3, 5)),
+        (range(5, 7), range(7, 9)),
     )
 
 
@@ -171,8 +171,8 @@ def test_interleaved_runs_with_empty_cells():
     p = from_blocks((1, 4), (2, 5), (3, 6))
     grid = interleaved_runs(p)
     assert grid == (
-        (Run(1, 1), Run(2, 2), Run(3, 3)),
-        (Run(4, 4), Run(5, 5), Run(6, 6)),
+        (range(1, 2), range(2, 3), range(3, 4)),
+        (range(4, 5), range(5, 6), range(6, 7)),
     )
 
 
@@ -182,7 +182,7 @@ def test_psize_single_run_trivial():
     p = from_blocks((1, 2), (3, 4))
     # R = first block, S = its two singleton... the image {1,2} is one
     # run; split it as S_1, S_2 of size 1 each
-    assert psize_oracle((Run(1, 1),), (Run(1, 1), Run(2, 2)), p) is True
+    assert psize_oracle((range(1, 2),), (range(1, 2), range(2, 3)), p) is True
 
 
 def test_psize_worked_example():
@@ -190,39 +190,54 @@ def test_psize_worked_example():
     # size two chunk into S_1..S_3 with |S_1| = |S_2| = 2, and the
     # source sizes 1 <= 2 come out ordered
     theta = from_blocks((1, 2), (3, 4), (5, 6))
-    r_runs = (Run(1, 1), Run(2, 3))
-    s_runs = (Run(1, 2), Run(3, 4), Run(5, 6))
+    r_runs = (range(1, 2), range(2, 4))
+    s_runs = (range(1, 3), range(3, 5), range(5, 7))
     assert psize_oracle(r_runs, s_runs, theta) is True
 
 
 def test_psize_adjacent_source_runs_are_legal():
     # {1} and {2,3} touch; the hypotheses ask for R_1 < R_2, not a gap
     theta = from_blocks((1, 2), (3, 4), (5, 6))
-    psize_oracle((Run(1, 1), Run(2, 3)), (Run(1, 2), Run(3, 4), Run(5, 6)), theta)
+    psize_oracle((range(1, 2), range(2, 4)), (range(1, 3), range(3, 5), range(5, 7)), theta)
 
 
 def test_psize_hypothesis_violations():
     theta = from_blocks((1, 2), (3, 4), (5, 6))
     with pytest.raises(HypothesisViolated):
-        psize_oracle((), (Run(1, 2),), theta)  # no source runs
+        psize_oracle((), (range(1, 3),), theta)  # no source runs
     with pytest.raises(HypothesisViolated):
         # wrong target count: n runs need n+1 targets
-        psize_oracle((Run(1, 1), Run(2, 3)), (Run(1, 2), Run(3, 6)), theta)
+        psize_oracle((range(1, 2), range(2, 4)), (range(1, 3), range(3, 7)), theta)
     with pytest.raises(HypothesisViolated):
         # first n target sizes must agree
         psize_oracle(
-            (Run(1, 1), Run(2, 3)), (Run(1, 1), Run(2, 4), Run(5, 6)), theta
+            (range(1, 2), range(2, 4)), (range(1, 2), range(2, 5), range(5, 7)), theta
         )
     with pytest.raises(HypothesisViolated):
         # image of the sources must equal the union of the targets
         psize_oracle(
-            (Run(1, 1), Run(2, 2)), (Run(1, 1), Run(2, 2), Run(3, 3)), theta
+            (range(1, 2), range(2, 3)), (range(1, 2), range(2, 3), range(3, 4)), theta
         )
     with pytest.raises(HypothesisViolated):
         # overlapping source runs
         psize_oracle(
-            (Run(1, 2), Run(2, 3)), (Run(1, 2), Run(3, 4), Run(5, 6)), theta
+            (range(1, 3), range(2, 4)), (range(1, 3), range(3, 5), range(5, 7)), theta
         )
+
+
+@pytest.mark.parametrize(
+    "r_runs, s_runs, message",
+    [
+        ((range(3, 3),), (range(1, 3), range(3, 5)), "source run range(3, 3)"),
+        ((range(1, 2),), (range(1, 5, 2), range(5, 7)), "target run range(1, 5, 2)"),
+    ],
+    ids=["empty", "step-2"],
+)
+def test_psize_refuses_runs_that_are_not_nonempty_step_one_ranges(r_runs, s_runs, message):
+    theta = from_blocks((1, 2), (3, 4), (5, 6))
+    with pytest.raises(HypothesisViolated) as exc:
+        psize_oracle(r_runs, s_runs, theta)
+    assert str(exc.value) == f"{message} is not a nonempty step-1 range"
 
 
 # -- compose ------------------------------------------------------------
