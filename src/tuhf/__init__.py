@@ -12,7 +12,6 @@ from .errors import DomainError, FormatError, TuhfError
 from .supernatural import (
     INF,
     SupernaturalNumber,
-    common_infinite_count,
     factorize,
     is_prime,
     multiply,

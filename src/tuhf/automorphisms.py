@@ -45,7 +45,6 @@ from .partitions import (
     parse_partition,
 )
 from .supernatural import (
-    common_infinite_count,
     factorize,
     is_prime,
     rational_pair_witness,
@@ -90,6 +89,8 @@ class ShiftWord:
     v: int
 
     def __post_init__(self) -> None:
+        if type(self.u) is not int or type(self.v) is not int:
+            raise InvalidShiftWord(f"word components must be integers, got {self.u!r}/{self.v!r}")
         if self.u < 1 or self.v < 1:
             raise InvalidShiftWord(f"word components must be positive, got {self.u}/{self.v}")
         if math.gcd(self.u, self.v) != 1:
@@ -188,9 +189,9 @@ class FiniteAutoData:
             )
 
 
-def detect_interval_form(q: OrderedPartition, k_m: int) -> Optional[RegularEmbedding]:
-    """Recognize q as the alternating pattern on k_m blocks, if it is one,
-    and return that closed-form embedding, alternating(k_m, s, t).
+def detect_interval_form(q: OrderedPartition) -> Optional[RegularEmbedding]:
+    """Recognize q as the alternating pattern on its k_m blocks, if it is
+    one, and return that closed-form embedding, alternating(k_m, s, t).
 
     The candidate is forced: t must be the length of block 1's first run
     and s the complementary cofactor; a full pattern comparison then
@@ -198,9 +199,7 @@ def detect_interval_form(q: OrderedPartition, k_m: int) -> Optional[RegularEmbed
     with (1, ground size) -- an uninformative reading that callers
     deciding words must skip.
     """
-    if q.block_count != k_m:
-        raise ShapeMismatch(f"expected {k_m} blocks, got {q.block_count}")
-    k_n = q.ground_size
+    k_m, k_n = q.block_count, q.ground_size
     gaps = np.diff(q.array[0]) != 1
     t = int(gaps.argmax()) + 1 if gaps.any() else q.block_size
     if k_n % (k_m * t):
@@ -374,7 +373,7 @@ def _factor_walk(
         if k_m == 1:
             readings.append((datum, None))
             continue
-        iv = detect_interval_form(q, k_m)
+        iv = detect_interval_form(q)
         if iv is None:
             raise NotIntervalForm(f"action at levels {a}..{b} is not an interval pattern")
         readings.append((datum, iv))
@@ -418,7 +417,7 @@ def factor_report(tower: TowerSpec, data: Sequence[FiniteAutoData]) -> str:
 def out_rank(tower: TowerSpec) -> int:
     """Rank of the outer automorphism group: the number of primes
     infinite in both supernatural coordinates."""
-    return common_infinite_count(*tower.supernatural_pair())
+    return len(common_infinite_primes(tower))
 
 
 def alternating_iso(a: TowerSpec, b: TowerSpec) -> Optional[Fraction]:

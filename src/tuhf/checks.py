@@ -813,7 +813,7 @@ def _suite_relation_member(
         x = random_point(rng, t, depth)
         y = random_point(rng, t, depth)
         verdict = gelfand_compare(t, x, y)
-        member = relation_member(t, x, y, depth)
+        member = relation_member(t, x, y)
         if (member is not None) != (verdict in (GelfandOrder.LESS, GelfandOrder.EQUAL)):
             return False, f"case {idx}: witness presence disagrees with the order"
         if member is None:

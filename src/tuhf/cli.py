@@ -166,7 +166,7 @@ def _cmd_gelfand_cmp(args: argparse.Namespace) -> int:
     y = parse_point(args.y, args.tail_y)
     print(f"coordinate-order {gelfand_compare(tower, x, y).value}")
     print(f"projection-order {gelfand_compare_via_projections(tower, x, y).value}")
-    member = relation_member(tower, x, y, x.depth)
+    member = relation_member(tower, x, y)
     if member is None:
         print("witness absent")
     else:

@@ -48,9 +48,12 @@ class GelfandPoint:
     tail: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(self.coords))
         if not self.coords:
             raise OutOfRange("a point needs at least one coordinate")
+        for c in self.coords:
+            if type(c) is not int:
+                raise OutOfRange(f"coordinate {c!r} is not an integer")
 
     @property
     def depth(self) -> int:
@@ -72,18 +75,19 @@ def coordinate_sizes(tower: TowerSpec, depth: int) -> list[int]:
     return [dims[n] // dims[n - 1] for n in range(1, depth + 1)]
 
 
-def _check_ranges(tower: TowerSpec, x: GelfandPoint) -> None:
-    for n, (c, size) in enumerate(zip(x.coords, coordinate_sizes(tower, x.depth)), 1):
+def _check_ranges(x: GelfandPoint, sizes: list[int]) -> None:
+    for n, (c, size) in enumerate(zip(x.coords, sizes), 1):
         if not 0 <= c < size:
             raise OutOfRange(f"coordinate {n} is {c}, allowed range 0..{size - 1}")
 
 
 def _prepare(tower: TowerSpec, x: GelfandPoint, y: GelfandPoint) -> bool:
-    """Validate both points; return whether they are tail-comparable."""
+    """Check both points against one range list; return whether they share a tail."""
     if x.depth != y.depth:
         raise DepthMismatch(f"depths differ: {x.depth} vs {y.depth}")
-    _check_ranges(tower, x)
-    _check_ranges(tower, y)
+    sizes = coordinate_sizes(tower, x.depth)
+    _check_ranges(x, sizes)
+    _check_ranges(y, sizes)
     return x.tail == y.tail
 
 
@@ -107,24 +111,35 @@ def projection_chain(tower: TowerSpec, x: GelfandPoint) -> tuple[int, ...]:
     (x_n + 1)-th smallest element of the image block of i_{n-1} under
     the level-(n-1) embedding.
     """
-    _check_ranges(tower, x)
-    return _chain(tower, x)
+    _check_ranges(x, coordinate_sizes(tower, x.depth))
+    return _chains(tower, (x,))[0]
 
 
-def _chain(tower: TowerSpec, x: GelfandPoint) -> tuple[int, ...]:
-    """``projection_chain`` on a point whose ranges are already checked."""
-    i = x.coords[0] + 1
-    chain = [i]
-    for n in range(2, x.depth + 1):
-        i = tower.embedding(n - 1).rank_image(i, x.coords[n - 1])
-        chain.append(i)
-    return tuple(chain)
+def _chains(tower: TowerSpec, points: tuple[GelfandPoint, ...]) -> list[tuple[int, ...]]:
+    """``projection_chain`` of range-checked points of one depth, one embedding per level."""
+    chains = [[p.coords[0] + 1] for p in points]
+    for n in range(1, points[0].depth):
+        e = tower.embedding(n)
+        for chain, p in zip(chains, points):
+            chain.append(e.rank_image(chain[-1], p.coords[n]))
+    return [tuple(chain) for chain in chains]
+
+
+def _witness(tower: TowerSpec, x: GelfandPoint, y: GelfandPoint) -> tuple[int, int, int] | None:
+    """(d, i_d, j_d) at the deepest coordinate disagreement d, or None across
+    tails.  Equal points give d = 1; distinct points differ at depth d, in
+    distinct ranks of one block or in disjoint blocks, so i_d = j_d iff x = y."""
+    if not _prepare(tower, x, y):
+        return None
+    d = max((n for n in range(x.depth) if x.coords[n] != y.coords[n]), default=0) + 1
+    ci, cj = _chains(tower, (x, y))
+    return d, ci[d - 1], cj[d - 1]
 
 
 def gelfand_compare_via_projections(
     tower: TowerSpec, x: GelfandPoint, y: GelfandPoint
 ) -> GelfandOrder:
-    """Projection-chain reading of the order.
+    """Projection-chain reading of the order: membership in the relation.
 
     x <= y iff at some depth n the chains satisfy i_n <= j_n while the
     coordinates agree at every depth beyond n (the matrix unit at level
@@ -132,14 +147,12 @@ def gelfand_compare_via_projections(
     separate they keep their relative order rankwise, so the deepest
     coordinate disagreement is the only depth that needs inspection.
     """
-    if not _prepare(tower, x, y):
+    w = _witness(tower, x, y)
+    if w is None:
         return GelfandOrder.INCOMPARABLE
-    if x.coords == y.coords:
+    if w[1] == w[2]:
         return GelfandOrder.EQUAL
-    d = max(n for n in range(x.depth) if x.coords[n] != y.coords[n]) + 1
-    ci = _chain(tower, x)
-    cj = _chain(tower, y)
-    return GelfandOrder.LESS if ci[d - 1] < cj[d - 1] else GelfandOrder.GREATER
+    return GelfandOrder.LESS if w[1] < w[2] else GelfandOrder.GREATER
 
 
 @dataclass(frozen=True)
@@ -160,26 +173,14 @@ class RelationPair:
             raise OutOfRange(f"witness needs i <= j, got ({self.i},{self.j})")
 
 
-def relation_member(
-    tower: TowerSpec, x: GelfandPoint, y: GelfandPoint, depth: int
-) -> RelationPair | None:
+def relation_member(tower: TowerSpec, x: GelfandPoint, y: GelfandPoint) -> RelationPair | None:
     """Minimal-depth witness that (x, y) lies in the relation.
 
-    ``depth`` asserts where tail equivalence is trusted: coordinates
-    beyond it must match outright.  Returns None (no witness) when the
-    points are not tail-equivalent at that depth or when y is strictly
-    below x.
+    The witness sits at the deepest coordinate disagreement (level 1 for
+    equal points).  Returns None when the tails differ or when y is
+    strictly below x in the projection order.
     """
-    same_tail = _prepare(tower, x, y)
-    if not 1 <= depth <= x.depth:
-        raise OutOfRange(f"depth {depth} outside 1..{x.depth}")
-    if not same_tail or x.coords[depth:] != y.coords[depth:]:
+    w = _witness(tower, x, y)
+    if w is None or w[1] > w[2]:
         return None
-    ci = _chain(tower, x)
-    cj = _chain(tower, y)
-    if x.coords == y.coords:
-        return RelationPair(x, y, 1, ci[0], cj[0])
-    d = max(n for n in range(x.depth) if x.coords[n] != y.coords[n]) + 1
-    if ci[d - 1] > cj[d - 1]:
-        return None
-    return RelationPair(x, y, d, ci[d - 1], cj[d - 1])
+    return RelationPair(x, y, *w)

@@ -214,11 +214,6 @@ def multiply(a: SupernaturalNumber, b: SupernaturalNumber) -> SupernaturalNumber
     return a * b
 
 
-def common_infinite_count(s: SupernaturalNumber, t: SupernaturalNumber) -> int:
-    """Number of primes carrying exponent inf in both arguments."""
-    return len(s.infinite_primes() & t.infinite_primes())
-
-
 def rational_pair_witness(
     s_a: SupernaturalNumber,
     t_a: SupernaturalNumber,

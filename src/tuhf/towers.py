@@ -89,6 +89,10 @@ class Descriptor:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise InvalidDescriptor(f"unknown descriptor kind {self.kind!r}")
+        if type(self.s_mult) is not int or type(self.t_mult) is not int:
+            raise InvalidDescriptor(
+                f"multiplicities must be integers, got {self.s_mult!r}, {self.t_mult!r}"
+            )
         if self.s_mult < 1 or self.t_mult < 1:
             raise InvalidDescriptor(
                 f"multiplicities must be >= 1, got {self.s_mult}, {self.t_mult}"
@@ -209,6 +213,9 @@ class TowerSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "preamble", tuple(self.preamble))
         object.__setattr__(self, "cycle", tuple(self.cycle))
+        for name, v in (("k1", self.k1), ("s1", self.s1), ("t1", self.t1)):
+            if type(v) is not int and (v is not None or name == "k1"):
+                raise ChainMismatch(f"{name} must be an integer, got {v!r}")
         if self.k1 < 1:
             raise ChainMismatch(f"k1 must be positive, got {self.k1}")
         s1, t1 = self.s1, self.t1

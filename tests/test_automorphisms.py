@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tuhf import (
@@ -62,6 +63,15 @@ def test_word_requires_coprime_positive():
         ShiftWord(0, 1)
     assert ShiftWord(2, 1).is_identity is False
     assert IDENT.is_identity is True
+
+
+@pytest.mark.parametrize(
+    "u, v", [(np.int64(3), 1), (1, 2.0), (True, 1)], ids=["numpy", "float", "bool"]
+)
+def test_word_components_are_python_ints(u, v):
+    # ShiftWord(np.int64(3), 1).power(50) used to overflow
+    with pytest.raises(InvalidShiftWord, match="must be integers"):
+        ShiftWord(u, v)
 
 
 def test_word_algebra():
@@ -167,15 +177,15 @@ def test_shift_words_commute():
 def test_detect_interval_form_examples():
     # the reading is the closed-form embedding whose diagonal is the input
     alt_p = OrderedPartition.from_blocks(((1, 2, 5, 6), (3, 4, 7, 8)))
-    alt_e = detect_interval_form(alt_p, 2)
+    alt_e = detect_interval_form(alt_p)
     assert alt_e.st == (2, 2) and alt_e == alternating(2, 2, 2) and alt_e.diag == alt_p
 
     std_p = OrderedPartition.from_blocks(((1, 3), (2, 4)))
-    std_e = detect_interval_form(std_p, 2)
+    std_e = detect_interval_form(std_p)
     assert std_e.st == (2, 1) and std_e.diag == std_p
 
     ragged = OrderedPartition.from_blocks(((1, 2, 3, 5), (4, 6, 7, 8)))
-    assert detect_interval_form(ragged, 2) is None
+    assert detect_interval_form(ragged) is None
 
 
 def test_materialize_is_one_application(two_inf_alt):
@@ -271,6 +281,16 @@ def test_out_rank_examples(two_inf_alt):
     assert out_rank(two_inf_alt) == 1
     assert out_rank(alt_tower(1, 6, 6)) == 2
     assert out_rank(TowerSpec(1, cycle=(Descriptor("std", 2),))) == 0
+
+
+def test_out_rank_counts_common_infinite_primes():
+    # (s, t) = (2^inf, 2^inf), (6^inf, 6^inf), (2^inf, 3^inf), (2^inf, 2^5)
+    assert out_rank(alt_tower(1, 2, 2)) == 1
+    assert out_rank(alt_tower(1, 6, 6)) == 2
+    assert out_rank(alt_tower(1, 2, 3)) == 0
+    # a finite exponent on one side never counts
+    finite_t = TowerSpec(1, preamble=(Descriptor("alt", 1, 32),), cycle=(Descriptor("std", 2),))
+    assert out_rank(finite_t) == 0
 
 
 def test_out_rank_requires_alternating_form():

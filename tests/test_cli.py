@@ -123,9 +123,9 @@ def test_factor_detects_each_informative_record_once(files, capsys, monkeypatch)
     shapes = []
     real = tuhf.automorphisms.detect_interval_form
 
-    def spy(q, k_m):
-        shapes.append(k_m)
-        return real(q, k_m)
+    def spy(q):
+        shapes.append(q.block_count)
+        return real(q)
 
     monkeypatch.setattr(tuhf.automorphisms, "detect_interval_form", spy)
     # level 1 has k = 1, so the first of the three records is uninformative
@@ -221,20 +221,26 @@ def test_help_is_unchanged(capsys):
 
 
 def test_gelfand_cmp_checks_each_point_once_per_order(files, capsys, monkeypatch):
-    calls = 0
-    real = tuhf.gelfand._check_ranges
+    calls = {"sizes": 0, "embedding": 0}
+    real_sizes = tuhf.gelfand.coordinate_sizes
+    real_embedding = TowerSpec.embedding
 
-    def counted(tower, x):
-        nonlocal calls
-        calls += 1
-        return real(tower, x)
+    def sizes(tower, depth):
+        calls["sizes"] += 1
+        return real_sizes(tower, depth)
 
-    monkeypatch.setattr(tuhf.gelfand, "_check_ranges", counted)
+    def embedding(self, n):
+        calls["embedding"] += 1
+        return real_embedding(self, n)
+
+    monkeypatch.setattr(tuhf.gelfand, "coordinate_sizes", sizes)
+    monkeypatch.setattr(TowerSpec, "embedding", embedding)
     f = files("two.tower", TWO_INF)
     code, out, _ = run(capsys, "gelfand", "cmp", f, "--x", "0,1", "--y", "1,0")
     assert code == 0 and out.endswith("witness level 2 i 2 j 3\n")
-    # coordinate order, projection order and witness validate both points once each
-    assert calls == 6
+    # coordinate order, projection order and witness each check both points
+    # against one range list; the two chain walks read level 1 once each
+    assert calls == {"sizes": 3, "embedding": 2}
 
 
 def test_tower_show_walks_each_level_once(files, capsys, monkeypatch):

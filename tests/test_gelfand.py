@@ -2,12 +2,16 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuhf import (
     Descriptor,
     GelfandOrder,
     GelfandPoint,
+    OrderedPartition,
     TowerSpec,
     gelfand_compare,
     gelfand_compare_via_projections,
@@ -15,7 +19,7 @@ from tuhf import (
     projection_chain,
     relation_member,
 )
-from tuhf.gelfand import DepthMismatch
+from tuhf.gelfand import DepthMismatch, coordinate_sizes
 from tuhf.partitions import OutOfRange, parse_partition
 
 
@@ -34,6 +38,18 @@ def chain_by_hand(tower, point):
 def test_parse_point():
     p = parse_point("0,1,2", tail="q")
     assert p.coords == (0, 1, 2) and p.tail == "q" and p.depth == 3
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [(1.9,), ("3", True), (0, True), (np.int64(1),), (0, None)],
+    ids=["float", "str", "bool", "numpy", "none"],
+)
+def test_coordinates_are_python_ints(two_inf_alt, coords):
+    # int() used to turn the first four into (1,), (3, 1), (0, 1) and (1,)
+    # and to raise TypeError on None
+    with pytest.raises(OutOfRange, match="is not an integer"):
+        gelfand_compare(two_inf_alt, GelfandPoint(coords), GelfandPoint((1,) * len(coords)))
 
 
 def test_coordinate_ranges_checked(two_inf_alt):
@@ -152,7 +168,7 @@ def test_conditions_agree_on_interval_towers():
 
 def test_relation_member_witness(nest_tower):
     x, y = GelfandPoint((0, 0)), GelfandPoint((0, 1))
-    member = relation_member(nest_tower, x, y, 2)
+    member = relation_member(nest_tower, x, y)
     assert member is not None
     # the witness indices must be the projection chains at its level
     assert member.i == projection_chain(nest_tower, x)[member.level - 1]
@@ -162,17 +178,72 @@ def test_relation_member_witness(nest_tower):
 
 def test_relation_member_diagonal(nest_tower):
     x = GelfandPoint((0, 1))
-    member = relation_member(nest_tower, x, x, 2)
+    member = relation_member(nest_tower, x, x)
     assert member is not None
     assert member.level == 1 and member.i == member.j
 
 
 def test_relation_member_absent_when_greater(nest_tower):
     x, y = GelfandPoint((0, 1)), GelfandPoint((0, 0))
-    assert relation_member(nest_tower, x, y, 2) is None
+    assert relation_member(nest_tower, x, y) is None
 
 
 def test_relation_member_absent_across_tails(nest_tower):
     x = GelfandPoint((0, 1), tail="a")
     y = GelfandPoint((0, 1), tail="b")
-    assert relation_member(nest_tower, x, y, 2) is None
+    assert relation_member(nest_tower, x, y) is None
+
+
+@st.composite
+def ordered_partitions(draw, n, size):
+    # a random word in which block i+1 never has more elements than block i,
+    # so the l-th elements of consecutive blocks increase (the rank order)
+    blocks = [[] for _ in range(n)]
+    for x in range(1, n * size + 1):
+        open_blocks = [
+            i
+            for i in range(n)
+            if len(blocks[i]) < size and (i == 0 or len(blocks[i - 1]) > len(blocks[i]))
+        ]
+        blocks[draw(st.sampled_from(open_blocks))].append(x)
+    return OrderedPartition.from_blocks(blocks)
+
+
+@st.composite
+def alternating_comparisons(draw):
+    k1 = draw(st.integers(1, 3))
+    preamble = ()
+    if draw(st.booleans()):
+        part = draw(ordered_partitions(k1, draw(st.integers(1, 3))))
+        preamble = (Descriptor("part", partition=part),)
+    s, t = draw(st.sampled_from([(1, 2), (2, 1), (2, 2), (3, 2), (2, 3)]))
+    tower = TowerSpec(k1, preamble=preamble, cycle=(Descriptor("alt", s, t),))
+    sizes = coordinate_sizes(tower, draw(st.integers(1, 4)))
+    tails = draw(st.sampled_from([("", ""), ("a", "a"), ("a", "b")]))
+    x, y = (
+        GelfandPoint(tuple(draw(st.integers(0, size - 1)) for size in sizes), tail)
+        for tail in tails
+    )
+    return tower, x, y
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=alternating_comparisons())
+def test_projection_order_is_relation_membership(case):
+    # on alternating towers the projection order may differ from the
+    # coordinate order; it must still be exactly membership in the relation
+    tower, x, y = case
+    order = gelfand_compare_via_projections(tower, x, y)
+    member = relation_member(tower, x, y)
+    if x.tail != y.tail:
+        assert order is GelfandOrder.INCOMPARABLE and member is None
+        return
+    assert (member is not None) == (order in (GelfandOrder.LESS, GelfandOrder.EQUAL))
+    d = max((n for n in range(x.depth) if x.coords[n] != y.coords[n]), default=0) + 1
+    i, j = chain_by_hand(tower, x)[d - 1], chain_by_hand(tower, y)[d - 1]
+    if x == y:
+        assert order is GelfandOrder.EQUAL and i == j
+    else:
+        assert order is (GelfandOrder.LESS if i < j else GelfandOrder.GREATER)
+    if member is not None:
+        assert (member.level, member.i, member.j) == (d, i, j)

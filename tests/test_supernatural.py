@@ -8,7 +8,6 @@ from tuhf import (
     INF,
     DomainError,
     SupernaturalNumber,
-    common_infinite_count,
     factorize,
     is_prime,
     multiply,
@@ -98,14 +97,6 @@ def test_queries():
     assert n.exponent(5) == 0
     assert n.support() == (2, 3)
     assert n.infinite_primes() == frozenset({2})
-
-
-def test_common_infinite_count():
-    assert common_infinite_count(S({2: INF}), S({2: INF})) == 1
-    assert common_infinite_count(S({2: INF, 3: INF}), S({2: INF, 3: INF})) == 2
-    assert common_infinite_count(S({2: INF}), S({3: INF})) == 0
-    # a finite exponent on one side never counts
-    assert common_infinite_count(S({2: INF}), S({2: 5})) == 0
 
 
 def test_witness_worked_pair():

@@ -1,5 +1,6 @@
 """Tower presentations: grammar, dimensions, supernatural data, tensor."""
 
+import numpy as np
 import pytest
 
 from tuhf import (
@@ -113,6 +114,26 @@ def _desc_args(d: Descriptor):
     from tuhf import format_partition
 
     return (d.partition.ground_size, format_partition(d.partition))
+
+
+@pytest.mark.parametrize(
+    "s_mult, t_mult", [(np.int64(2), 2), (2, 2.0), (True, 2)], ids=["numpy", "float", "bool"]
+)
+def test_descriptor_multiplicities_are_python_ints(s_mult, t_mult):
+    # a numpy multiplicity used to overflow: level_dim(40) read 0
+    with pytest.raises(InvalidDescriptor, match="must be integers"):
+        Descriptor("alt", s_mult, t_mult)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [(2.0, None, None), (None, None, None), (4, 2.0, None), (4, None, True)],
+    ids=["k1", "no-k1", "s1", "t1"],
+)
+def test_tower_header_is_python_ints(header):
+    # a float k1 used to give float dimensions
+    with pytest.raises(ChainMismatch, match="must be an integer"):
+        TowerSpec(*header, cycle=(Descriptor("alt", 2, 2),))
 
 
 # -- dimensions ----------------------------------------------------------
