@@ -71,11 +71,6 @@ class NotIntervalForm(DomainError):
 class InconsistentLevels(DomainError):
     """Two level pairs of the same automorphism yield different words."""
 
-    def __init__(self, expected: str, got: str) -> None:
-        self.expected = expected
-        self.got = got
-        super().__init__(f"level pairs disagree: {expected} vs {got}")
-
 
 class UnderdeterminedWord(DomainError):
     """No informative level pair (k_m > 1) is available."""
@@ -383,7 +378,7 @@ def _factor_walk(
     first = fractions[0]
     for frac in fractions[1:]:
         if frac != first:
-            raise InconsistentLevels(str(first), str(frac))
+            raise InconsistentLevels(f"level pairs disagree: {first} vs {frac}")
     w = ShiftWord.from_fraction(first)
     validate_word(tower, w)
     return readings, w

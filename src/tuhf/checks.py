@@ -317,25 +317,6 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _chunk_runs(
-    sorted_image: Sequence[int], jumps: Sequence[int], h: int, n: int
-) -> Optional[tuple[range, ...]]:
-    """Slice a sorted image into n runs of size h plus a remainder run.
-
-    ``jumps`` holds the ascending positions j where sorted_image[j] does
-    not follow sorted_image[j-1].  Every slice is a contiguous interval
-    exactly when each jump falls on a slice boundary, a multiple of h up
-    to n*h, so all slices are checked at once before any run is built;
-    None otherwise.  The slices are forced once h is chosen, which is
-    what makes enumeration cheap.
-    """
-    t = len(sorted_image)
-    if n * h >= t or math.gcd(*jumps) % h or (jumps and jumps[-1] > n * h):
-        return None
-    bounds = [(j * h, (j + 1) * h) for j in range(n)] + [(n * h, t)]
-    return tuple(range(sorted_image[lo], sorted_image[hi - 1] + 1) for lo, hi in bounds)
-
-
 def _piece_decomps(
     images: Sequence[Sequence[int]], elems: Sequence[int], chunks: Sequence[frozenset[int]]
 ) -> Iterator[tuple[range, ...]]:
@@ -368,21 +349,30 @@ def _psize_runs(
     p: OrderedPartition, elems: Sequence[int], rng: Optional[random.Random] = None
 ) -> Iterator[tuple[tuple[range, ...], tuple[range, ...]]]:
     """Every (source runs, target runs) pair over the source elements
-    ``elems`` of p: the image is cut into n runs of size h plus a
-    remainder, and the elements into matching intervals.  ``rng``
-    shuffles the (n, h) candidates."""
+    ``elems`` of p: the sorted image is cut into n runs of size h plus a
+    nonempty remainder, and the elements into matching intervals.
+
+    The jumps are the positions j where the sorted image does not follow
+    position j-1.  Every cut is a contiguous interval exactly when each
+    jump falls on a cut, a multiple of h up to n*h, so one gcd and the
+    last jump decide each (n, h) before any run is built.  The runs are
+    forced once (n, h) is chosen, which is what makes enumeration cheap.
+    ``rng`` shuffles the (n, h) candidates.
+    """
     blocks = p.blocks
     images = [blocks[e - 1] for e in elems]
     sorted_image = sorted(set().union(*images))
     t = len(sorted_image)
     jumps = [j for j in range(1, t) if sorted_image[j] != sorted_image[j - 1] + 1]
+    step, last = math.gcd(*jumps), (jumps[-1] if jumps else 0)
     pairs = [(n, h) for n in range(1, len(elems) + 1) for h in range(1, (t - 1) // n + 1)]
     if rng is not None:
         rng.shuffle(pairs)
     for n, h in pairs:
-        s_runs = _chunk_runs(sorted_image, jumps, h, n)
-        if s_runs is None:
+        if step % h or last > n * h:
             continue
+        cuts = [(j * h, (j + 1) * h) for j in range(n)] + [(n * h, t)]
+        s_runs = tuple(range(sorted_image[lo], sorted_image[hi - 1] + 1) for lo, hi in cuts)
         chunks = [frozenset(run) for run in s_runs[:n]]
         for r_runs in _piece_decomps(images, elems, chunks):
             yield r_runs, s_runs

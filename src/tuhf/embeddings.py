@@ -8,6 +8,11 @@ sent by *rank pairing* -- the m-th smallest element of block i is paired
 with the m-th smallest of block j -- which is the unique choice that is
 order-compatible in every block and keeps images upper triangular.
 
+An embedding reads its dimensions off its data, and there are two ways
+to make one: ``RegularEmbedding(diag)`` from an explicit partition
+(k is its block count, k' its ground size), and ``alternating(k, s, t)``
+in closed form (k' = k*s*t).
+
 The three classical patterns all arise from tensoring with identity
 factors: ``standard`` is I_mult (x) A, ``nest`` is A (x) I_mult, and
 ``alternating`` is I_s (x) A (x) I_t.  ``alternating`` is closed-form:
@@ -54,6 +59,18 @@ def _alternating_grid(k: int, s: int, t: int) -> np.ndarray:
     return np.arange(1, k * s * t + 1).reshape(s, k, t).transpose(1, 0, 2).reshape(k, s * t)
 
 
+def _freeze(
+    e: RegularEmbedding,
+    k_from: int,
+    k_to: int,
+    st: Optional[tuple[int, int]],
+    diag: Optional[OrderedPartition],
+) -> RegularEmbedding:
+    for name, value in (("k_from", k_from), ("k_to", k_to), ("st", st), ("_diag", diag)):
+        object.__setattr__(e, name, value)
+    return e
+
+
 class IndexOutOfRange(DomainError):
     """A matrix-unit index is outside 1..k_from."""
 
@@ -63,47 +80,23 @@ class LowerTriangularRequest(DomainError):
 
 
 class RegularEmbedding:
-    """A rank-paired embedding T_{k_from} -> T_{k_to}.
+    """A rank-paired embedding T_{k_from} -> T_{k_to}, made from its data.
 
-    ``diag`` is the ordered partition of {1..k_to} whose i-th block is
-    the diagonal support of the image of the i-th diagonal unit.  The
+    ``RegularEmbedding(diag)`` takes the ordered partition whose i-th
+    block is the diagonal support of the image of the i-th diagonal
+    unit, so k_from is its block count and k_to its ground size.  The
     partition's own rank-order invariant is exactly the condition that
     rank pairing maps upper-triangular units to upper-triangular sums.
 
-    An embedding in closed alternating form carries ``st = (s, t)``
-    instead of a partition: it is I_s (x) A (x) I_t, and ``diag`` is
-    built (and fully validated) on first access.  Instances are
-    immutable; equality is equality of the diagonal partitions.
+    ``alternating(k, s, t)`` makes the closed form I_s (x) A (x) I_t,
+    with k_to = k*s*t: it carries ``st = (s, t)`` instead of a
+    partition, and ``diag`` is built (and fully validated) when read.
+    Instances are immutable; equality is equality of the diagonal
+    partitions.
     """
 
-    def __init__(
-        self,
-        k_from: int,
-        k_to: int,
-        diag: Optional[OrderedPartition] = None,
-        *,
-        st: Optional[tuple[int, int]] = None,
-    ) -> None:
-        if k_from < 1 or k_to < 1 or k_to % k_from:
-            raise ShapeMismatch(
-                f"embedding needs k_from | k_to, got {k_from} -> {k_to}"
-            )
-        if (diag is None) == (st is None):
-            raise ShapeMismatch("an embedding needs exactly one of diag and st")
-        if diag is not None and (
-            diag.block_count != k_from or diag.ground_size != k_to
-        ):
-            raise ShapeMismatch(
-                f"partition shape {diag.block_count}|{diag.ground_size} "
-                f"does not match embedding {k_from} -> {k_to}"
-            )
-        if st is not None and (min(st) < 1 or k_from * st[0] * st[1] != k_to):
-            raise ShapeMismatch(
-                f"alternating multiplicities {st} do not match embedding "
-                f"{k_from} -> {k_to}"
-            )
-        for name, value in (("k_from", k_from), ("k_to", k_to), ("st", st), ("_diag", diag)):
-            object.__setattr__(self, name, value)
+    def __init__(self, diag: OrderedPartition) -> None:
+        _freeze(self, diag.block_count, diag.ground_size, None, diag)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"RegularEmbedding is immutable; cannot set {name}")
@@ -146,8 +139,9 @@ class RegularEmbedding:
         return hash((self.k_from, self.k_to))
 
     def __repr__(self) -> str:
-        form = f"st={self.st}" if self.st is not None else f"diag={self._diag!r}"
-        return f"RegularEmbedding(k_from={self.k_from}, k_to={self.k_to}, {form})"
+        if self.st is not None:
+            return "alternating({}, {}, {})".format(self.k_from, *self.st)
+        return f"RegularEmbedding({self._diag!r})"
 
 
 def standard(k: int, mult: int) -> RegularEmbedding:
@@ -155,7 +149,7 @@ def standard(k: int, mult: int) -> RegularEmbedding:
     if k < 1 or mult < 1:
         raise ShapeMismatch(f"need k, mult >= 1, got k={k} mult={mult}")
     blocks = np.arange(1, k + 1)[:, None] + k * np.arange(mult)
-    return RegularEmbedding(k, k * mult, OrderedPartition(blocks))
+    return RegularEmbedding(OrderedPartition(blocks))
 
 
 def nest(k: int, mult: int) -> RegularEmbedding:
@@ -163,7 +157,7 @@ def nest(k: int, mult: int) -> RegularEmbedding:
     if k < 1 or mult < 1:
         raise ShapeMismatch(f"need k, mult >= 1, got k={k} mult={mult}")
     blocks = mult * np.arange(k)[:, None] + np.arange(1, mult + 1)
-    return RegularEmbedding(k, k * mult, OrderedPartition(blocks))
+    return RegularEmbedding(OrderedPartition(blocks))
 
 
 def alternating(k: int, s_mult: int, t_mult: int) -> RegularEmbedding:
@@ -178,7 +172,8 @@ def alternating(k: int, s_mult: int, t_mult: int) -> RegularEmbedding:
         raise ShapeMismatch(
             f"need k, s_mult, t_mult >= 1, got k={k} s={s_mult} t={t_mult}"
         )
-    return RegularEmbedding(k, k * s_mult * t_mult, st=(s_mult, t_mult))
+    e = object.__new__(RegularEmbedding)  # the one path to a closed form
+    return _freeze(e, k, k * s_mult * t_mult, (s_mult, t_mult), None)
 
 
 def identity_embedding(k: int) -> RegularEmbedding:
@@ -215,9 +210,7 @@ def compose_embeddings(
         return alternating(
             inner.k_from, inner.st[0] * outer.st[0], inner.st[1] * outer.st[1]
         )
-    return RegularEmbedding(
-        inner.k_from, outer.k_to, partitions.compose(outer.diag, inner.diag)
-    )
+    return RegularEmbedding(partitions.compose(outer.diag, inner.diag))
 
 
 class EmbeddingOrder(enum.Enum):
@@ -260,7 +253,7 @@ def regularize(raw: Mapping[int, Iterable[int]]) -> RegularEmbedding:
             f"diagonal indices must be exactly 1..{k}, got {sorted(raw)}"
         )
     diag = OrderedPartition.from_blocks(raw[i] for i in range(1, k + 1))
-    return RegularEmbedding(k, diag.ground_size, diag)
+    return RegularEmbedding(diag)
 
 
 def _tensor_blocks(
@@ -288,8 +281,4 @@ def tensor_embed(ephi: RegularEmbedding, epsi: RegularEmbedding) -> RegularEmbed
     """Tensor product of embeddings, row-major on (outer, inner) indices:
     the diagonal unit (i, a) maps to ephi's block i tensored with epsi's
     block a (see ``_tensor_blocks``)."""
-    return RegularEmbedding(
-        ephi.k_from * epsi.k_from,
-        ephi.k_to * epsi.k_to,
-        _tensor_blocks(ephi.diag, [epsi.diag] * ephi.k_from),
-    )
+    return RegularEmbedding(_tensor_blocks(ephi.diag, [epsi.diag] * ephi.k_from))

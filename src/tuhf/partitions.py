@@ -50,9 +50,6 @@ class RankOrderViolation(InvalidPartition):
     """The l-th smallest entries fail to increase across blocks i < j."""
 
     def __init__(self, block_i: int, block_j: int, rank: int) -> None:
-        self.block_i = block_i
-        self.block_j = block_j
-        self.rank = rank
         super().__init__(
             f"rank {rank} of block {block_i} is not below rank {rank} of block {block_j}"
         )
@@ -68,10 +65,6 @@ class OutOfRange(DomainError):
 
 class HypothesisViolated(DomainError):
     """A stated hypothesis of the run-size oracle fails."""
-
-    def __init__(self, which: str) -> None:
-        self.which = which
-        super().__init__(which)
 
 
 class Order(enum.Enum):

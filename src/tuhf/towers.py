@@ -49,11 +49,7 @@ from .supernatural import INF, SupernaturalNumber
 
 
 class ParseError(FormatError):
-    """Malformed tower file; carries the offending line number when known."""
-
-    def __init__(self, message: str, line: Optional[int] = None) -> None:
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
+    """Malformed tower file."""
 
 
 class InvalidDescriptor(FormatError):
@@ -130,7 +126,8 @@ class Descriptor:
         """The level embedding; closed alternating form for every kind but ``part``."""
         if self.kind == "part":
             assert self.partition is not None
-            return RegularEmbedding(k_from, self.k_to(k_from), self.partition)
+            self.k_to(k_from)  # refuses a partition that does not chain
+            return RegularEmbedding(self.partition)
         return alternating(k_from, self.s_mult, self.t_mult)
 
 
@@ -338,9 +335,9 @@ def load_tower(text: str) -> TowerSpec:
             try:
                 value = int(rest)
             except ValueError:
-                raise ParseError(f"{head} needs an integer, got {rest!r}", lineno) from None
+                raise ParseError(f"line {lineno}: {head} needs an integer, got {rest!r}") from None
             if header[head] is not None:
-                raise ParseError(f"duplicate {head} line", lineno)
+                raise ParseError(f"line {lineno}: duplicate {head} line")
             header[head] = value
         elif head in ("preamble", "cycle"):
             try:
@@ -349,7 +346,7 @@ def load_tower(text: str) -> TowerSpec:
                 raise InvalidDescriptor(f"line {lineno}: {exc}") from None
             (preamble if head == "preamble" else cycle).append(d)
         else:
-            raise ParseError(f"unknown directive {head!r}", lineno)
+            raise ParseError(f"line {lineno}: unknown directive {head!r}")
     k1 = header["k1"]
     if k1 is None:
         raise ParseError("missing k1 line")

@@ -363,8 +363,10 @@ def test_combine_uniform_block_word_is_tensor_of_word_actions():
         k_n, j_n = phi.level_dim(n), psi.level_dim(n)
         for w, gamma in ((ShiftWord(2, 1), ShiftWord(1, 2)), (ShiftWord(1, 2), IDENT)):
             got = combine_tensor_autos(tensor, n, [w] * k_n, gamma).action
-            g = RegularEmbedding(k_n, phi.level_dim(n + 1), word_action(phi, gamma, n))
-            a = RegularEmbedding(j_n, psi.level_dim(n + 1), word_action(psi, w, n))
+            g = RegularEmbedding(word_action(phi, gamma, n))
+            a = RegularEmbedding(word_action(psi, w, n))
+            assert (g.k_from, g.k_to) == (k_n, phi.level_dim(n + 1))
+            assert (a.k_from, a.k_to) == (j_n, psi.level_dim(n + 1))
             assert got == tensor_embed(g, a).diag
 
 

@@ -276,6 +276,13 @@ def test_embed_compose(capsys):
         "k_to 8",
         "m=8 n=2 blocks=1,2,5,6;3,4,7,8",
     ]
+    part = "part 4 m=4 n=2 blocks=1,3;2,4"
+    code, out, _ = run(capsys, "embed", "compose", "--k", "2", part, "std 2")
+    assert code == 0
+    assert out.splitlines() == ["k_from 2", "k_to 8", "m=8 n=2 blocks=1,3,5,7;2,4,6,8"]
+    # the second step starts from k = 4, which the partition does not chain to
+    code, out, err = run(capsys, "embed", "compose", "--k", "2", "std 2", part)
+    assert (code, out, err) == (1, "", "error: part descriptor expects k=2, got 4\n")
 
 
 def test_embed_compare(capsys):

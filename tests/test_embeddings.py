@@ -60,24 +60,13 @@ def test_alternating_degenerate_factors():
             assert hash(closed) == hash(reference)
 
 
-def test_embedding_shape_validation():
-    with pytest.raises(ShapeMismatch):
-        RegularEmbedding(2, 5, nest(2, 2).diag)  # 2 does not divide 5
-    with pytest.raises(ShapeMismatch):
-        RegularEmbedding(4, 8, nest(2, 4).diag)  # wrong block count
-    with pytest.raises(ShapeMismatch):
-        RegularEmbedding(2, 8, st=(2, 1))  # 2*2*1 != 8
-    with pytest.raises(ShapeMismatch):
-        RegularEmbedding(2, 4)  # neither a partition nor a split
-    with pytest.raises(ShapeMismatch):
-        RegularEmbedding(2, 4, nest(2, 2).diag, st=(1, 2))  # both
-
-
 # -- closed alternating form ----------------------------------------------
 
 def test_alternating_is_closed_form_until_diag_is_read():
     e = alternating(2, 3, 2)
     assert e.st == (3, 2) and e.k_to == 12
+    assert repr(e) == "alternating(2, 3, 2)"
+    assert repr(standard(2, 1)) == "RegularEmbedding(OrderedPartition(blocks=((1,), (2,))))"
     assert e.diag.blocks == (
         (1, 2, 5, 6, 9, 10),
         (3, 4, 7, 8, 11, 12),
@@ -90,7 +79,8 @@ def test_alternating_is_closed_form_until_diag_is_read():
 def test_rank_image_matches_diag_exhaustively():
     for k, s, t in itertools.product(SMALL, SMALL, SMALL):
         e = alternating(k, s, t)
-        explicit = RegularEmbedding(k, e.k_to, e.diag)
+        explicit = RegularEmbedding(e.diag)
+        assert (explicit.k_from, explicit.k_to) == (k, k * s * t)
         for i in range(1, k + 1):
             for r in range(s * t):
                 assert e.rank_image(i, r) == e.diag.block(i)[r]
@@ -205,9 +195,7 @@ def test_unit_images_do_not_compose_in_general():
     # rank pairing is not functorial outside the interval family: this
     # valid embedding interleaves blocks 1..3 and composing through the
     # nest doubling pairs ranks differently than the composite does
-    f = RegularEmbedding(
-        4, 8, OrderedPartition.from_blocks(((1, 4), (2, 5), (3, 6), (7, 8)))
-    )
+    f = RegularEmbedding(OrderedPartition.from_blocks(((1, 4), (2, 5), (3, 6), (7, 8))))
     g = nest(2, 2)
     comp = compose_embeddings(f, g)
     chained = {

@@ -182,7 +182,8 @@ def test_apply_matches_the_unit_sum_on_part_embeddings():
     for _ in range(40):
         k = rng.randint(1, 6)
         mult = rng.randint(1, 5)
-        e = RegularEmbedding(k, k * mult, random_ordered_partition(rng, k * mult, k))
+        e = RegularEmbedding(random_ordered_partition(rng, k * mult, k))
+        assert (e.k_from, e.k_to, e.multiplicity) == (k, k * mult, mult)
         m = random_upper_triangular(rng, k)
         assert np.array_equal(apply_to_matrix(e, m).entries, _apply_by_units(e, m))
 

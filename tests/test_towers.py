@@ -80,6 +80,11 @@ def test_load_part_descriptor_chain_checked():
     # (its source dimension is fixed) and load rejects it outright
     t = load_tower("k1 2\npreamble part 4 m=4 n=2 blocks=1,3;2,4\ncycle std 2\n")
     assert [t.level_dim(n) for n in range(1, 4)] == [2, 4, 8]
+    part = parse_descriptor("part 4 m=4 n=2 blocks=1,3;2,4")
+    e = part.embedding(2)
+    assert (e.k_from, e.k_to, e.diag) == (2, 4, part.partition)
+    with pytest.raises(ChainMismatch, match=r"^part descriptor expects k=2, got 4$"):
+        part.embedding(4)
     with pytest.raises(ChainMismatch, match=r"^level 2: part descriptor expects k=2, got 4$"):
         load_tower("k1 2\ncycle part 4 m=4 n=2 blocks=1,3;2,4\n")
     with pytest.raises(ChainMismatch, match=r"^level 1: part descriptor expects k=2, got 3$"):
