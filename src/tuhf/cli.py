@@ -29,12 +29,7 @@ from .automorphisms import (
 from .checks import run_all
 from .embeddings import compare_embeddings, compose_embeddings, tensor_embed
 from .errors import FormatError, TuhfError
-from .gelfand import (
-    gelfand_compare,
-    gelfand_compare_via_projections,
-    parse_point,
-    relation_member,
-)
+from .gelfand import gelfand_readings, parse_point
 from .matrices import normalizer_split, parse_matrix
 from .partitions import format_partition
 from .towers import format_tower, load_tower, parse_descriptor
@@ -164,9 +159,9 @@ def _cmd_gelfand_cmp(args: argparse.Namespace) -> int:
     tower = _load_tower_file(args.file)
     x = parse_point(args.x, args.tail_x)
     y = parse_point(args.y, args.tail_y)
-    print(f"coordinate-order {gelfand_compare(tower, x, y).value}")
-    print(f"projection-order {gelfand_compare_via_projections(tower, x, y).value}")
-    member = relation_member(tower, x, y)
+    coordinate, projection, member = gelfand_readings(tower, x, y)
+    print(f"coordinate-order {coordinate.value}")
+    print(f"projection-order {projection.value}")
     if member is None:
         print("witness absent")
     else:

@@ -7,21 +7,22 @@ tail marker -- two points are comparable only when they declare the
 same tail, since tail agreement beyond the recorded depth cannot be
 computed from finite data.
 
-Two executable order definitions live here.  ``gelfand_compare`` reads
-the coordinates lexicographically (first differing level decides).
-``gelfand_compare_via_projections`` converts each point to its chain of
-diagonal-unit indices through the tower's partitions and asks for a
-depth witnessing the matrix-unit relation: chain indices ordered at
-some level with coordinates agreeing strictly below it.  The two
-definitions agree on towers whose embeddings are interval patterns
-(nest-form); on interleaving patterns they can genuinely differ, which
-``relation_member``'s witness makes easy to inspect.
+Two order definitions live here.  ``gelfand_compare`` reads the
+coordinates lexicographically and never walks a chain.
+``gelfand_compare_via_projections`` asks for a depth witnessing the
+matrix-unit relation: diagonal-unit chain indices ordered at some
+level, coordinates agreeing below it.  They agree on nest-form towers
+and can differ on interleaving ones, as ``relation_member``'s witness
+shows.  All share one range check, with sizes k1 and each descriptor's
+multiplicity, and one walk that holds only k_n and each point's current
+chain index, so a point costs memory linear in its depth.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import DomainError, FormatError
 from .partitions import OutOfRange
@@ -71,24 +72,37 @@ def parse_point(text: str, tail: str = "") -> GelfandPoint:
 
 def coordinate_sizes(tower: TowerSpec, depth: int) -> list[int]:
     """k_n / k_{n-1} for n = 1..depth (k_0 = 1): how many values x_n takes."""
-    dims = [1] + [tower.level_dim(n) for n in range(1, depth + 1)]
-    return [dims[n] // dims[n - 1] for n in range(1, depth + 1)]
+    return [tower.k1, *(tower.descriptor_at(n).multiplicity for n in range(1, depth))][:depth]
 
 
-def _check_ranges(x: GelfandPoint, sizes: list[int]) -> None:
-    for n, (c, size) in enumerate(zip(x.coords, sizes), 1):
-        if not 0 <= c < size:
-            raise OutOfRange(f"coordinate {n} is {c}, allowed range 0..{size - 1}")
+def _check(tower: TowerSpec, *points: GelfandPoint) -> None:
+    """Refuse different depths, then each point's coordinates in turn, against one size list."""
+    if len({p.depth for p in points}) > 1:
+        raise DepthMismatch(f"depths differ: {points[0].depth} vs {points[1].depth}")
+    sizes = coordinate_sizes(tower, points[0].depth)
+    for p in points:
+        for n, (c, size) in enumerate(zip(p.coords, sizes), 1):
+            if not 0 <= c < size:
+                raise OutOfRange(f"coordinate {n} is {c}, allowed range 0..{size - 1}")
 
 
-def _prepare(tower: TowerSpec, x: GelfandPoint, y: GelfandPoint) -> bool:
-    """Check both points against one range list; return whether they share a tail."""
-    if x.depth != y.depth:
-        raise DepthMismatch(f"depths differ: {x.depth} vs {y.depth}")
-    sizes = coordinate_sizes(tower, x.depth)
-    _check_ranges(x, sizes)
-    _check_ranges(y, sizes)
-    return x.tail == y.tail
+def _walk(tower: TowerSpec, points: tuple[GelfandPoint, ...], depth: int) -> Iterator[list[int]]:
+    """The checked points' chain indices at levels 1..depth, a level at a time,
+    holding only k_n and each point's current index."""
+    chain = [p.coords[0] + 1 for p in points]
+    yield chain
+    k = tower.k1
+    for n in range(1, depth):
+        e = tower.descriptor_at(n).embedding(k)
+        chain = [e.rank_image(i, p.coords[n]) for i, p in zip(chain, points)]
+        k = e.k_to
+        yield chain
+
+
+def _order(a: object, b: object) -> GelfandOrder:
+    if a == b:
+        return GelfandOrder.EQUAL
+    return GelfandOrder.LESS if a < b else GelfandOrder.GREATER  # type: ignore[operator]
 
 
 def gelfand_compare(tower: TowerSpec, x: GelfandPoint, y: GelfandPoint) -> GelfandOrder:
@@ -97,11 +111,10 @@ def gelfand_compare(tower: TowerSpec, x: GelfandPoint, y: GelfandPoint) -> Gelfa
     Points with different tail markers are incomparable; on a shared
     tail the order is total, so the other three verdicts partition it.
     """
-    if not _prepare(tower, x, y):
+    _check(tower, x, y)
+    if x.tail != y.tail:
         return GelfandOrder.INCOMPARABLE
-    if x.coords == y.coords:
-        return GelfandOrder.EQUAL
-    return GelfandOrder.LESS if x.coords < y.coords else GelfandOrder.GREATER
+    return _order(x.coords, y.coords)
 
 
 def projection_chain(tower: TowerSpec, x: GelfandPoint) -> tuple[int, ...]:
@@ -111,29 +124,28 @@ def projection_chain(tower: TowerSpec, x: GelfandPoint) -> tuple[int, ...]:
     (x_n + 1)-th smallest element of the image block of i_{n-1} under
     the level-(n-1) embedding.
     """
-    _check_ranges(x, coordinate_sizes(tower, x.depth))
-    return _chains(tower, (x,))[0]
+    _check(tower, x)
+    return tuple(i for (i,) in _walk(tower, (x,), x.depth))
 
 
-def _chains(tower: TowerSpec, points: tuple[GelfandPoint, ...]) -> list[tuple[int, ...]]:
-    """``projection_chain`` of range-checked points of one depth, one embedding per level."""
-    chains = [[p.coords[0] + 1] for p in points]
-    for n in range(1, points[0].depth):
-        e = tower.embedding(n)
-        for chain, p in zip(chains, points):
-            chain.append(e.rank_image(chain[-1], p.coords[n]))
-    return [tuple(chain) for chain in chains]
+def gelfand_readings(
+    tower: TowerSpec, x: GelfandPoint, y: GelfandPoint
+) -> tuple[GelfandOrder, GelfandOrder, RelationPair | None]:
+    """Coordinate order, projection order and relation witness of one pair.
 
-
-def _witness(tower: TowerSpec, x: GelfandPoint, y: GelfandPoint) -> tuple[int, int, int] | None:
-    """(d, i_d, j_d) at the deepest coordinate disagreement d, or None across
-    tails.  Equal points give d = 1; distinct points differ at depth d, in
-    distinct ranks of one block or in disjoint blocks, so i_d = j_d iff x = y."""
-    if not _prepare(tower, x, y):
-        return None
+    One check, and one walk that stops at the deepest coordinate
+    disagreement d (1 for equal points): distinct points differ there,
+    in distinct ranks of one block or in disjoint blocks, so i_d = j_d
+    iff x = y.
+    """
+    _check(tower, x, y)
+    if x.tail != y.tail:
+        return GelfandOrder.INCOMPARABLE, GelfandOrder.INCOMPARABLE, None
     d = max((n for n in range(x.depth) if x.coords[n] != y.coords[n]), default=0) + 1
-    ci, cj = _chains(tower, (x, y))
-    return d, ci[d - 1], cj[d - 1]
+    for i, j in _walk(tower, (x, y), d):
+        pass
+    member = RelationPair(x, y, d, i, j) if i <= j else None
+    return _order(x.coords, y.coords), _order(i, j), member
 
 
 def gelfand_compare_via_projections(
@@ -147,12 +159,7 @@ def gelfand_compare_via_projections(
     separate they keep their relative order rankwise, so the deepest
     coordinate disagreement is the only depth that needs inspection.
     """
-    w = _witness(tower, x, y)
-    if w is None:
-        return GelfandOrder.INCOMPARABLE
-    if w[1] == w[2]:
-        return GelfandOrder.EQUAL
-    return GelfandOrder.LESS if w[1] < w[2] else GelfandOrder.GREATER
+    return gelfand_readings(tower, x, y)[1]
 
 
 @dataclass(frozen=True)
@@ -180,7 +187,4 @@ def relation_member(tower: TowerSpec, x: GelfandPoint, y: GelfandPoint) -> Relat
     equal points).  Returns None when the tails differ or when y is
     strictly below x in the projection order.
     """
-    w = _witness(tower, x, y)
-    if w is None or w[1] > w[2]:
-        return None
-    return RelationPair(x, y, *w)
+    return gelfand_readings(tower, x, y)[2]

@@ -112,23 +112,24 @@ class Descriptor:
             return None
         return (self.s_mult, self.t_mult)
 
+    @property
+    def multiplicity(self) -> int:
+        """k_{n+1} / k_n: s*t, or the block size of a part descriptor."""
+        p = self.partition
+        return self.s_mult * self.t_mult if p is None else p.block_size
+
     def k_to(self, k_from: int) -> int:
-        if self.kind == "part":
-            assert self.partition is not None
-            if self.partition.block_count != k_from:
-                raise ChainMismatch(
-                    f"part descriptor expects k={self.partition.block_count}, got {k_from}"
-                )
-            return self.partition.ground_size
-        return k_from * self.s_mult * self.t_mult
+        p = self.partition
+        if p is not None and p.block_count != k_from:
+            raise ChainMismatch(f"part descriptor expects k={p.block_count}, got {k_from}")
+        return k_from * self.multiplicity
 
     def embedding(self, k_from: int) -> RegularEmbedding:
         """The level embedding; closed alternating form for every kind but ``part``."""
-        if self.kind == "part":
-            assert self.partition is not None
-            self.k_to(k_from)  # refuses a partition that does not chain
-            return RegularEmbedding(self.partition)
-        return alternating(k_from, self.s_mult, self.t_mult)
+        if self.partition is None:
+            return alternating(k_from, self.s_mult, self.t_mult)
+        self.k_to(k_from)  # refuses a partition that does not chain
+        return RegularEmbedding(self.partition)
 
 
 def parse_descriptor(text: str) -> Descriptor:

@@ -9,7 +9,7 @@ import tuhf.cli
 import tuhf.embeddings
 import tuhf.gelfand
 from tuhf.cli import main
-from tuhf.towers import TowerSpec
+from tuhf.towers import Descriptor, TowerSpec
 
 TWO_INF = "k1 4\ns1 2\nt1 2\ncycle alt 2 2\n"
 NEST = "k1 2\ncycle nest 3\n"
@@ -220,27 +220,27 @@ def test_help_is_unchanged(capsys):
     assert capsys.readouterr().out.startswith("usage: tuhf shift [-h] -p PRIME")
 
 
-def test_gelfand_cmp_checks_each_point_once_per_order(files, capsys, monkeypatch):
+def test_gelfand_cmp_checks_and_walks_once(files, capsys, monkeypatch):
     calls = {"sizes": 0, "embedding": 0}
     real_sizes = tuhf.gelfand.coordinate_sizes
-    real_embedding = TowerSpec.embedding
+    real_embedding = Descriptor.embedding
 
     def sizes(tower, depth):
         calls["sizes"] += 1
         return real_sizes(tower, depth)
 
-    def embedding(self, n):
+    def embedding(self, k_from):
         calls["embedding"] += 1
-        return real_embedding(self, n)
+        return real_embedding(self, k_from)
 
     monkeypatch.setattr(tuhf.gelfand, "coordinate_sizes", sizes)
-    monkeypatch.setattr(TowerSpec, "embedding", embedding)
+    monkeypatch.setattr(Descriptor, "embedding", embedding)
     f = files("two.tower", TWO_INF)
     code, out, _ = run(capsys, "gelfand", "cmp", f, "--x", "0,1", "--y", "1,0")
     assert code == 0 and out.endswith("witness level 2 i 2 j 3\n")
-    # coordinate order, projection order and witness each check both points
-    # against one range list; the two chain walks read level 1 once each
-    assert calls == {"sizes": 3, "embedding": 2}
+    # the three printed lines come from one range list and one walk of
+    # both chains, which reads the level-1 embedding once
+    assert calls == {"sizes": 1, "embedding": 1}
 
 
 def test_tower_show_walks_each_level_once(files, capsys, monkeypatch):
@@ -472,6 +472,31 @@ def test_deep_level_requests_stop_at_the_first_level_over_the_limit(
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
     assert max(requested) <= 20
+
+
+def test_deep_points_ask_for_no_level_past_the_construction(files, capsys, monkeypatch):
+    # point sizes come from the descriptors and the walk carries k_n itself,
+    # so a 5000-coordinate point leaves the level table as loading left it
+    requested = []
+    real_dims, real_dim = TowerSpec.level_dims, TowerSpec.level_dim
+
+    def spy(real):
+        def asked(self, n):
+            requested.append(n)
+            assert n <= 3, f"asked for level {n}"
+            return real(self, n)
+
+        return asked
+
+    monkeypatch.setattr(TowerSpec, "level_dims", spy(real_dims))
+    monkeypatch.setattr(TowerSpec, "level_dim", spy(real_dim))
+    f = files("deep.tower", DEEP)
+    x = ["0"] * 5000
+    y = x[:-1] + ["1"]
+    code, out, err = run(capsys, "gelfand", "cmp", f, "--x", ",".join(x), "--y", ",".join(y))
+    assert (code, err) == (0, "")
+    assert out == "coordinate-order less\nprojection-order less\nwitness level 5000 i 1 j 2\n"
+    assert max(requested) <= 3
 
 
 def test_tower_show_prints_integers_of_any_length(files, capsys):

@@ -217,6 +217,7 @@ _point = st.lists(_coordinate, min_size=1, max_size=4).map(",".join)
 
 
 @FEW
+@example(x=",".join(["3"] * 5000), y=",".join(["3"] * 4999 + ["0"]), tails=("", ""))
 @given(x=_point, y=_point, tails=st.sampled_from([("", ""), ("a", "a"), ("a", "b")]))
 def test_gelfand_cmp_on_any_point(towers, x, y, tails):
     argv = ["gelfand", "cmp", towers[0], "--x", x, "--y", y]

@@ -19,7 +19,7 @@ from tuhf import (
     projection_chain,
     relation_member,
 )
-from tuhf.gelfand import DepthMismatch, coordinate_sizes
+from tuhf.gelfand import DepthMismatch, coordinate_sizes, gelfand_readings
 from tuhf.partitions import OutOfRange, parse_partition
 
 
@@ -235,6 +235,14 @@ def test_projection_order_is_relation_membership(case):
     tower, x, y = case
     order = gelfand_compare_via_projections(tower, x, y)
     member = relation_member(tower, x, y)
+    # what ``gelfand cmp`` prints comes from one call, which must read as
+    # the three public functions do
+    assert gelfand_readings(tower, x, y) == (gelfand_compare(tower, x, y), order, member)
+    assert projection_chain(tower, x) == chain_by_hand(tower, x)
+    assert projection_chain(tower, y) == chain_by_hand(tower, y)
+    # sizes read off the descriptors are the ratios of the level dimensions
+    dims = [1] + [tower.level_dim(n) for n in range(1, x.depth + 1)]
+    assert coordinate_sizes(tower, x.depth) == [b // a for a, b in zip(dims, dims[1:])]
     if x.tail != y.tail:
         assert order is GelfandOrder.INCOMPARABLE and member is None
         return
