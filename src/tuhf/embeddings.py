@@ -112,7 +112,11 @@ class RegularEmbedding:
 
     @property
     def multiplicity(self) -> int:
-        return self.k_to // self.k_from
+        """k_to / k_from, read off the data: s*t, or the block size."""
+        if self.st is None:
+            return self.diag.block_size
+        s, t = self.st
+        return s * t
 
     def rank_image(self, i: int, r: int) -> int:
         """The r-th smallest element (r from 0) of block i (from 1)."""

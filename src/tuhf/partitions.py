@@ -24,6 +24,16 @@ operations.  Every build is still validated in full, by vectorized
 checks; when they fail, the element-by-element scan ``_scan``, kept as
 the reference, names the offending block or element.  ``blocks`` gives
 the same data as tuples of Python ints.
+
+The text form is ``m=<m> n=<n> blocks=<body>``, the body being the
+blocks' elements in decimal, ``,`` within a block and ``;`` between
+blocks.  From m = ``_VECTOR_MIN`` on, ``format_partition`` writes the
+body as one uint8 array, byte for byte the text of the joins it uses
+below that size.  ``parse_partition`` reads a body as one array only
+when it is in the strict grammar (m tokens of 1 to 18 ASCII digits, a
+``;`` after every (m/n)-th) and hands the grid to the fully validating
+constructor; every other body is read token by token, as at every
+smaller size, so every error and its message is the token path's.
 """
 
 from __future__ import annotations
@@ -448,13 +458,104 @@ def ordered_partitions(m: int, n: int) -> Iterator[OrderedPartition]:
 
 # -- text form --------------------------------------------------------
 
+# Ground size from which the text body is written and read as one uint8
+# array; below it the joins and the token path are faster.
+_VECTOR_MIN = 512
+_COMMA, _SEMICOLON, _ZERO = ord(","), ord(";"), ord("0")
+_MAX_DIGITS = 18  # every token of at most 18 digits fits in int64
+
+
+def _join_body(p: OrderedPartition) -> str:
+    """The body ``1,2,5;3,4,6``, one join per block: the reference."""
+    return ";".join(",".join(map(str, b)) for b in p.array.tolist())
+
+
+def _vector_body(p: OrderedPartition) -> str:
+    """The same body as ``_join_body``, written into one uint8 buffer.
+
+    Token i ends just before its separator at ``ends[i] - 1``; digit
+    place d of it goes to ``ends[i] - 2 - d``.  Every token is written
+    at every place, highest first: a place a token lacks lands on an
+    earlier token's byte at a lower place (or on the front padding), and
+    that token's own digit is written later.  Separators go in last.
+    Elements lie in 1..m, so they are divided in the narrowest unsigned
+    type that holds m.
+    """
+    places = len(str(p.ground_size))
+    q = p.array.ravel().astype(np.min_scalar_type(p.ground_size))
+    digits = np.ones(q.size, dtype=np.int64)
+    for d in range(1, places):
+        digits += q >= 10**d
+    ends = np.cumsum(digits + 1) + places
+    place_digits = np.empty((places, q.size), dtype=np.uint8)
+    for d in range(places):
+        higher = q // 10
+        place_digits[d] = q - 10 * higher
+        q = higher
+    place_digits += _ZERO
+    buf = np.empty(int(ends[-1]), dtype=np.uint8)
+    for d in range(places - 1, -1, -1):
+        buf[ends - 2 - d] = place_digits[d]
+    buf[ends - 1] = _COMMA
+    buf[ends[p.block_size - 1 :: p.block_size] - 1] = _SEMICOLON
+    return buf[places:-1].tobytes().decode("ascii")
+
+
 def format_partition(p: OrderedPartition) -> str:
-    body = ";".join(",".join(map(str, b)) for b in p.array.tolist())
+    body = _vector_body(p) if p.ground_size >= _VECTOR_MIN else _join_body(p)
     return f"m={p.ground_size} n={p.block_count} blocks={body}"
 
 
+def _token_grid(body: str) -> np.ndarray | list[list[int]]:
+    """The blocks of a body, read token by token: the reference, and the
+    path of every body outside the strict grammar.  Raises ValueError."""
+    tokens = [group.split(",") for group in body.split(";")]
+    try:
+        return np.sort(np.array(tokens, dtype=np.int64), axis=1)
+    except (ValueError, OverflowError):
+        # Ragged, huge or malformed: convert token by token, so the
+        # first bad token names the error.
+        return [sorted(int(x) for x in group) for group in tokens]
+
+
+def _strict_grid(body: str, m: int, n: int) -> Optional[np.ndarray]:
+    """The (n, m/n) grid of a body in the strict grammar, else None.
+
+    The grammar: m nonempty tokens of at most 18 ASCII digits, joined by
+    ``,`` except for the n-1 ``;`` after every (m/n)-th token.  On such
+    a body ``np.fromstring`` reads exactly the tokens, and the token path
+    would build the same grid; every other body goes to the token path.
+    """
+    if not body.isascii():
+        return None
+    buf = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    is_sep = (buf == _COMMA) | (buf == _SEMICOLON)
+    # Bytes below "0" wrap around to large values; ";" lies above "9".
+    if not ((buf - np.uint8(_ZERO) <= 9) | is_sep).all():
+        return None
+    seps = np.flatnonzero(is_sep)
+    if seps.size != m - 1:
+        return None
+    # Token lengths: the gaps between separators, less one.
+    gaps = np.diff(seps, prepend=-1, append=buf.size)
+    if gaps.min() < 2 or gaps.max() > _MAX_DIGITS + 1:
+        return None
+    size = m // n
+    if not np.array_equal(
+        np.flatnonzero(buf[seps] == _SEMICOLON), np.arange(size - 1, m - 1, size)
+    ):
+        return None
+    values = np.fromstring(body.replace(";", ","), dtype=np.int64, sep=",")
+    return np.sort(values.reshape(n, size), axis=1)
+
+
 def parse_partition(text: str) -> OrderedPartition:
-    """Parse ``m=<int> n=<int> blocks=<semicolon-separated comma lists>``."""
+    """Parse ``m=<int> n=<int> blocks=<semicolon-separated comma lists>``.
+
+    From ``m`` of ``_VECTOR_MIN`` on, a body in the strict grammar is
+    read as one array; any other body is read token by token, so errors
+    and their messages do not depend on the path.
+    """
     parts = text.strip().split()
     if len(parts) != 3:
         raise FormatError(f"expected three fields in partition text, got {len(parts)}")
@@ -467,13 +568,11 @@ def parse_partition(text: str) -> OrderedPartition:
     try:
         m = int(fields["m"])
         n = int(fields["n"])
-        tokens = [group.split(",") for group in fields["blocks"].split(";")]
-        try:
-            grid = np.sort(np.array(tokens, dtype=np.int64), axis=1)
-        except (ValueError, OverflowError):
-            # Ragged, huge or malformed: convert token by token, so the
-            # first bad token names the error.
-            grid = [sorted(int(x) for x in group) for group in tokens]
+        grid = None
+        if m >= _VECTOR_MIN and n >= 1 and m % n == 0:
+            grid = _strict_grid(fields["blocks"], m, n)
+        if grid is None:
+            grid = _token_grid(fields["blocks"])
     except ValueError as exc:
         raise FormatError(f"bad partition text: {exc}") from None
     p = OrderedPartition(grid)

@@ -141,6 +141,17 @@ RECORDS = tuple(
     format_auto_data(shift_auto(load_tower(text), 2, 1, 3)) for text in TOWERS
 )
 DEEP_LEVELS = ("999999 1000000", "199999 200000", "3 1000000", " ".join(HUGE))
+# A record of tower 1 whose actions have m = 512 and 2048, at and above
+# the size from which partition text is read as one array.
+BIG_RECORD = format_auto_data(shift_auto(load_tower(TOWERS[1]), 2, 4, 6))
+
+
+def _big_record(token):
+    """BIG_RECORD with token 700 of its last action replaced."""
+    head, _, body = BIG_RECORD.rstrip("\n").rpartition("blocks=")
+    pieces = re.split(r"([,;])", body)
+    pieces[2 * 700] = token
+    return f"{head}blocks={''.join(pieces)}\n"
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +208,17 @@ def test_embed_commands_on_any_descriptor(command, k, a, b):
 
 
 @FEW
+@example(case=(1, BIG_RECORD), deep=None)
+@example(case=(1, _big_record("")), deep=None)
+@example(case=(1, _big_record(",")), deep=None)
+@example(case=(1, _big_record("7;7")), deep=None)
+@example(case=(1, _big_record("+5")), deep=None)
+@example(case=(1, _big_record("-5")), deep=None)
+@example(case=(1, _big_record("0")), deep=None)
+@example(case=(1, _big_record("1" * 19)), deep=None)
+@example(case=(1, _big_record("1" * 20)), deep=None)
+@example(case=(1, _big_record("٣")), deep=None)
+@example(case=(1, _big_record("1e3")), deep=None)
 @given(
     case=st.integers(0, len(TOWERS) - 1).flatmap(
         lambda i: st.tuples(st.just(i), mutated(RECORDS[i : i + 1]))

@@ -15,6 +15,7 @@ from tuhf import (
     identity_embedding,
     image_of_unit,
     nest,
+    parse_descriptor,
     regularize,
     standard,
     tensor_embed,
@@ -95,6 +96,17 @@ def test_rank_image_ranges():
             e.rank_image(1, 6)
         with pytest.raises(OutOfRange):
             e.rank_image(1, -1)
+
+
+def test_multiplicity_is_the_dimension_ratio():
+    part = parse_descriptor("part 6 m=6 n=2 blocks=1,2,5;3,4,6").embedding(2)
+    closed = [alternating(k, s, t) for k, s, t in itertools.product(SMALL, SMALL, SMALL)]
+    closed.append(alternating(3, 10**40, 7))  # big factors, exact product
+    explicit = [standard(k, mult) for k, mult in itertools.product(SMALL, SMALL)]
+    explicit += [nest(k, mult) for k, mult in itertools.product(SMALL, SMALL)]
+    for e in closed + explicit + [part]:
+        assert e.multiplicity == e.k_to // e.k_from
+    assert part.multiplicity == 3 and part.st is None
 
 
 def test_alternating_equality_is_partition_equality():

@@ -1,6 +1,7 @@
 """Ordered partitions, subpartitions, runs, and the run-size oracle."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from tuhf import (
     runs_of,
 )
 from tuhf.checks import random_ordered_partition
+from tuhf.embeddings import alternating
 from tuhf.errors import FormatError
 from tuhf.partitions import (
     HypothesisViolated,
@@ -30,7 +32,12 @@ from tuhf.partitions import (
     RankOrderViolation,
     ShapeMismatch,
     UnequalBlockSizes,
+    _VECTOR_MIN,
+    _join_body,
     _scan,
+    _strict_grid,
+    _token_grid,
+    _vector_body,
 )
 
 
@@ -469,3 +476,128 @@ def test_parse_agrees_with_the_per_token_path(text):
 def test_format_parse_round_trip_property(rng):
     p = OrderedPartition(_valid_blocks(rng))
     assert parse_partition(format_partition(p)) == p
+
+
+# -- the array text path against the joins and the token path ------------
+
+def _divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+_SEEDS = st.integers(0, 2**32)
+
+
+@st.composite
+def partitions_around_the_threshold(draw):
+    """A random ordered partition or an alternating pattern, with ground
+    sizes on both sides of the array path's threshold."""
+    if draw(st.booleans()):
+        m = draw(st.integers(_VECTOR_MIN // 2, 2 * _VECTOR_MIN))
+        n = draw(st.sampled_from(_divisors(m)))
+        return random_ordered_partition(random.Random(draw(_SEEDS)), m, n)
+    k, s, t = draw(st.tuples(st.integers(1, 8), st.integers(1, 32), st.integers(1, 16)))
+    return alternating(k, s, t).diag
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(p=partitions_around_the_threshold(), seed=_SEEDS)
+def test_array_text_path_agrees_with_the_reference(p, seed):
+    body = _join_body(p)
+    assert _vector_body(p) == body
+    assert format_partition(p) == f"m={p.ground_size} n={p.block_count} blocks={body}"
+    assert parse_partition(format_partition(p)) == p
+    m, n = p.ground_size, p.block_count
+    assert np.array_equal(_strict_grid(body, m, n), _token_grid(body))
+    # Blocks may be given in any order within a row.
+    rng = random.Random(seed)
+    rows = [rng.sample(b, len(b)) for b in p.blocks]
+    shuffled = ";".join(",".join(map(str, b)) for b in rows)
+    assert np.array_equal(_strict_grid(shuffled, m, n), p.array)
+    assert parse_partition(f"m={m} n={n} blocks={shuffled}") == p
+
+
+def test_writer_handles_every_digit_count():
+    # m = 10^d - 1 and 10^d: the elements take every count of digits up
+    # to d + 1, so short tokens follow long ones at every place.
+    for m in (9, 10, 99, 100, 999, 1000, 9999, 10000):
+        for k, s in itertools.product((1, 3, 10, 50), (1, 2, 5, 9)):
+            if m % (k * s) == 0:
+                p = alternating(k, s, m // (k * s)).diag
+                assert _vector_body(p) == _join_body(p)
+        p = random_ordered_partition(random.Random(m), m, 2 - m % 2)
+        assert _vector_body(p) == _join_body(p)
+
+
+_BIG = alternating(4, 16, 8).diag  # m = 512 = _VECTOR_MIN, n = 4
+_BIG_ROWS = [list(map(str, b)) for b in _BIG.blocks]
+
+
+def _big_text(edit=None, *, m=512, n=4, before="", after=""):
+    """The text of _BIG, after ``edit`` changes its rows of tokens."""
+    rows = [list(r) for r in _BIG_ROWS]
+    if edit is not None:
+        edit(rows)
+    body = ";".join(",".join(r) for r in rows)
+    return f"m={m} n={n} blocks={before}{body}{after}"
+
+
+def _put(i, j, token):
+    return lambda rows: rows[i].__setitem__(j, token)
+
+
+# (text, whether the strict grammar takes it, outcome) where the outcome
+# is "ok" or (class, message), as the token path gives it.
+_CORRUPTED = {
+    "empty token": (_big_text(_put(1, 5, "")), False,
+                    (FormatError, "bad partition text: invalid literal for int() with base 10: ''")),
+    "leading separator": (_big_text(before=","), False,
+                          (FormatError, "bad partition text: invalid literal for int() with base 10: ''")),
+    "trailing separator": (_big_text(after=";"), False,
+                           (FormatError, "bad partition text: invalid literal for int() with base 10: ''")),
+    "plus sign": (_big_text(_put(0, 4, "+5")), False, "ok"),
+    "space": (_big_text(_put(0, 4, " 5")), False,
+              (FormatError, "expected three fields in partition text, got 4")),
+    "minus sign": (_big_text(_put(0, 4, "-5")), False,
+                   (InvalidPartition, "element -5 outside 1..512")),
+    "19 digits": (_big_text(_put(2, 0, "1" + "0" * 18)), False,
+                  (InvalidPartition, "element 1000000000000000000 outside 1..512")),
+    "20 digits": (_big_text(_put(2, 0, "1" + "0" * 19)), False,
+                  (InvalidPartition, "element 10000000000000000000 outside 1..512")),
+    "unicode digit": (_big_text(_put(0, 2, "٣")), False, "ok"),
+    "short row": (_big_text(lambda rows: rows[1].pop()), False,
+                  (UnequalBlockSizes, "block sizes differ: [127, 128]")),
+    "long row": (_big_text(lambda rows: rows[3].append("513")), False,
+                 (UnequalBlockSizes, "block sizes differ: [128, 129]")),
+    "unsorted row": (_big_text(lambda rows: rows[2].reverse()), True, "ok"),
+    "duplicate element": (_big_text(lambda rows: rows[3].__setitem__(7, rows[3][6])), True,
+                          (InvalidPartition, "block elements must be sorted and distinct")),
+    "swapped rows": (_big_text(lambda rows: rows.reverse()), True,
+                     (RankOrderViolation, "rank 1 of block 1 is not below rank 1 of block 2")),
+    "declared m": (_big_text(m=1024), False,
+                   (FormatError, "declared shape m=1024 n=4 does not match blocks (m=512 n=4)")),
+    "declared n": (_big_text(n=8), False,
+                   (FormatError, "declared shape m=512 n=8 does not match blocks (m=512 n=4)")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CORRUPTED))
+def test_corrupted_large_text_reads_as_the_token_path_does(case):
+    text, strict, expected = _CORRUPTED[case]
+    try:
+        got = parse_partition(text) == _BIG and "ok"
+    except (InvalidPartition, FormatError) as exc:
+        got = type(exc), str(exc)
+    assert got == expected
+    fields = text.split()
+    if len(fields) == 3:
+        m, n, body = (field.split("=", 1)[1] for field in fields)
+        assert (_strict_grid(body, int(m), int(n)) is not None) == strict
+        if expected != "ok":
+            assert got == _parse_by_token(text)
+
+
+def test_large_text_takes_the_array_path():
+    text = format_partition(_BIG)
+    body = text.split("blocks=")[1]
+    assert ";" in body and _strict_grid(body, 512, 4) is not None
+    assert parse_partition(text) == _BIG
