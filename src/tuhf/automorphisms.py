@@ -532,7 +532,7 @@ def load_auto_data(text: str) -> tuple[FiniteAutoData, ...]:
                 raise FormatError(f"line {lineno}: action line without levels")
             try:
                 p = parse_partition(rest)
-            except InvalidPartition as exc:
+            except (InvalidPartition, FormatError) as exc:
                 raise FormatError(f"line {lineno}: {exc}") from None
             try:
                 records.append(FiniteAutoData(pending[0], pending[1], p))

@@ -10,6 +10,7 @@ from the parser itself also exit 2.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import sys
 from pathlib import Path
@@ -67,14 +68,29 @@ def _positive(value: int, option: str) -> int:
 
 # -- subcommand bodies ---------------------------------------------------
 
+# `tower show` walks the levels as exact decimals: a step multiplies by a
+# ratio in time linear in the length, and libmpdec prints in linear time,
+# where CPython converts an int to text in quadratic time.  A rounding
+# would raise here instead of printing a wrong digit.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    traps=[decimal.Inexact, decimal.Rounded],
+)
+
+
 def _cmd_tower_show(args: argparse.Namespace) -> int:
     tower = _load_tower_file(args.file)
-    for n in range(1, _positive(args.levels, "--levels") + 1):
-        k, s, t = tower.level_dims(n)
-        if s is None:
-            print(f"level {n} k {k}")
-        else:
-            print(f"level {n} k {k} s {s} t {t}")
+    levels = _positive(args.levels, "--levels")
+    with decimal.localcontext(_EXACT):
+        k, s, t = (decimal.Decimal(v) for v in (tower.k1, tower.s1, tower.t1))
+        for n in range(1, levels + 1):
+            if s is None:
+                print(f"level {n} k {k}")
+            else:
+                print(f"level {n} k {k} s {s} t {t}")
+            if n < levels:
+                k, s, t = tower._step(n, k, s, t)
     if tower.is_alternating_form:
         s_side, t_side = tower.supernatural_pair()
         print(f"s-side {s_side}")

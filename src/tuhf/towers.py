@@ -264,19 +264,23 @@ class TowerSpec:
             raise OutOfRange(f"level must be >= 1, got {n}")
         table = self._levels
         while len(table) < n:
-            level = len(table)
-            k, s, t = table[-1]
-            d = self.descriptor_at(level)
-            try:
-                k = d.k_to(k)
-            except ChainMismatch as exc:
-                raise ChainMismatch(f"level {level}: {exc}") from None
-            r = d.ratios()
-            if s is None or r is None:
-                table.append((k, None, None))
-            else:
-                table.append((k, s * r[0], t * r[1]))  # type: ignore[operator]
+            table.append(self._step(len(table), *table[-1]))
         return table[n - 1]
+
+    def _step(self, level: int, k, s, t):
+        """(k, s, t) of level+1 from those of ``level``; s and t are None
+        past a part level.  It only multiplies by the descriptor's ints, so
+        it runs alike on ints (the level table) and on decimals under an
+        exact context (``tower show``)."""
+        d = self.descriptor_at(level)
+        try:
+            k = d.k_to(k)
+        except ChainMismatch as exc:
+            raise ChainMismatch(f"level {level}: {exc}") from None
+        r = d.ratios()
+        if s is None or r is None:
+            return k, None, None
+        return k, s * r[0], t * r[1]
 
     def embedding(self, n: int) -> RegularEmbedding:
         return self.descriptor_at(n).embedding(self.level_dim(n))

@@ -1,5 +1,6 @@
 """End-to-end runs of every subcommand through main()."""
 
+import decimal
 import time
 
 import pytest
@@ -8,6 +9,7 @@ import tuhf.automorphisms
 import tuhf.cli
 import tuhf.embeddings
 import tuhf.gelfand
+import tuhf.towers
 from tuhf.cli import main
 from tuhf.towers import Descriptor, TowerSpec
 
@@ -156,6 +158,23 @@ def test_factor_mis_shaped_record_names_the_tower_shape(files, capsys):
     code, _, err = run(capsys, "factor", files("two.tower", TWO_INF), "--auto", auto)
     assert code == 1
     assert err == "error: datum at levels 1..2 has shape 2|8, tower expects 4|16\n"
+
+
+@pytest.mark.parametrize(
+    "action, message",
+    [
+        ("m=4 n=1 blocks=1,,3,4", "bad partition text: invalid literal for int() with base 10: ''"),
+        ("m=4 blocks=1,2;3,4", "expected three fields in partition text, got 2"),
+        ("m=4 n=2 blocks=1,2;3,1", "element 1 occurs twice"),
+    ],
+    ids=["empty-token", "missing-field", "duplicate"],
+)
+def test_factor_names_the_line_of_a_bad_action(files, capsys, action, message):
+    # a text error of the partition and an invalid partition both carry the line
+    f = files("two.tower", TWO_INF)
+    auto = files("bad.auto", f"# one record\nlevels 1 2\naction {action}\n")
+    code, out, err = run(capsys, "factor", f, "--auto", auto)
+    assert (code, out, err) == (2, "", f"error: line 3: {message}\n")
 
 
 def test_shift_builds_no_level_past_the_range(files, capsys, monkeypatch):
@@ -505,6 +524,124 @@ def test_tower_show_prints_integers_of_any_length(files, capsys):
     code, out, err = run(capsys, "tower", "show", f, "--levels", "7200")
     assert (code, err) == (0, "")
     assert out.splitlines()[7199] == f"level 7200 k {2 * 4**7199} s {2**7199} t {2**7200}"
+
+
+def _show_from_the_level_table(tower, levels):
+    """`tower show`'s stdout written from str() of the int level table."""
+    lines = []
+    for n in range(1, levels + 1):
+        k, s, t = tower.level_dims(n)
+        lines.append(f"level {n} k {k}" if s is None else f"level {n} k {k} s {s} t {t}")
+    if tower.is_alternating_form:
+        s_side, t_side = tower.supernatural_pair()
+        lines += [f"s-side {s_side}", f"t-side {t_side}"]
+    else:
+        lines.append("supernatural pair undefined (tower leaves interval form)")
+    return "\n".join(lines) + "\n"
+
+
+BIG_K1 = "7" * 4400  # 7 * 11...1, past the 4300-digit int/str cap
+
+
+@pytest.mark.parametrize(
+    "text, levels",
+    [
+        (TWO_INF, 1200),
+        ("k1 6\ncycle std 2\ncycle nest 3\n", 1000),
+        ("k1 12\nt1 4\npreamble alt 11 13\ncycle alt 2 15\ncycle alt 15 2\n", 1000),
+        ("k1 2\ns1 2\npreamble part 4 m=4 n=2 blocks=1,3;2,4\ncycle std 2\ncycle alt 3 5\n", 1000),
+        ("k1 2\npreamble std 3\npreamble part 12 m=12 n=6 blocks=1,7;2,8;3,9;4,10;5,11;6,12\n"
+         "cycle nest 5\n", 1000),
+        (f"k1 {BIG_K1}\nt1 7\ncycle alt 3 2\n", 30),
+        (f"k1 {BIG_K1}\ncycle nest {2**130 * 3**20}\n", 30),
+    ],
+    ids=["alt-declared", "std-nest-default", "preamble-alt", "part-preamble",
+         "part-after-std", "big-k1-alt", "big-k1-big-ratio"],
+)
+def test_tower_show_matches_the_int_level_table(files, capsys, text, levels):
+    code, out, err = run(capsys, "tower", "show", files("t.tower", text), "--levels", str(levels))
+    assert (code, err) == (0, "")
+    tower = tuhf.towers.load_tower(text)
+    expected = _show_from_the_level_table(tower, levels)
+    # name the first differing line; a diff of megabyte texts takes minutes
+    first = next(
+        (f"{got[:60]} != {want[:60]}"
+         for got, want in zip(out.splitlines(), expected.splitlines()) if got != want),
+        "line counts differ",
+    )
+    identical = out == expected
+    assert identical, first
+    # the cases reach far past the 28 digits of the default decimal context
+    assert len(str(tower.level_dim(levels))) > 28 * 10
+
+
+@pytest.mark.parametrize(
+    "text, product, signal",
+    [
+        # 6^n: a step past the precision drops nonzero digits
+        ("k1 1\ncycle alt 2 3\n", (123456789, 7), decimal.Inexact),
+        # 10^n: the dropped digits are zeros, which only Rounded reports
+        ("k1 1\ncycle alt 2 5\n", (10**8, 10), decimal.Rounded),
+    ],
+    ids=["inexact", "rounded"],
+)
+def test_tower_show_raises_instead_of_rounding(
+    files, capsys, monkeypatch, text, product, signal
+):
+    assert tuhf.cli._EXACT.prec == decimal.MAX_PREC
+    small = tuhf.cli._EXACT.copy()
+    small.prec = 8
+    monkeypatch.setattr(tuhf.cli, "_EXACT", small)
+    with decimal.localcontext(small), pytest.raises(signal):
+        decimal.Decimal(product[0]) * product[1]
+    f = files("t.tower", text)
+    with pytest.raises(signal):
+        main(["tower", "show", f, "--levels", "12"])
+    # the levels that fit in eight digits were printed exactly
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "level 11 k 60466176 s 1024 t 59049" if signal is decimal.Inexact
+        else "level 8 k 10000000 s 128 t 78125"
+    )
+
+
+def _unchained_tower():
+    # k1 = 3 but the part descriptor embeds T_2; construction refuses this
+    # tower, so it is assembled field by field
+    part = tuhf.towers.parse_descriptor("part 4 m=4 n=2 blocks=1,3;2,4")
+    tower = TowerSpec.__new__(TowerSpec)
+    fields = {"k1": 3, "s1": 1, "t1": 3, "preamble": (part,),
+              "cycle": (Descriptor("std", s_mult=2),), "_levels": [(3, 1, 3)]}
+    for name, value in fields.items():
+        object.__setattr__(tower, name, value)
+    return tower
+
+
+def test_level_table_and_show_share_one_step(files, capsys, monkeypatch):
+    message = "level 1: part descriptor expects k=2, got 3"
+    with pytest.raises(tuhf.towers.ChainMismatch) as table:
+        _unchained_tower().level_dims(2)
+    assert str(table.value) == message
+    with pytest.raises(tuhf.towers.ChainMismatch) as step:
+        _unchained_tower()._step(1, decimal.Decimal(3), decimal.Decimal(1), decimal.Decimal(3))
+    assert str(step.value) == message
+
+    monkeypatch.setattr(tuhf.cli, "load_tower", lambda text: _unchained_tower())
+    code, out, err = run(capsys, "tower", "show", files("t.tower", "k1 3\n"), "--levels", "2")
+    assert (code, out, err) == (1, "level 1 k 3 s 1 t 3\n", f"error: {message}\n")
+
+    # on a tower that chains, each printed level past the first is one step
+    steps = []
+    real = TowerSpec._step
+
+    def spy(self, level, k, s, t):
+        steps.append((level, type(k)))
+        return real(self, level, k, s, t)
+
+    monkeypatch.setattr(TowerSpec, "_step", spy)
+    monkeypatch.setattr(tuhf.cli, "load_tower", tuhf.towers.load_tower)
+    assert run(capsys, "tower", "show", files("two.tower", TWO_INF), "--levels", "6")[0] == 0
+    # loading fills the int table to level 3; the show walk steps on decimals
+    assert steps == [(1, int), (2, int)] + [(n, decimal.Decimal) for n in range(1, 6)]
 
 
 BIG_PRIME = 1000000000000000003
