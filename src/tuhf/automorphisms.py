@@ -41,8 +41,8 @@ from .partitions import (
     OrderedPartition,
     OutOfRange,
     ShapeMismatch,
+    _parse_partition_after,
     format_partition,
-    parse_partition,
 )
 from .supernatural import (
     factorize,
@@ -516,11 +516,14 @@ def load_auto_data(text: str) -> tuple[FiniteAutoData, ...]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, _, rest = line.partition(" ")
+        # The directive is the text before the first space; what follows
+        # it is read in place rather than copied out of a long line.
+        space = line.find(" ")
+        head = line if space < 0 else line[:space]
         if head == "levels":
             if pending is not None:
                 raise FormatError(f"line {lineno}: levels line without an action")
-            parts = rest.split()
+            parts = line.split()[1:]
             if len(parts) != 2:
                 raise FormatError(f"line {lineno}: levels needs two integers")
             try:
@@ -531,7 +534,7 @@ def load_auto_data(text: str) -> tuple[FiniteAutoData, ...]:
             if pending is None:
                 raise FormatError(f"line {lineno}: action line without levels")
             try:
-                p = parse_partition(rest)
+                p = _parse_partition_after(line, 1)
             except (InvalidPartition, FormatError) as exc:
                 raise FormatError(f"line {lineno}: {exc}") from None
             try:

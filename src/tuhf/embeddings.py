@@ -18,9 +18,12 @@ factors: ``standard`` is I_mult (x) A, ``nest`` is A (x) I_mult, and
 ``alternating`` is I_s (x) A (x) I_t.  ``alternating`` is closed-form:
 it records (k, s, t), composes by multiplying multiplicities, reads the
 r-th element of a block by arithmetic, and builds its partition only
-when ``diag`` is read.  ``standard`` and ``nest`` build their block
-formulas explicitly and serve as the reference the closed form is
-checked against, so the tensor identities relating the three stay
+when ``diag`` is read.  That arithmetic, with its range checks, is the
+one function ``_alternating_rank(k, s, t, i, r)``: ``rank_image`` of a
+closed form calls it, and the Gelfand walk calls it on a descriptor's
+(s, t) without making an embedding.  ``standard`` and ``nest`` build
+their block formulas explicitly and serve as the reference the closed
+form is checked against, so the tensor identities relating the three stay
 honest, independently checkable facts rather than definitions.
 
 ``_tensor_blocks`` is the one row-major tensor formula: ``tensor_embed``
@@ -57,6 +60,21 @@ def _alternating_grid(k: int, s: int, t: int) -> np.ndarray:
     1..kst laid out as s copies of k slots of t, read slot by slot."""
     _require_within_budget(k * s * t)
     return np.arange(1, k * s * t + 1).reshape(s, k, t).transpose(1, 0, 2).reshape(k, s * t)
+
+
+def _rank_check(k: int, mult: int, i: int, r: int) -> None:
+    if not 1 <= i <= k:
+        raise OutOfRange(f"block index {i} outside 1..{k}")
+    if not 0 <= r < mult:
+        raise OutOfRange(f"rank {r} outside 0..{mult - 1}")
+
+
+def _alternating_rank(k: int, s: int, t: int, i: int, r: int) -> int:
+    """The r-th smallest element (r from 0) of block i (from 1) of
+    alternating(k, s, t), by arithmetic: outer copy r // t, inflation
+    place r % t of slot i."""
+    _rank_check(k, s * t, i, r)
+    return (r // t) * k * t + (i - 1) * t + r % t + 1
 
 
 def _freeze(
@@ -120,14 +138,10 @@ class RegularEmbedding:
 
     def rank_image(self, i: int, r: int) -> int:
         """The r-th smallest element (r from 0) of block i (from 1)."""
-        if not 1 <= i <= self.k_from:
-            raise OutOfRange(f"block index {i} outside 1..{self.k_from}")
-        if not 0 <= r < self.multiplicity:
-            raise OutOfRange(f"rank {r} outside 0..{self.multiplicity - 1}")
-        if self.st is None:
-            return int(self.diag.array[i - 1, r])
-        t = self.st[1]
-        return (r // t) * self.k_from * t + (i - 1) * t + r % t + 1
+        if self.st is not None:
+            return _alternating_rank(self.k_from, *self.st, i, r)
+        _rank_check(self.k_from, self.diag.block_size, i, r)
+        return int(self.diag.array[i - 1, r])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RegularEmbedding):

@@ -13,17 +13,30 @@ coordinates lexicographically and never walks a chain.
 matrix-unit relation: diagonal-unit chain indices ordered at some
 level, coordinates agreeing below it.  They agree on nest-form towers
 and can differ on interleaving ones, as ``relation_member``'s witness
-shows.  All share one range check, with sizes k1 and each descriptor's
-multiplicity, and one walk that holds only k_n and each point's current
-chain index, so a point costs memory linear in its depth.
+shows.
+
+Every reading makes one range check: depths first, then x's
+coordinates, then y's, against sizes k1 and each descriptor's
+multiplicity.  A pair is then walked once, both chains together, up to
+the deepest coordinate disagreement d only, holding k_n and the two
+current chain indices, so a point costs memory linear in its depth.  A
+``std``/``nest``/``alt`` level steps an index by arithmetic on the
+descriptor's ints (``embeddings._alternating_rank``:
+i -> (r // t)*k*t + (i-1)*t + r % t + 1, then k -> k*s*t) and builds no
+embedding; a ``part`` level reads its partition.  The walk's result
+(d, i_d, j_d) feeds three views, each building only what it returns:
+``gelfand_readings`` all three lines of ``gelfand cmp``,
+``gelfand_compare_via_projections`` the projection order, and
+``relation_member`` the witness.  ``projection_chain`` steps one point
+the same way and keeps every level.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
 
+from .embeddings import _alternating_rank
 from .errors import DomainError, FormatError
 from .partitions import OutOfRange
 from .towers import TowerSpec
@@ -72,31 +85,60 @@ def parse_point(text: str, tail: str = "") -> GelfandPoint:
 
 def coordinate_sizes(tower: TowerSpec, depth: int) -> list[int]:
     """k_n / k_{n-1} for n = 1..depth (k_0 = 1): how many values x_n takes."""
-    return [tower.k1, *(tower.descriptor_at(n).multiplicity for n in range(1, depth))][:depth]
+    sizes = [tower.k1] if depth > 0 else []
+    for n in range(1, depth):
+        sizes.append(tower.descriptor_at(n).multiplicity)
+    return sizes
 
 
-def _check(tower: TowerSpec, *points: GelfandPoint) -> None:
-    """Refuse different depths, then each point's coordinates in turn, against one size list."""
-    if len({p.depth for p in points}) > 1:
-        raise DepthMismatch(f"depths differ: {points[0].depth} vs {points[1].depth}")
-    sizes = coordinate_sizes(tower, points[0].depth)
-    for p in points:
-        for n, (c, size) in enumerate(zip(p.coords, sizes), 1):
-            if not 0 <= c < size:
-                raise OutOfRange(f"coordinate {n} is {c}, allowed range 0..{size - 1}")
+def _check(tower: TowerSpec, x: GelfandPoint, y: GelfandPoint | None = None) -> None:
+    """Refuse different depths, then x's coordinates, then y's, against one size list."""
+    depth = len(x.coords)
+    if y is not None and len(y.coords) != depth:
+        raise DepthMismatch(f"depths differ: {depth} vs {y.depth}")
+    sizes = coordinate_sizes(tower, depth)
+    for coords in (x.coords,) if y is None else (x.coords, y.coords):
+        n = 0  # a counter beside the loop costs less than enumerate's tuples
+        for c in coords:
+            if not 0 <= c < sizes[n]:
+                raise OutOfRange(f"coordinate {n + 1} is {c}, allowed range 0..{sizes[n] - 1}")
+            n += 1
 
 
-def _walk(tower: TowerSpec, points: tuple[GelfandPoint, ...], depth: int) -> Iterator[list[int]]:
-    """The checked points' chain indices at levels 1..depth, a level at a time,
-    holding only k_n and each point's current index."""
-    chain = [p.coords[0] + 1 for p in points]
-    yield chain
+def _walk(
+    tower: TowerSpec, xs: tuple[int, ...], ys: tuple[int, ...], depth: int
+) -> tuple[int, int]:
+    """The checked coordinates' chain indices (i, j) at level ``depth``, from
+    one walk that holds only k_n and the two current indices.  A closed-form
+    level steps by arithmetic on (k, s, t); a ``part`` level reads its
+    partition."""
+    i, j = xs[0] + 1, ys[0] + 1
     k = tower.k1
     for n in range(1, depth):
-        e = tower.descriptor_at(n).embedding(k)
-        chain = [e.rank_image(i, p.coords[n]) for i, p in zip(chain, points)]
-        k = e.k_to
-        yield chain
+        d = tower.descriptor_at(n)
+        if d.partition is None:
+            s, t = d.s_mult, d.t_mult
+            i, j = _alternating_rank(k, s, t, i, xs[n]), _alternating_rank(k, s, t, j, ys[n])
+        else:
+            rank = d.embedding(k).rank_image
+            i, j = rank(i, xs[n]), rank(j, ys[n])
+        k *= d.multiplicity
+    return i, j
+
+
+def _witness(tower: TowerSpec, x: GelfandPoint, y: GelfandPoint) -> tuple[int, int, int] | None:
+    """After one check: None for different tails, else (d, i_d, j_d) at
+    the deepest coordinate disagreement d (1 for equal points), from one
+    walk that stops there.  Distinct points differ at d, in distinct ranks
+    of one block or in disjoint blocks, so i_d = j_d iff x = y."""
+    _check(tower, x, y)
+    if x.tail != y.tail:
+        return None
+    xs, ys = x.coords, y.coords
+    d = len(xs)
+    while d > 1 and xs[d - 1] == ys[d - 1]:
+        d -= 1
+    return (d, *_walk(tower, xs, ys, d))
 
 
 def _order(a: object, b: object) -> GelfandOrder:
@@ -125,25 +167,28 @@ def projection_chain(tower: TowerSpec, x: GelfandPoint) -> tuple[int, ...]:
     the level-(n-1) embedding.
     """
     _check(tower, x)
-    return tuple(i for (i,) in _walk(tower, (x,), x.depth))
+    xs = x.coords
+    chain = [xs[0] + 1]
+    k = tower.k1
+    for n in range(1, len(xs)):
+        d = tower.descriptor_at(n)
+        if d.partition is None:
+            chain.append(_alternating_rank(k, d.s_mult, d.t_mult, chain[-1], xs[n]))
+        else:
+            chain.append(d.embedding(k).rank_image(chain[-1], xs[n]))
+        k *= d.multiplicity
+    return tuple(chain)
 
 
 def gelfand_readings(
     tower: TowerSpec, x: GelfandPoint, y: GelfandPoint
 ) -> tuple[GelfandOrder, GelfandOrder, RelationPair | None]:
-    """Coordinate order, projection order and relation witness of one pair.
-
-    One check, and one walk that stops at the deepest coordinate
-    disagreement d (1 for equal points): distinct points differ there,
-    in distinct ranks of one block or in disjoint blocks, so i_d = j_d
-    iff x = y.
-    """
-    _check(tower, x, y)
-    if x.tail != y.tail:
+    """Coordinate order, projection order and relation witness of one
+    pair, from one check and one walk."""
+    w = _witness(tower, x, y)
+    if w is None:
         return GelfandOrder.INCOMPARABLE, GelfandOrder.INCOMPARABLE, None
-    d = max((n for n in range(x.depth) if x.coords[n] != y.coords[n]), default=0) + 1
-    for i, j in _walk(tower, (x, y), d):
-        pass
+    d, i, j = w
     member = RelationPair(x, y, d, i, j) if i <= j else None
     return _order(x.coords, y.coords), _order(i, j), member
 
@@ -159,7 +204,8 @@ def gelfand_compare_via_projections(
     separate they keep their relative order rankwise, so the deepest
     coordinate disagreement is the only depth that needs inspection.
     """
-    return gelfand_readings(tower, x, y)[1]
+    w = _witness(tower, x, y)
+    return GelfandOrder.INCOMPARABLE if w is None else _order(w[1], w[2])
 
 
 @dataclass(frozen=True)
@@ -187,4 +233,7 @@ def relation_member(tower: TowerSpec, x: GelfandPoint, y: GelfandPoint) -> Relat
     equal points).  Returns None when the tails differ or when y is
     strictly below x in the projection order.
     """
-    return gelfand_readings(tower, x, y)[2]
+    w = _witness(tower, x, y)
+    if w is None or w[1] > w[2]:
+        return None
+    return RelationPair(x, y, *w)

@@ -552,11 +552,43 @@ def _strict_grid(body: str, m: int, n: int) -> Optional[np.ndarray]:
 def parse_partition(text: str) -> OrderedPartition:
     """Parse ``m=<int> n=<int> blocks=<semicolon-separated comma lists>``.
 
-    From ``m`` of ``_VECTOR_MIN`` on, a body in the strict grammar is
-    read as one array; any other body is read token by token, so errors
-    and their messages do not depend on the path.
+    From ``m`` of ``_VECTOR_MIN`` on, a body in the strict grammar that
+    ends the text is read as one array; any other body is read token by
+    token, so errors and their messages do not depend on the path.
     """
-    parts = text.strip().split()
+    return _parse_partition_after(text, 0)
+
+
+def _strict_fields(fields: list[str]) -> Optional[np.ndarray]:
+    """The grid of ``m=``, ``n=`` and ``blocks=`` fields whose body the
+    strict reader takes, else None."""
+    if len(fields) != 3 or not (
+        fields[0].startswith("m=")
+        and fields[1].startswith("n=")
+        and fields[2].startswith("blocks=")
+    ):
+        return None
+    try:
+        m, n = int(fields[0][2:]), int(fields[1][2:])
+    except ValueError:
+        return None
+    if m < _VECTOR_MIN or n < 1 or m % n:
+        return None
+    return _strict_grid(fields[2][len("blocks="):], m, n)
+
+
+def _parse_partition_after(text: str, skip: int) -> OrderedPartition:
+    """``parse_partition`` of what follows the first ``skip`` words of ``text``.
+
+    Only the words before the body are split off at first: the strict
+    grammar admits no whitespace, so a body it reads is never scanned for
+    whitespace.  Any other text is split in full and read by the token
+    path, which counts and names the fields.
+    """
+    grid = _strict_fields(text.split(None, skip + 2)[skip:])
+    if grid is not None:
+        return OrderedPartition(grid)
+    parts = text.split()[skip:]
     if len(parts) != 3:
         raise FormatError(f"expected three fields in partition text, got {len(parts)}")
     fields = {}
@@ -568,11 +600,7 @@ def parse_partition(text: str) -> OrderedPartition:
     try:
         m = int(fields["m"])
         n = int(fields["n"])
-        grid = None
-        if m >= _VECTOR_MIN and n >= 1 and m % n == 0:
-            grid = _strict_grid(fields["blocks"], m, n)
-        if grid is None:
-            grid = _token_grid(fields["blocks"])
+        grid = _token_grid(fields["blocks"])
     except ValueError as exc:
         raise FormatError(f"bad partition text: {exc}") from None
     p = OrderedPartition(grid)

@@ -240,26 +240,26 @@ def test_help_is_unchanged(capsys):
 
 
 def test_gelfand_cmp_checks_and_walks_once(files, capsys, monkeypatch):
-    calls = {"sizes": 0, "embedding": 0}
+    calls = {"sizes": 0, "rank": 0}
     real_sizes = tuhf.gelfand.coordinate_sizes
-    real_embedding = Descriptor.embedding
+    real_rank = tuhf.gelfand._alternating_rank
 
     def sizes(tower, depth):
         calls["sizes"] += 1
         return real_sizes(tower, depth)
 
-    def embedding(self, k_from):
-        calls["embedding"] += 1
-        return real_embedding(self, k_from)
+    def rank(k, s, t, i, r):
+        calls["rank"] += 1
+        return real_rank(k, s, t, i, r)
 
     monkeypatch.setattr(tuhf.gelfand, "coordinate_sizes", sizes)
-    monkeypatch.setattr(Descriptor, "embedding", embedding)
+    monkeypatch.setattr(tuhf.gelfand, "_alternating_rank", rank)
     f = files("two.tower", TWO_INF)
     code, out, _ = run(capsys, "gelfand", "cmp", f, "--x", "0,1", "--y", "1,0")
     assert code == 0 and out.endswith("witness level 2 i 2 j 3\n")
     # the three printed lines come from one range list and one walk of
-    # both chains, which reads the level-1 embedding once
-    assert calls == {"sizes": 1, "embedding": 1}
+    # both chains, which steps each point once through the level-1 embedding
+    assert calls == {"sizes": 1, "rank": 2}
 
 
 def test_tower_show_walks_each_level_once(files, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Regular embeddings: constructors, unit images, composition, tensor."""
 
 import itertools
+import re
 
 import pytest
 
@@ -20,7 +21,7 @@ from tuhf import (
     standard,
     tensor_embed,
 )
-from tuhf.embeddings import IndexOutOfRange, LowerTriangularRequest
+from tuhf.embeddings import IndexOutOfRange, LowerTriangularRequest, _alternating_rank
 from tuhf.partitions import InvalidPartition, OutOfRange, ShapeMismatch
 
 SMALL = range(1, 5)  # exhaustive ranges of k, s and t for the closed form
@@ -86,16 +87,29 @@ def test_rank_image_matches_diag_exhaustively():
             for r in range(s * t):
                 assert e.rank_image(i, r) == e.diag.block(i)[r]
                 assert explicit.rank_image(i, r) == e.diag.block(i)[r]
+                assert _alternating_rank(k, s, t, i, r) == e.diag.array[i - 1, r]
 
 
 def test_rank_image_ranges():
-    for e in (alternating(2, 2, 3), standard(2, 6)):
-        with pytest.raises(OutOfRange):
-            e.rank_image(3, 0)
-        with pytest.raises(OutOfRange):
-            e.rank_image(1, 6)
-        with pytest.raises(OutOfRange):
-            e.rank_image(1, -1)
+    # the closed form, its explicit partition and the shared arithmetic
+    # refuse alike, block index first
+    e = alternating(2, 2, 3)
+    ranks = (
+        e.rank_image,
+        RegularEmbedding(e.diag).rank_image,
+        standard(2, 6).rank_image,
+        lambda i, r: _alternating_rank(2, 2, 3, i, r),
+    )
+    for i, r, message in (
+        (3, 0, "block index 3 outside 1..2"),
+        (0, 0, "block index 0 outside 1..2"),
+        (3, 6, "block index 3 outside 1..2"),
+        (1, 6, "rank 6 outside 0..5"),
+        (1, -1, "rank -1 outside 0..5"),
+    ):
+        for rank in ranks:
+            with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+                rank(i, r)
 
 
 def test_multiplicity_is_the_dimension_ratio():

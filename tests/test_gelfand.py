@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tuhf import (
@@ -23,14 +23,25 @@ from tuhf.gelfand import DepthMismatch, coordinate_sizes, gelfand_readings
 from tuhf.partitions import OutOfRange, parse_partition
 
 
+def block_by_hand(tower, n, i):
+    # the image block of i under the level-n embedding: its materialized
+    # partition while that stays small, past that the defining set
+    # {a*k*t + (i-1)*t + b : 0 <= a < s, 1 <= b <= t} of I_s (x) A_k (x) I_t
+    d = tower.descriptor_at(n)
+    k = tower.level_dim(n)
+    if d.kind == "part" or tower.level_dim(n + 1) <= 4096:
+        return tower.embedding(n).diag.block(i)
+    s, t = d.ratios()
+    return [a * k * t + (i - 1) * t + b for a in range(s) for b in range(1, t + 1)]
+
+
 def chain_by_hand(tower, point):
     # independent recomputation: walk the image blocks, taking the
     # (x_n + 1)-th smallest element of the parent's block at each level
     i = point.coords[0] + 1
     out = [i]
     for n, x in enumerate(point.coords[1:], 1):
-        block = tower.embedding(n).diag.block(i)
-        i = sorted(block)[x]
+        i = sorted(block_by_hand(tower, n, i))[x]
         out.append(i)
     return tuple(out)
 
@@ -57,6 +68,22 @@ def test_coordinate_ranges_checked(two_inf_alt):
     good = GelfandPoint((0, 0))
     with pytest.raises(OutOfRange):
         gelfand_compare(two_inf_alt, bad, good)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [gelfand_compare, gelfand_compare_via_projections, relation_member, gelfand_readings],
+)
+def test_errors_name_depths_first_then_x_then_y(two_inf_alt, read):
+    # both points out of range: x's coordinate is named, even when y's
+    # bad coordinate comes earlier; a depth mismatch comes before either
+    x, y = GelfandPoint((0, 5)), GelfandPoint((-1, 0))
+    with pytest.raises(OutOfRange, match=r"^coordinate 2 is 5, allowed range 0\.\.3$"):
+        read(two_inf_alt, x, y)
+    with pytest.raises(OutOfRange, match=r"^coordinate 1 is -1, allowed range 0\.\.3$"):
+        read(two_inf_alt, y, x)
+    with pytest.raises(DepthMismatch, match="^depths differ: 3 vs 2$"):
+        read(two_inf_alt, GelfandPoint((9, 9, 9)), y)
 
 
 def test_lex_compare_examples(two_inf_alt):
@@ -209,6 +236,19 @@ def ordered_partitions(draw, n, size):
     return OrderedPartition.from_blocks(blocks)
 
 
+CLOSED_FORMS = st.sampled_from(
+    [
+        Descriptor("std", 2),
+        Descriptor("std", 3),
+        Descriptor("nest", t_mult=2),
+        Descriptor("nest", t_mult=3),
+        Descriptor("alt", 2, 2),
+        Descriptor("alt", 3, 2),
+        Descriptor("alt", 2, 3),
+    ]
+)
+
+
 @st.composite
 def alternating_comparisons(draw):
     k1 = draw(st.integers(1, 3))
@@ -216,8 +256,9 @@ def alternating_comparisons(draw):
     if draw(st.booleans()):
         part = draw(ordered_partitions(k1, draw(st.integers(1, 3))))
         preamble = (Descriptor("part", partition=part),)
-    s, t = draw(st.sampled_from([(1, 2), (2, 1), (2, 2), (3, 2), (2, 3)]))
-    tower = TowerSpec(k1, preamble=preamble, cycle=(Descriptor("alt", s, t),))
+    preamble += tuple(draw(st.lists(CLOSED_FORMS, max_size=1)))
+    cycle = tuple(draw(st.lists(CLOSED_FORMS, min_size=1, max_size=2)))
+    tower = TowerSpec(k1, preamble=preamble, cycle=cycle)
     sizes = coordinate_sizes(tower, draw(st.integers(1, 4)))
     tails = draw(st.sampled_from([("", ""), ("a", "a"), ("a", "b")]))
     x, y = (
@@ -227,8 +268,22 @@ def alternating_comparisons(draw):
     return tower, x, y
 
 
+def _deep_case():
+    # 5000 coordinates on a tower with a part preamble and a mixed cycle;
+    # the points differ only in their last two coordinates
+    part = parse_partition("m=6 n=2 blocks=1,3,4;2,5,6")
+    cycle = (Descriptor("std", 2), Descriptor("alt", 2, 3), Descriptor("nest", t_mult=2))
+    tower = TowerSpec(2, preamble=(Descriptor("part", partition=part),), cycle=cycle)
+    sizes = coordinate_sizes(tower, 5000)
+    coords = [n % size for n, size in enumerate(sizes)]
+    x = GelfandPoint(tuple(coords))
+    coords[-2:] = [size - 1 - c for c, size in zip(coords[-2:], sizes[-2:])]
+    return tower, x, GelfandPoint(tuple(coords))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=alternating_comparisons())
+@example(case=_deep_case())
 def test_projection_order_is_relation_membership(case):
     # on alternating towers the projection order may differ from the
     # coordinate order; it must still be exactly membership in the relation
