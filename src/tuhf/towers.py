@@ -26,6 +26,7 @@ Descriptors: ``std <mult>``, ``nest <mult>``, ``alt <s> <t>``,
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -263,24 +264,33 @@ class TowerSpec:
         if n < 1:
             raise OutOfRange(f"level must be >= 1, got {n}")
         table = self._levels
-        while len(table) < n:
-            table.append(self._step(len(table), *table[-1]))
+        if len(table) < n:
+            table.extend(itertools.islice(self._walk(len(table), *table[-1]), n - len(table)))
         return table[n - 1]
 
-    def _step(self, level: int, k, s, t):
-        """(k, s, t) of level+1 from those of ``level``; s and t are None
-        past a part level.  It only multiplies by the descriptor's ints, so
-        it runs alike on ints (the level table) and on decimals under an
-        exact context (``tower show``)."""
-        d = self.descriptor_at(level)
-        try:
-            k = d.k_to(k)
-        except ChainMismatch as exc:
-            raise ChainMismatch(f"level {level}: {exc}") from None
-        r = d.ratios()
-        if s is None or r is None:
-            return k, None, None
-        return k, s * r[0], t * r[1]
+    def _walk(self, level: int, k, s, t):
+        """Yield (k, s, t) of level+1, level+2, ... from those of ``level``;
+        s and t are None past a part level.  It reads the descriptors in
+        order and only multiplies by their ints, so it runs alike on ints
+        (the level table) and on decimals under an exact context
+        (``tower show``)."""
+        pre, cyc = self.preamble, self.cycle
+        i = level - 1
+        rest = pre[i:] if i < len(pre) else cyc[(i - len(pre)) % len(cyc):]
+        for d in itertools.chain(rest, itertools.cycle(cyc)):
+            if d.partition is None:
+                k *= d.s_mult * d.t_mult
+                if s is not None:
+                    s *= d.s_mult
+                    t *= d.t_mult
+            else:
+                try:
+                    k = d.k_to(k)
+                except ChainMismatch as exc:
+                    raise ChainMismatch(f"level {level}: {exc}") from None
+                s = t = None
+            level += 1
+            yield k, s, t
 
     def embedding(self, n: int) -> RegularEmbedding:
         return self.descriptor_at(n).embedding(self.level_dim(n))

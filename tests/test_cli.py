@@ -262,20 +262,31 @@ def test_gelfand_cmp_checks_and_walks_once(files, capsys, monkeypatch):
     assert calls == {"sizes": 1, "rank": 2}
 
 
+def _spy_walks(monkeypatch):
+    """Record each walk the towers start as a list of the levels it reaches,
+    each with the type of its k."""
+    walks = []
+    real = TowerSpec._walk
+
+    def spy(self, level, k, s, t):
+        steps = []
+        walks.append(steps)
+        for n, row in enumerate(real(self, level, k, s, t), level + 1):
+            steps.append((n, type(row[0])))
+            yield row
+
+    monkeypatch.setattr(TowerSpec, "_walk", spy)
+    return walks
+
+
 def test_tower_show_walks_each_level_once(files, capsys, monkeypatch):
-    calls = 0
-    real = TowerSpec.descriptor_at
-
-    def counted(self, n):
-        nonlocal calls
-        calls += 1
-        return real(self, n)
-
-    monkeypatch.setattr(TowerSpec, "descriptor_at", counted)
+    walks = _spy_walks(monkeypatch)
     f = files("two.tower", TWO_INF)
     code, out, _ = run(capsys, "tower", "show", f, "--levels", "300")
     assert code == 0 and out.startswith("level 1 k 4 s 2 t 2\n")
-    assert calls <= 2 * 300
+    # loading fills the int table to level 3; the show is one more walk,
+    # one step per printed level past the first
+    assert [len(steps) for steps in walks] == [2, 299]
 
 
 def test_factor_single_level_errors(files, capsys, tmp_path):
@@ -622,7 +633,7 @@ def test_level_table_and_show_share_one_step(files, capsys, monkeypatch):
         _unchained_tower().level_dims(2)
     assert str(table.value) == message
     with pytest.raises(tuhf.towers.ChainMismatch) as step:
-        _unchained_tower()._step(1, decimal.Decimal(3), decimal.Decimal(1), decimal.Decimal(3))
+        next(_unchained_tower()._walk(1, *map(decimal.Decimal, (3, 1, 3))))
     assert str(step.value) == message
 
     monkeypatch.setattr(tuhf.cli, "load_tower", lambda text: _unchained_tower())
@@ -630,18 +641,11 @@ def test_level_table_and_show_share_one_step(files, capsys, monkeypatch):
     assert (code, out, err) == (1, "level 1 k 3 s 1 t 3\n", f"error: {message}\n")
 
     # on a tower that chains, each printed level past the first is one step
-    steps = []
-    real = TowerSpec._step
-
-    def spy(self, level, k, s, t):
-        steps.append((level, type(k)))
-        return real(self, level, k, s, t)
-
-    monkeypatch.setattr(TowerSpec, "_step", spy)
+    walks = _spy_walks(monkeypatch)
     monkeypatch.setattr(tuhf.cli, "load_tower", tuhf.towers.load_tower)
     assert run(capsys, "tower", "show", files("two.tower", TWO_INF), "--levels", "6")[0] == 0
     # loading fills the int table to level 3; the show walk steps on decimals
-    assert steps == [(1, int), (2, int)] + [(n, decimal.Decimal) for n in range(1, 6)]
+    assert walks == [[(2, int), (3, int)], [(n, decimal.Decimal) for n in range(2, 7)]]
 
 
 BIG_PRIME = 1000000000000000003

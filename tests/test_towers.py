@@ -1,7 +1,15 @@
 """Tower presentations: grammar, dimensions, supernatural data, tensor."""
 
+import contextlib
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tuhf.cli
 
 from tuhf import (
     INF,
@@ -169,6 +177,92 @@ def test_preamble_then_cycle_ratios():
     t = TowerSpec(2, s1=1, t1=2, preamble=(Descriptor("std", 3),), cycle=(Descriptor("alt", 2, 2),))
     # level 1 -> 2 uses the preamble, everything after repeats the cycle
     assert [t.level_dim(n) for n in range(1, 5)] == [2, 6, 24, 96]
+
+
+def _bare_tower(k1, s1, t1, preamble, cycle):
+    """The tower with only level 1 in its table, assembled field by field
+    so that construction neither validates the chain nor fills the table."""
+    tower = TowerSpec.__new__(TowerSpec)
+    fields = {"k1": k1, "s1": s1, "t1": t1, "preamble": preamble, "cycle": cycle,
+              "_levels": [(k1, s1, t1)]}
+    for name, value in fields.items():
+        object.__setattr__(tower, name, value)
+    return tower
+
+
+@st.composite
+def towers_and_fills(draw):
+    """Tower fields with a preamble of 0-3 and a cycle of 1-3 descriptors,
+    any of them ``part``, a depth, and increasing levels to fill the table
+    to, ending at the depth.  A part descriptor chains where the first
+    pass reaches it; in the cycle it fails on the next pass."""
+    k1 = draw(st.integers(1, 4))
+    s1 = draw(st.sampled_from([d for d in range(1, k1 + 1) if k1 % d == 0]))
+    n_pre, n_cyc = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    descriptors, k = [], k1
+    for _ in range(n_pre + n_cyc):
+        kind = draw(st.sampled_from(["std", "nest", "alt", "part"]))
+        s, t = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        d = {
+            "std": lambda: Descriptor("std", s_mult=s),
+            "nest": lambda: Descriptor("nest", t_mult=t),
+            "alt": lambda: Descriptor("alt", s, t),
+            "part": lambda: Descriptor("part", partition=alternating(k, s, t).diag),
+        }[kind]()
+        descriptors.append(d)
+        k *= d.multiplicity
+    fields = (k1, s1, k1 // s1, tuple(descriptors[:n_pre]), tuple(descriptors[n_pre:]))
+    depth = draw(st.integers(1, n_pre + 3 * n_cyc + 2))
+    stops = draw(st.lists(st.integers(1, depth), max_size=5))
+    return fields, sorted(set(stops) | {depth})
+
+
+def _fill(tower, stops):
+    """The table's rows after level_dims(n) for each n of ``stops``, with
+    the message of the ChainMismatch that stopped the fill, if one did."""
+    try:
+        for n in stops:
+            tower.level_dims(n)
+    except ChainMismatch as exc:
+        return tower._levels, str(exc)
+    return tower._levels, None
+
+
+def _stepwise(tower, depth):
+    """Rows and error of the table filled one descriptor_at step at a time."""
+    rows = [(tower.k1, tower.s1, tower.t1)]
+    for n in range(1, depth):
+        d, (k, s, t) = tower.descriptor_at(n), rows[-1]
+        try:
+            k = d.k_to(k)
+        except ChainMismatch as exc:
+            return rows, f"level {n}: {exc}"
+        r = d.ratios()
+        rows.append((k, None, None) if s is None or r is None else (k, s * r[0], t * r[1]))
+    return rows, None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=towers_and_fills())
+def test_level_table_fills_alike_from_any_level(case):
+    fields, stops = case
+    depth = stops[-1]
+    rows, error = _fill(_bare_tower(*fields), stops)
+    # the walks start mid-preamble and mid-cycle, yet agree with one fill
+    # from level 1 and with a step per descriptor
+    assert (rows, error) == _fill(_bare_tower(*fields), [depth])
+    assert (rows, error) == _stepwise(_bare_tower(*fields), depth)
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(tuhf.cli, "_load_tower_file", lambda path: _bare_tower(*fields)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = tuhf.cli.main(["tower", "show", "t.tower", "--levels", str(depth)])
+    printed = [line for line in out.getvalue().splitlines() if line.startswith("level ")]
+    assert printed == [
+        f"level {n} k {k}" if s is None else f"level {n} k {k} s {s} t {t}"
+        for n, (k, s, t) in enumerate(rows, 1)
+    ]
+    assert (code, err.getvalue()) == ((0, "") if error is None else (1, f"error: {error}\n"))
 
 
 # -- supernatural pair ---------------------------------------------------
