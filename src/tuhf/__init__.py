@@ -40,7 +40,6 @@ from .embeddings import (
     identity_embedding,
     image_of_unit,
     nest,
-    regularize,
     standard,
     tensor_embed,
 )

@@ -41,8 +41,8 @@ from .partitions import (
     OrderedPartition,
     OutOfRange,
     ShapeMismatch,
-    _parse_partition_after,
     format_partition,
+    parse_partition,
 )
 from .supernatural import (
     factorize,
@@ -516,14 +516,11 @@ def load_auto_data(text: str) -> tuple[FiniteAutoData, ...]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        # The directive is the text before the first space; what follows
-        # it is read in place rather than copied out of a long line.
-        space = line.find(" ")
-        head = line if space < 0 else line[:space]
+        head, _, rest = line.partition(" ")
         if head == "levels":
             if pending is not None:
                 raise FormatError(f"line {lineno}: levels line without an action")
-            parts = line.split()[1:]
+            parts = rest.split()
             if len(parts) != 2:
                 raise FormatError(f"line {lineno}: levels needs two integers")
             try:
@@ -534,7 +531,7 @@ def load_auto_data(text: str) -> tuple[FiniteAutoData, ...]:
             if pending is None:
                 raise FormatError(f"line {lineno}: action line without levels")
             try:
-                p = _parse_partition_after(line, 1)
+                p = parse_partition(rest)
             except (InvalidPartition, FormatError) as exc:
                 raise FormatError(f"line {lineno}: {exc}") from None
             try:

@@ -13,7 +13,7 @@ import argparse
 import decimal
 import functools
 import sys
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import NoReturn, Optional, Sequence
 
@@ -29,7 +29,7 @@ from .automorphisms import (
     shift_auto,
 )
 from .checks import run_all
-from .embeddings import compare_embeddings, compose_embeddings, tensor_embed
+from .embeddings import RegularEmbedding, compare_embeddings, compose_embeddings, tensor_embed
 from .errors import FormatError, TuhfError
 from .gelfand import gelfand_readings, parse_point
 from .matrices import normalizer_split, parse_matrix
@@ -87,8 +87,9 @@ def _cmd_tower_show(args: argparse.Namespace) -> int:
     levels = _positive(args.levels, "--levels")
     with decimal.localcontext(_EXACT):
         first = tuple(decimal.Decimal(v) for v in (tower.k1, tower.s1, tower.t1))
-        walk = islice(tower._walk(1, *first), levels - 1)
-        for n, (k, s, t) in enumerate(chain((first,), walk), 1):
+        # The range comes first, so no level past the last one is stepped.
+        walk = chain((first,), tower._walk(1, *first))
+        for n, (k, s, t) in zip(range(1, levels + 1), walk):
             if s is None:
                 print(f"level {n} k {k!s}")
             else:
@@ -143,6 +144,16 @@ def _cmd_shift(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_embedding(emb: RegularEmbedding) -> int:
+    """Print k_from, k_to and the partition, and give exit code 0.  The
+    partition is formatted first, so a refused build leaves stdout empty."""
+    text = format_partition(emb.diag)
+    print(f"k_from {emb.k_from}")
+    print(f"k_to {emb.k_to}")
+    print(text)
+    return 0
+
+
 def _cmd_embed_compose(args: argparse.Namespace) -> int:
     k = args.k
     emb = None
@@ -150,10 +161,7 @@ def _cmd_embed_compose(args: argparse.Namespace) -> int:
         step = parse_descriptor(text).embedding(k if emb is None else emb.k_to)
         emb = step if emb is None else compose_embeddings(step, emb)
     assert emb is not None  # argparse enforces at least one descriptor
-    print(f"k_from {emb.k_from}")
-    print(f"k_to {emb.k_to}")
-    print(format_partition(emb.diag))
-    return 0
+    return _print_embedding(emb)
 
 
 def _cmd_embed_compare(args: argparse.Namespace) -> int:
@@ -166,11 +174,7 @@ def _cmd_embed_compare(args: argparse.Namespace) -> int:
 def _cmd_embed_tensor(args: argparse.Namespace) -> int:
     a = parse_descriptor(args.descriptor_a).embedding(args.k)
     b = parse_descriptor(args.descriptor_b).embedding(args.j)
-    emb = tensor_embed(a, b)
-    print(f"k_from {emb.k_from}")
-    print(f"k_to {emb.k_to}")
-    print(format_partition(emb.diag))
-    return 0
+    return _print_embedding(tensor_embed(a, b))
 
 
 def _cmd_gelfand_cmp(args: argparse.Namespace) -> int:

@@ -20,11 +20,12 @@ it records (k, s, t), composes by multiplying multiplicities, reads the
 r-th element of a block by arithmetic, and builds its partition only
 when ``diag`` is read.  That arithmetic, with its range checks, is the
 one function ``_alternating_rank(k, s, t, i, r)``: ``rank_image`` of a
-closed form calls it, and the Gelfand walk calls it on a descriptor's
-(s, t) without making an embedding.  ``standard`` and ``nest`` build
-their block formulas explicitly and serve as the reference the closed
-form is checked against, so the tensor identities relating the three stay
-honest, independently checkable facts rather than definitions.
+closed form calls it, and so does ``towers.Descriptor.rank_image`` on a
+descriptor's (s, t), without making an embedding.  ``standard`` and
+``nest`` build their block formulas explicitly and serve as the
+reference the closed form is checked against, so the tensor identities
+relating the three stay honest, independently checkable facts rather
+than definitions.
 
 ``_tensor_blocks`` is the one row-major tensor formula: ``tensor_embed``
 and the blockwise automorphisms of tensor towers both build through it.
@@ -37,7 +38,7 @@ memory.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -255,23 +256,6 @@ def compare_embeddings(a: RegularEmbedding, b: RegularEmbedding) -> EmbeddingOrd
             f"cannot compare {a.k_from}->{a.k_to} with {b.k_from}->{b.k_to}"
         )
     return _ORDER_MAP[partitions.compare(a.diag, b.diag)]
-
-
-def regularize(raw: Mapping[int, Iterable[int]]) -> RegularEmbedding:
-    """Canonical regular embedding from diagonal-unit image sets.
-
-    ``raw`` maps each diagonal index 1..k to the set of diagonal slots
-    its image occupies.  The sets must form an ordered partition (equal
-    sizes, rank-ordered); off-diagonal images are then fixed by rank
-    pairing, the unique triangularity-compatible completion.
-    """
-    k = len(raw)
-    if sorted(raw) != list(range(1, k + 1)):
-        raise partitions.InvalidPartition(
-            f"diagonal indices must be exactly 1..{k}, got {sorted(raw)}"
-        )
-    diag = OrderedPartition.from_blocks(raw[i] for i in range(1, k + 1))
-    return RegularEmbedding(diag)
 
 
 def _tensor_blocks(

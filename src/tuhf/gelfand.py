@@ -19,13 +19,13 @@ Every reading makes one range check: depths first, then x's
 coordinates, then y's, against sizes k1 and each descriptor's
 multiplicity.  A pair is then walked once, both chains together, up to
 the deepest coordinate disagreement d only, holding k_n and the two
-current chain indices, so a point costs memory linear in its depth.  A
-``std``/``nest``/``alt`` level steps an index by arithmetic on the
-descriptor's ints (``embeddings._alternating_rank``:
-i -> (r // t)*k*t + (i-1)*t + r % t + 1, then k -> k*s*t) and builds no
-embedding; a ``part`` level reads its partition.  The walk's result
-(d, i_d, j_d) feeds three views, each building only what it returns:
-``gelfand_readings`` all three lines of ``gelfand cmp``,
+current chain indices, so a point costs memory linear in its depth.
+Each level steps an index by ``Descriptor.rank_image``: a
+``std``/``nest``/``alt`` level by arithmetic on the descriptor's ints
+(i -> (r // t)*k*t + (i-1)*t + r % t + 1, then k -> k*s*t), building no
+embedding, and a ``part`` level by reading its partition.  The walk's
+result (d, i_d, j_d) feeds three views, each building only what it
+returns: ``gelfand_readings`` all three lines of ``gelfand cmp``,
 ``gelfand_compare_via_projections`` the projection order, and
 ``relation_member`` the witness.  ``projection_chain`` steps one point
 the same way and keeps every level.
@@ -36,7 +36,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .embeddings import _alternating_rank
 from .errors import DomainError, FormatError
 from .partitions import OutOfRange
 from .towers import TowerSpec
@@ -109,19 +108,13 @@ def _walk(
     tower: TowerSpec, xs: tuple[int, ...], ys: tuple[int, ...], depth: int
 ) -> tuple[int, int]:
     """The checked coordinates' chain indices (i, j) at level ``depth``, from
-    one walk that holds only k_n and the two current indices.  A closed-form
-    level steps by arithmetic on (k, s, t); a ``part`` level reads its
-    partition."""
+    one walk that holds only k_n and the two current indices, each step
+    one ``Descriptor.rank_image``."""
     i, j = xs[0] + 1, ys[0] + 1
     k = tower.k1
     for n in range(1, depth):
         d = tower.descriptor_at(n)
-        if d.partition is None:
-            s, t = d.s_mult, d.t_mult
-            i, j = _alternating_rank(k, s, t, i, xs[n]), _alternating_rank(k, s, t, j, ys[n])
-        else:
-            rank = d.embedding(k).rank_image
-            i, j = rank(i, xs[n]), rank(j, ys[n])
+        i, j = d.rank_image(k, i, xs[n]), d.rank_image(k, j, ys[n])
         k *= d.multiplicity
     return i, j
 
@@ -172,10 +165,7 @@ def projection_chain(tower: TowerSpec, x: GelfandPoint) -> tuple[int, ...]:
     k = tower.k1
     for n in range(1, len(xs)):
         d = tower.descriptor_at(n)
-        if d.partition is None:
-            chain.append(_alternating_rank(k, d.s_mult, d.t_mult, chain[-1], xs[n]))
-        else:
-            chain.append(d.embedding(k).rank_image(chain[-1], xs[n]))
+        chain.append(d.rank_image(k, chain[-1], xs[n]))
         k *= d.multiplicity
     return tuple(chain)
 

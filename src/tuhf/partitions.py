@@ -549,16 +549,6 @@ def _strict_grid(body: str, m: int, n: int) -> Optional[np.ndarray]:
     return np.sort(values.reshape(n, size), axis=1)
 
 
-def parse_partition(text: str) -> OrderedPartition:
-    """Parse ``m=<int> n=<int> blocks=<semicolon-separated comma lists>``.
-
-    From ``m`` of ``_VECTOR_MIN`` on, a body in the strict grammar that
-    ends the text is read as one array; any other body is read token by
-    token, so errors and their messages do not depend on the path.
-    """
-    return _parse_partition_after(text, 0)
-
-
 def _strict_fields(fields: list[str]) -> Optional[np.ndarray]:
     """The grid of ``m=``, ``n=`` and ``blocks=`` fields whose body the
     strict reader takes, else None."""
@@ -577,18 +567,20 @@ def _strict_fields(fields: list[str]) -> Optional[np.ndarray]:
     return _strict_grid(fields[2][len("blocks="):], m, n)
 
 
-def _parse_partition_after(text: str, skip: int) -> OrderedPartition:
-    """``parse_partition`` of what follows the first ``skip`` words of ``text``.
+def parse_partition(text: str) -> OrderedPartition:
+    """Parse ``m=<int> n=<int> blocks=<semicolon-separated comma lists>``.
 
-    Only the words before the body are split off at first: the strict
-    grammar admits no whitespace, so a body it reads is never scanned for
-    whitespace.  Any other text is split in full and read by the token
-    path, which counts and names the fields.
+    From ``m`` of ``_VECTOR_MIN`` on, a body in the strict grammar that
+    ends the text is read as one array; any other body is read token by
+    token, so errors and their messages do not depend on the path.  Only
+    the two words before the body are split off at first: the strict
+    grammar admits no whitespace, so a body it reads is never scanned
+    for it.
     """
-    grid = _strict_fields(text.split(None, skip + 2)[skip:])
+    grid = _strict_fields(text.split(None, 2))
     if grid is not None:
         return OrderedPartition(grid)
-    parts = text.split()[skip:]
+    parts = text.split()
     if len(parts) != 3:
         raise FormatError(f"expected three fields in partition text, got {len(parts)}")
     fields = {}

@@ -180,9 +180,6 @@ class SupernaturalNumber:
     def infinite_primes(self) -> frozenset[int]:
         return frozenset(p for p, e in self.factors if e is INF)
 
-    def is_one(self) -> bool:
-        return not self.factors
-
     # -- arithmetic and formatting ------------------------------------
 
     def __mul__(self, other: "SupernaturalNumber") -> "SupernaturalNumber":

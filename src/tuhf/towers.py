@@ -33,6 +33,7 @@ from typing import Optional
 from . import supernatural
 from .embeddings import (
     RegularEmbedding,
+    _alternating_rank,
     alternating,
     compose_embeddings,
     identity_embedding,
@@ -131,6 +132,13 @@ class Descriptor:
             return alternating(k_from, self.s_mult, self.t_mult)
         self.k_to(k_from)  # refuses a partition that does not chain
         return RegularEmbedding(self.partition)
+
+    def rank_image(self, k_from: int, i: int, r: int) -> int:
+        """``embedding(k_from).rank_image(i, r)``; every kind but ``part``
+        steps by arithmetic on (k_from, s, t) and builds no embedding."""
+        if self.partition is None:
+            return _alternating_rank(k_from, self.s_mult, self.t_mult, i, r)
+        return self.embedding(k_from).rank_image(i, r)
 
 
 def parse_descriptor(text: str) -> Descriptor:

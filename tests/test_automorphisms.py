@@ -8,6 +8,7 @@ import pytest
 from tuhf import (
     Descriptor,
     FiniteAutoData,
+    FormatError,
     OrderedPartition,
     RegularEmbedding,
     ShiftWord,
@@ -437,3 +438,27 @@ def test_auto_data_round_trip(two_inf_alt):
     assert text.splitlines()[0] == "levels 1 2"
     back = load_auto_data(text)
     assert list(back) == [datum]
+
+
+@pytest.mark.parametrize(
+    "action, message",
+    [
+        ("action", "line 2: expected three fields in partition text, got 0"),
+        ("action\tm=4 n=2 blocks=1,3;2,4", "line 2: unknown directive 'action\\tm=4'"),
+        (
+            "action m=4 n=2 # blocks=1,3;2,4",
+            "line 2: expected three fields in partition text, got 2",
+        ),
+    ],
+    ids=["empty", "tab", "comment"],
+)
+def test_auto_data_action_line_errors(action, message):
+    with pytest.raises(FormatError) as exc:
+        load_auto_data(f"levels 1 2\n{action}\n")
+    assert str(exc.value) == message
+
+
+def test_auto_data_reads_past_tabs_and_comments_after_the_directive():
+    text = "levels 1 2\naction m=4\tn=2  blocks=1,3;2,4 # first\n"
+    (datum,) = load_auto_data(text)
+    assert datum.action == OrderedPartition(np.array([[1, 3], [2, 4]]))

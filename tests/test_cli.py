@@ -177,6 +177,24 @@ def test_factor_names_the_line_of_a_bad_action(files, capsys, action, message):
     assert (code, out, err) == (2, "", f"error: line 3: {message}\n")
 
 
+def test_factor_reads_each_action_through_parse_partition(files, capsys, monkeypatch):
+    texts = []
+    real = tuhf.automorphisms.parse_partition
+
+    def spy(text):
+        texts.append(text)
+        return real(text)
+
+    monkeypatch.setattr(tuhf.automorphisms, "parse_partition", spy)
+    f = files("two.tower", TWO_INF)
+    _, record, _ = run(capsys, "shift", f, "-p", "2", "--levels", "1..3")
+    code, _, _ = run(capsys, "factor", f, "--auto", files("two.auto", record))
+    assert code == 0
+    # the text after the directive, as written
+    actions = [line for line in record.splitlines() if line.startswith("action ")]
+    assert texts == [line[len("action "):] for line in actions] and len(texts) == 2
+
+
 def test_shift_builds_no_level_past_the_range(files, capsys, monkeypatch):
     requested = []
     real = tuhf.automorphisms.word_action
@@ -242,18 +260,18 @@ def test_help_is_unchanged(capsys):
 def test_gelfand_cmp_checks_and_walks_once(files, capsys, monkeypatch):
     calls = {"sizes": 0, "rank": 0}
     real_sizes = tuhf.gelfand.coordinate_sizes
-    real_rank = tuhf.gelfand._alternating_rank
+    real_rank = Descriptor.rank_image
 
     def sizes(tower, depth):
         calls["sizes"] += 1
         return real_sizes(tower, depth)
 
-    def rank(k, s, t, i, r):
+    def rank(self, k_from, i, r):
         calls["rank"] += 1
-        return real_rank(k, s, t, i, r)
+        return real_rank(self, k_from, i, r)
 
     monkeypatch.setattr(tuhf.gelfand, "coordinate_sizes", sizes)
-    monkeypatch.setattr(tuhf.gelfand, "_alternating_rank", rank)
+    monkeypatch.setattr(Descriptor, "rank_image", rank)
     f = files("two.tower", TWO_INF)
     code, out, _ = run(capsys, "gelfand", "cmp", f, "--x", "0,1", "--y", "1,0")
     assert code == 0 and out.endswith("witness level 2 i 2 j 3\n")
@@ -459,8 +477,9 @@ def test_bad_split_is_domain_error(files, capsys, split):
     [
         (("shift", "{f}", "-p", "2", "--levels", "2..4"), 256),
         (("embed", "tensor", "--k", "2", "--j", "2", "std 4", "std 8"), 128),
+        (("embed", "compose", "--k", "2", "alt 4 4", "alt 2 2"), 128),
     ],
-    ids=["shift", "embed-tensor"],
+    ids=["shift", "embed-tensor", "embed-compose"],
 )
 def test_materialization_budget_refuses_large_partitions(
     files, capsys, monkeypatch, argv, size
@@ -646,6 +665,25 @@ def test_level_table_and_show_share_one_step(files, capsys, monkeypatch):
     assert run(capsys, "tower", "show", files("two.tower", TWO_INF), "--levels", "6")[0] == 0
     # loading fills the int table to level 3; the show walk steps on decimals
     assert walks == [[(2, int), (3, int)], [(n, decimal.Decimal) for n in range(2, 7)]]
+
+
+def test_tower_show_takes_a_levels_count_past_sys_maxsize(files, capsys, monkeypatch):
+    # every real tower chains forever, so this walk stops itself after two steps
+    def walk(self, level, k, s, t):
+        yield k * 2, s, t * 2
+        yield k * 4, s, t * 4
+        raise tuhf.towers.ChainMismatch("level 3: part descriptor expects k=5, got 16")
+
+    monkeypatch.setattr(TowerSpec, "_walk", walk)
+    f = files("two.tower", TWO_INF)
+    code, out, err = run(capsys, "tower", "show", f, "--levels", str(10**20))
+    assert code == 1
+    assert out.splitlines() == [
+        "level 1 k 4 s 2 t 2",
+        "level 2 k 8 s 2 t 4",
+        "level 3 k 16 s 2 t 8",
+    ]
+    assert err == "error: level 3: part descriptor expects k=5, got 16\n"
 
 
 BIG_PRIME = 1000000000000000003

@@ -279,3 +279,63 @@ _range = st.one_of(
 )
 def test_shift_on_any_level_range(towers, levels, p, tower):
     _assert_clean(*_cli(["shift", towers[tower], "-p", p, "--levels", levels]))
+
+
+# -- every bounded integer option at the edges of machine integers ----------
+
+EDGES = {
+    "0": "0",
+    "-1": "-1",
+    "2^63-1": str(2**63 - 1),
+    "2^63": str(2**63),
+    "2^64": str(2**64),
+    "10^20": str(10**20),
+    "5000-digit": HUGE[0],
+}
+# Each command's run is bounded whatever the value: it is refused, or it
+# builds at most a few levels before the budget or a range check stops it.
+# `tower show --levels` and `check all --cases` only take the values they
+# refuse, since their runs grow with a valid value (a patched walk in
+# test_cli.py covers a `--levels` past sys.maxsize).
+SWEPT = {
+    "embed-compose-k": ["embed", "compose", "--k", "{v}", "alt 2 2", "std 2"],
+    "embed-compare-k": ["embed", "compare", "--k", "{v}", "std 2", "nest 2"],
+    "embed-tensor-k": ["embed", "tensor", "--k", "{v}", "--j", "2", "std 2", "alt 2 1"],
+    "embed-tensor-j": ["embed", "tensor", "--k", "2", "--j", "{v}", "std 2", "alt 2 1"],
+    "shift-prime": ["shift", "{tower}", "-p", "{v}", "--levels", "1..3"],
+    "normalize-prime": ["tower", "normalize", "{tower}", "-p", "{v}"],
+    "shift-levels-from": ["shift", "{tower}", "-p", "2", "--levels={v}..3"],
+    "shift-levels-to": ["shift", "{tower}", "-p", "2", "--levels", "1..{v}"],
+    "check-seed": ["check", "all", "{tower}", "--seed", "{v}", "--cases", "1"],
+    "gelfand-x": ["gelfand", "cmp", "{tower}", "--x", "{v}", "--y", "0"],
+    "gelfand-y-deep": ["gelfand", "cmp", "{tower}", "--x", "0,1", "--y", "0,{v}"],
+    "factor-level-from": ["factor", "{tower}", "--auto", "{auto}"],
+    "factor-level-to": ["factor", "{tower}", "--auto", "{auto}"],
+    "show-levels": ["tower", "show", "{tower}", "--levels", "{v}"],
+    "check-cases": ["check", "all", "{tower}", "--cases", "{v}"],
+}
+GROWING = ("show-levels", "check-cases")
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        pytest.param(option, value, id=f"{option}-{name}")
+        for option in SWEPT
+        for name, value in EDGES.items()
+        if option not in GROWING or name in ("0", "-1")
+    ],
+)
+def test_integer_options_at_the_edges(workdir, towers, option, value):
+    record = RECORDS[0]
+    if option == "factor-level-from":
+        record = record.replace("levels 2 3", f"levels {value} 3")
+    elif option == "factor-level-to":
+        record = record.replace("levels 2 3", f"levels 2 {value}")
+    auto = workdir / "edge.auto"
+    auto.write_text(record)
+    fields = {"v": value, "tower": towers[0], "auto": auto}
+    code, out, err = _cli([a.format(**fields) for a in SWEPT[option]])
+    _assert_clean(code, out, err)
+    if option in GROWING:
+        assert (code, out) == (2, "")

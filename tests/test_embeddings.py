@@ -17,12 +17,11 @@ from tuhf import (
     image_of_unit,
     nest,
     parse_descriptor,
-    regularize,
     standard,
     tensor_embed,
 )
 from tuhf.embeddings import IndexOutOfRange, LowerTriangularRequest, _alternating_rank
-from tuhf.partitions import InvalidPartition, OutOfRange, ShapeMismatch
+from tuhf.partitions import OutOfRange, ShapeMismatch
 
 SMALL = range(1, 5)  # exhaustive ranges of k, s and t for the closed form
 
@@ -254,22 +253,6 @@ def test_order_preserved_under_composition():
         compare_embeddings(compose_embeddings(c, a), compose_embeddings(c, b))
         is EmbeddingOrder.LESS
     )
-
-
-# -- regularize ----------------------------------------------------------
-
-def test_regularize_standard():
-    assert regularize({1: (1, 3), 2: (2, 4)}) == standard(2, 2)
-
-
-def test_regularize_alternating():
-    got = regularize({1: (1, 2, 5, 6), 2: (3, 4, 7, 8)})
-    assert got == alternating(2, 2, 2)
-
-
-def test_regularize_rejects_rank_violation():
-    with pytest.raises(InvalidPartition):
-        regularize({1: (1, 4), 2: (2, 3)})
 
 
 # -- tensor --------------------------------------------------------------

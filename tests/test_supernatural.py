@@ -69,7 +69,7 @@ def test_infinite_exponent_absorbs():
 
 def test_exponent_zero_drops_prime():
     assert S({2: 0, 3: 1}) == S({3: 1})
-    assert S({2: 0}).is_one()
+    assert S({2: 0}) == SupernaturalNumber()
 
 
 def test_parse_format_round_trip():
