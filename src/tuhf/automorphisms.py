@@ -35,7 +35,7 @@ from .embeddings import (
     _tensor_blocks,
     alternating,
 )
-from .errors import DomainError, FormatError, TuhfError
+from .errors import DomainError, FormatError, TuhfError, _content_lines
 from .partitions import (
     InvalidPartition,
     OrderedPartition,
@@ -512,35 +512,26 @@ def format_auto_data(data: Sequence[FiniteAutoData]) -> str:
 def load_auto_data(text: str) -> tuple[FiniteAutoData, ...]:
     records: list[FiniteAutoData] = []
     pending: Optional[tuple[int, int]] = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         head, _, rest = line.partition(" ")
-        if head == "levels":
-            if pending is not None:
-                raise FormatError(f"line {lineno}: levels line without an action")
-            parts = rest.split()
-            if len(parts) != 2:
-                raise FormatError(f"line {lineno}: levels needs two integers")
-            try:
-                pending = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise FormatError(f"line {lineno}: levels needs two integers") from None
-        elif head == "action":
-            if pending is None:
-                raise FormatError(f"line {lineno}: action line without levels")
-            try:
-                p = parse_partition(rest)
-            except (InvalidPartition, FormatError) as exc:
-                raise FormatError(f"line {lineno}: {exc}") from None
-            try:
-                records.append(FiniteAutoData(pending[0], pending[1], p))
-            except OutOfRange as exc:
-                raise FormatError(f"line {lineno}: {exc}") from None
-            pending = None
-        else:
-            raise FormatError(f"line {lineno}: unknown directive {head!r}")
+        try:
+            if head == "levels":
+                if pending is not None:
+                    raise FormatError("levels line without an action")
+                try:
+                    level_from, level_to = map(int, rest.split())
+                except ValueError:
+                    raise FormatError("levels needs two integers") from None
+                pending = (level_from, level_to)
+            elif head == "action":
+                if pending is None:
+                    raise FormatError("action line without levels")
+                records.append(FiniteAutoData(*pending, parse_partition(rest)))
+                pending = None
+            else:
+                raise FormatError(f"unknown directive {head!r}")
+        except (InvalidPartition, FormatError, OutOfRange) as exc:
+            raise FormatError(f"line {lineno}: {exc}") from None
     if pending is not None:
         raise FormatError("dangling levels line at end of input")
     if not records:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import functools
+import re
 import sys
 from itertools import chain
 from pathlib import Path
@@ -221,7 +222,16 @@ def _cmd_check_all(args: argparse.Namespace) -> int:
 # -- parser --------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad argument as one ``error: <message>`` line, exit 2."""
+    """Reports a bad argument as one ``error: <message>`` line, exit 2.
+
+    No option starts with ``-`` and a digit, so an argument that does is
+    a value, such as the level range ``-1..3`` or the point ``-1,1``,
+    and reaches the command's own checks.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
 
     def error(self, message: str) -> NoReturn:
         self.exit(2, f"error: {message}\n")

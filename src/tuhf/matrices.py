@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embeddings import RegularEmbedding
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, _content_lines
 from .partitions import ShapeMismatch
 
 UNIT_TOL = 1e-9
@@ -124,9 +124,6 @@ class DiagonalUnitary:
     @property
     def k(self) -> int:
         return len(self.phases)
-
-    def to_matrix(self) -> np.ndarray:
-        return np.diag(np.array(self.phases, dtype=complex))
 
 
 def recompose(d: DiagonalUnitary, w: PartialPermutationMatrix) -> ComplexUpperTriangular:
@@ -255,11 +252,7 @@ def format_matrix(m: ComplexUpperTriangular) -> str:
 
 
 def parse_matrix(text: str) -> ComplexUpperTriangular:
-    lines = [
-        stripped
-        for raw in text.splitlines()
-        if (stripped := raw.split("#", 1)[0].strip())
-    ]
+    lines = [line for _, line in _content_lines(text)]
     if not lines or not lines[0].startswith("dim "):
         raise FormatError("matrix text must start with a 'dim <k>' line")
     try:

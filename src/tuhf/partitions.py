@@ -29,11 +29,12 @@ The text form is ``m=<m> n=<n> blocks=<body>``, the body being the
 blocks' elements in decimal, ``,`` within a block and ``;`` between
 blocks.  From m = ``_VECTOR_MIN`` on, ``format_partition`` writes the
 body as one uint8 array, byte for byte the text of the joins it uses
-below that size.  ``parse_partition`` reads a body as one array only
-when it is in the strict grammar (m tokens of 1 to 18 ASCII digits, a
-``;`` after every (m/n)-th) and hands the grid to the fully validating
-constructor; every other body is read token by token, as at every
-smaller size, so every error and its message is the token path's.
+below that size.  ``parse_partition`` checks the two header words once,
+then reads a body as one array only when it is in the strict grammar
+(m tokens of 1 to 18 ASCII digits, a ``;`` after every (m/n)-th) and
+hands the grid to the fully validating constructor; every other body
+is read token by token, as at every smaller size, so every error and
+its message is the token path's.
 """
 
 from __future__ import annotations
@@ -316,10 +317,6 @@ class OrderedSubpartition:
             rows.pop()
         return cls(tuple(rows))
 
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
 
@@ -549,50 +546,44 @@ def _strict_grid(body: str, m: int, n: int) -> Optional[np.ndarray]:
     return np.sort(values.reshape(n, size), axis=1)
 
 
-def _strict_fields(fields: list[str]) -> Optional[np.ndarray]:
-    """The grid of ``m=``, ``n=`` and ``blocks=`` fields whose body the
-    strict reader takes, else None."""
-    if len(fields) != 3 or not (
-        fields[0].startswith("m=")
-        and fields[1].startswith("n=")
-        and fields[2].startswith("blocks=")
-    ):
-        return None
-    try:
-        m, n = int(fields[0][2:]), int(fields[1][2:])
-    except ValueError:
-        return None
-    if m < _VECTOR_MIN or n < 1 or m % n:
-        return None
-    return _strict_grid(fields[2][len("blocks="):], m, n)
+_KEYS = ("m=", "n=", "blocks=")
 
 
 def parse_partition(text: str) -> OrderedPartition:
     """Parse ``m=<int> n=<int> blocks=<semicolon-separated comma lists>``.
 
-    From ``m`` of ``_VECTOR_MIN`` on, a body in the strict grammar that
-    ends the text is read as one array; any other body is read token by
-    token, so errors and their messages do not depend on the path.  Only
-    the two words before the body are split off at first: the strict
-    grammar admits no whitespace, so a body it reads is never scanned
-    for it.
+    The two header words are split off and checked once.  From ``m`` of
+    ``_VECTOR_MIN`` on, a body in the strict grammar is then read as one
+    array; any other body is read token by token, so errors and their
+    messages do not depend on the path.  The strict grammar admits no
+    whitespace, so a body it reads is never scanned for it; a header
+    error waits for the field count, the token path's first check.
     """
-    grid = _strict_fields(text.split(None, 2))
-    if grid is not None:
-        return OrderedPartition(grid)
-    parts = text.split()
-    if len(parts) != 3:
-        raise FormatError(f"expected three fields in partition text, got {len(parts)}")
-    fields = {}
-    for part, key in zip(parts, ("m", "n", "blocks")):
-        prefix = key + "="
-        if not part.startswith(prefix):
-            raise FormatError(f"expected field {key}=..., got {part!r}")
-        fields[key] = part[len(prefix):]
+    fields = text.split(None, 2)
+    if len(fields) == 3:
+        fields[2] = fields[2].rstrip()
+    error = None
+    for field, key in zip(fields, _KEYS):
+        if not field.startswith(key):
+            error = f"expected field {key}..., got {field!r}"
+            break
+    if error is None and len(fields) == 3:
+        try:
+            m, n = int(fields[0][2:]), int(fields[1][2:])
+        except ValueError as exc:
+            error = f"bad partition text: {exc}"
+        else:
+            if m >= _VECTOR_MIN and n >= 1 and m % n == 0:
+                grid = _strict_grid(fields[2][len("blocks="):], m, n)
+                if grid is not None:
+                    return OrderedPartition(grid)
+    count = len(fields) if len(fields) < 3 else 2 + len(fields[2].split())
+    if count != 3:
+        raise FormatError(f"expected three fields in partition text, got {count}")
+    if error is not None:
+        raise FormatError(error)
     try:
-        m = int(fields["m"])
-        n = int(fields["n"])
-        grid = _token_grid(fields["blocks"])
+        grid = _token_grid(fields[2][len("blocks="):])
     except ValueError as exc:
         raise FormatError(f"bad partition text: {exc}") from None
     p = OrderedPartition(grid)

@@ -21,7 +21,8 @@ File grammar (line oriented, ``#`` starts a comment)::
     cycle <descriptor>        # one or more, in order
 
 Descriptors: ``std <mult>``, ``nest <mult>``, ``alt <s> <t>``,
-``part <k_to> <partition serialization>``.
+``part <k_to> <partition serialization>``; the text after ``k_to`` goes
+to ``parse_partition`` as written.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .embeddings import (
     identity_embedding,
     tensor_embed,
 )
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, _content_lines
 from .partitions import (
     InvalidPartition,
     OrderedPartition,
@@ -164,7 +165,7 @@ def parse_descriptor(text: str) -> Descriptor:
                 raise InvalidDescriptor(f"part takes a size and a partition: {text!r}")
             k_to = int(tokens[1])
             try:
-                p = parse_partition(" ".join(tokens[2:]))
+                p = parse_partition(text.split(None, 2)[2])
             except (InvalidPartition, FormatError) as exc:
                 raise InvalidDescriptor(f"bad partition in descriptor: {exc}") from None
             if p.ground_size != k_to:
@@ -348,28 +349,24 @@ def load_tower(text: str) -> TowerSpec:
     header: dict[str, Optional[int]] = {"k1": None, "s1": None, "t1": None}
     preamble: list[Descriptor] = []
     cycle: list[Descriptor] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        if head in header:
-            try:
-                value = int(rest)
-            except ValueError:
-                raise ParseError(f"line {lineno}: {head} needs an integer, got {rest!r}") from None
-            if header[head] is not None:
-                raise ParseError(f"line {lineno}: duplicate {head} line")
-            header[head] = value
-        elif head in ("preamble", "cycle"):
-            try:
-                d = parse_descriptor(rest)
-            except InvalidDescriptor as exc:
-                raise InvalidDescriptor(f"line {lineno}: {exc}") from None
-            (preamble if head == "preamble" else cycle).append(d)
-        else:
-            raise ParseError(f"line {lineno}: unknown directive {head!r}")
+        try:
+            if head in header:
+                try:
+                    value = int(rest)
+                except ValueError:
+                    raise ParseError(f"{head} needs an integer, got {rest!r}") from None
+                if header[head] is not None:
+                    raise ParseError(f"duplicate {head} line")
+                header[head] = value
+            elif head in ("preamble", "cycle"):
+                (preamble if head == "preamble" else cycle).append(parse_descriptor(rest))
+            else:
+                raise ParseError(f"unknown directive {head!r}")
+        except (ParseError, InvalidDescriptor) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
     k1 = header["k1"]
     if k1 is None:
         raise ParseError("missing k1 line")

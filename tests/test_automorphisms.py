@@ -1,5 +1,6 @@
 """Shift words, interval-form factorization, rank, torsion, tensor autos."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -44,7 +45,7 @@ from tuhf.automorphisms import (
     UnderdeterminedWord,
     word_action,
 )
-from tuhf.partitions import OutOfRange
+from tuhf.partitions import OutOfRange, ShapeMismatch
 from tuhf.towers import NotAlternatingTower
 
 IDENT = ShiftWord.identity()
@@ -430,6 +431,61 @@ def test_dirichlet_dimension_examples():
     assert all(dirichlet_dimension_check(k) for k in range(1, 21))
 
 
+# -- argument checks -----------------------------------------------------------
+
+_PART_TOWER = TowerSpec(
+    2,
+    preamble=(Descriptor("part", partition=OrderedPartition.from_blocks(((1, 3), (2, 4)))),),
+    cycle=(Descriptor("std", 2),),
+)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda t: word_action(_PART_TOWER, IDENT, 1),
+            NotAlternatingTower,
+            "level 1 has no (s, t) ratio",
+        ),
+        (
+            lambda t: word_action(t, ShiftWord(1, 3), 1),
+            TowerNotNormalizedForPrime,
+            "denominator 3 of 1/3 does not divide the level-1 s ratio 2",
+        ),
+        (
+            lambda t: word_action(t, ShiftWord(3, 1), 2),
+            TowerNotNormalizedForPrime,
+            "numerator 3 of 3/1 does not divide the level-2 t ratio 2",
+        ),
+        (
+            lambda t: materialize_word(t, ShiftWord(2, 1), 2, 2),
+            OutOfRange,
+            "need 1 <= m < m_to, got 2..2",
+        ),
+        (lambda t: torsion_check(t, ShiftWord(2, 1), 0), OutOfRange, "power must be >= 1, got 0"),
+        (
+            lambda t: lift_block_words(t.embedding(1).diag, [IDENT]),
+            ShapeMismatch,
+            "4 blocks need 4 words, got 1",
+        ),
+        (
+            lambda t: combine_tensor_autos(TensorTower(t, t), 1, [IDENT] * 3, IDENT),
+            ShapeMismatch,
+            "level 1 has 4 first-factor units, got 3 words",
+        ),
+        (lambda t: dirichlet_dimension_check(0), OutOfRange, "dimension must be >= 1, got 0"),
+    ],
+    ids=[
+        "word-part-level", "word-denominator", "word-numerator", "materialize-range",
+        "torsion-power", "lift-count", "combine-count", "dirichlet-dimension",
+    ],
+)
+def test_argument_checks(two_inf_alt, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(two_inf_alt)
+
+
 # -- persistence ---------------------------------------------------------------
 
 def test_auto_data_round_trip(two_inf_alt):
@@ -449,13 +505,44 @@ def test_auto_data_round_trip(two_inf_alt):
             "action m=4 n=2 # blocks=1,3;2,4",
             "line 2: expected three fields in partition text, got 2",
         ),
+        ("action m=4 n=2 blocks=1,3;2,4 5", "line 2: expected three fields in partition text, got 4"),
+        ("action m=4 k=2 blocks=1,3;2,4", "line 2: expected field n=..., got 'k=2'"),
+        ("action  m=4 n=2 blocks=3,4;1,2", "line 2: rank 1 of block 1 is not below rank 1 of block 2"),
     ],
-    ids=["empty", "tab", "comment"],
+    ids=["empty", "tab", "comment", "fields", "key", "rank-order"],
 )
 def test_auto_data_action_line_errors(action, message):
     with pytest.raises(FormatError) as exc:
         load_auto_data(f"levels 1 2\n{action}\n")
-    assert str(exc.value) == message
+    assert type(exc.value) is FormatError and str(exc.value) == message
+
+
+_ACTION = "action m=4 n=2 blocks=1,3;2,4"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f"levels 1 2\nlevels 2 3\n{_ACTION}\n", "line 2: levels line without an action"),
+        (f"levels 1\n{_ACTION}\n", "line 1: levels needs two integers"),
+        (f"levels 1 2 3\n{_ACTION}\n", "line 1: levels needs two integers"),
+        (f"# first\n\nlevels 1 x\n{_ACTION}\n", "line 3: levels needs two integers"),
+        (f"{_ACTION}\n", "line 1: action line without levels"),
+        (f"levels 2 2\n{_ACTION}\n", "line 2: level_to must exceed level_from, got 2..2"),
+        (f"levels 0 1\n{_ACTION}\n", "line 2: levels start at 1, got 0"),
+        (f"levels 1 2\n{_ACTION}\nrecord 3\n", "line 3: unknown directive 'record'"),
+        ("levels 1 2  # no action\n\n", "dangling levels line at end of input"),
+        ("# nothing\n\n   \n", "no auto-data records found"),
+    ],
+    ids=[
+        "levels-twice", "levels-one", "levels-three", "levels-int", "action-first",
+        "levels-order", "levels-zero", "directive", "dangling", "no-records",
+    ],
+)
+def test_auto_data_record_errors(text, message):
+    with pytest.raises(FormatError) as exc:
+        load_auto_data(text)
+    assert type(exc.value) is FormatError and str(exc.value) == message
 
 
 def test_auto_data_reads_past_tabs_and_comments_after_the_directive():

@@ -6,6 +6,7 @@ import time
 import pytest
 
 import tuhf.automorphisms
+import tuhf.checks
 import tuhf.cli
 import tuhf.embeddings
 import tuhf.gelfand
@@ -427,6 +428,27 @@ def test_check_all(files, capsys):
     }
 
 
+def test_check_all_reports_failing_and_raising_suites(files, capsys, monkeypatch):
+    def fails(rng, cases, tower):
+        return False, f"case 2 of {cases} broke"
+
+    def raises(rng, cases, tower):
+        raise ValueError("no such case")
+
+    suites = {"passes": lambda rng, cases, tower: (True, f"{cases} cases")}
+    suites.update(fails=fails, raises=raises)
+    monkeypatch.setattr(tuhf.checks, "SUITES", suites)
+    f = files("two.tower", TWO_INF)
+    code, out, err = run(capsys, "check", "all", f, "--cases", "3")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "passes ok (3 cases)",
+        "fails FAIL case 2 of 3 broke",
+        "raises FAIL raised ValueError: no such case",
+        "2 suite(s) failed",
+    ]
+
+
 def test_missing_file_is_parse_error(capsys):
     code, _, err = run(capsys, "tower", "show", "no-such-file.tower")
     assert code == 2 and "cannot read" in err
@@ -457,6 +479,26 @@ def test_counts_below_one_are_parse_errors(files, capsys, argv, message):
     f = files("two.tower", TWO_INF)
     code, out, err = run(capsys, *(a.format(f=f) for a in argv))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("shift", "{f}", "-p", "2", "--levels", "-1..3"), 2,
+         "need 1 <= a < b in a level range, got -1..3"),
+        (("shift", "{f}", "-p", "2", "--levels=-1..3"), 2,
+         "need 1 <= a < b in a level range, got -1..3"),
+        (("gelfand", "cmp", "{f}", "--x", "-1,1", "--y", "0,0"), 1,
+         "coordinate 1 is -1, allowed range 0..3"),
+        (("gelfand", "cmp", "{f}", "--x=-1,1", "--y", "0,0"), 1,
+         "coordinate 1 is -1, allowed range 0..3"),
+    ],
+    ids=["levels", "levels-equals", "point", "point-equals"],
+)
+def test_values_starting_with_a_minus_reach_the_checks(files, capsys, argv, code, message):
+    # no option starts with "-" and a digit, so such an argument is a value
+    f = files("two.tower", TWO_INF)
+    assert run(capsys, *(a.format(f=f) for a in argv)) == (code, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -44,6 +44,14 @@ def test_nest_patterns():
     assert blocks(nest(3, 1)) == ((1,), (2,), (3,))
 
 
+@pytest.mark.parametrize(
+    "make, k, mult", [(standard, 0, 2), (standard, 2, 0), (nest, 0, 3), (nest, 3, -1)]
+)
+def test_standard_and_nest_refuse_empty_shapes(make, k, mult):
+    with pytest.raises(ShapeMismatch, match=rf"^need k, mult >= 1, got k={k} mult={mult}$"):
+        make(k, mult)
+
+
 def test_alternating_pattern():
     assert blocks(alternating(2, 2, 2)) == ((1, 2, 5, 6), (3, 4, 7, 8))
     assert alternating(3, 1, 1).diag == standard(3, 1).diag

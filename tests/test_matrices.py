@@ -23,6 +23,7 @@ from tuhf import (
     straighten_level,
 )
 from tuhf.checks import random_ordered_partition, random_upper_triangular
+from tuhf.errors import FormatError
 from tuhf.matrices import (
     NonUnimodularPhase,
     NotNormalizingPartialIsometry,
@@ -248,3 +249,33 @@ def test_matrix_format_round_trip():
     assert text.splitlines()[0] == "dim 3"
     back = parse_matrix(text)
     assert np.array_equal(back.entries, v.entries)
+
+
+def test_matrix_text_skips_comments_and_blank_lines():
+    text = "# a phase\n\ndim 2  # k\n1,0 0,1\n\n   # row 2 follows\n0,0 0,-1\n"
+    assert np.array_equal(parse_matrix(text).entries, np.array([[1, 1j], [0, -1j]]))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "matrix text must start with a 'dim <k>' line"),
+        ("# only a comment\n", "matrix text must start with a 'dim <k>' line"),
+        ("size 2\n1,0\n", "matrix text must start with a 'dim <k>' line"),
+        ("dim x\n", "bad dimension 'x'"),
+        ("dim 0\n", "dimension must be positive, got 0"),
+        ("dim 2\n1,0 0,0\n", "expected 2 rows, got 1"),
+        ("dim 1\n1,0\n# extra\n1,0\n", "expected 1 rows, got 2"),
+        ("dim 2\n1,0\n0,0 1,0\n", "row 1 has 1 entries, expected 2"),
+        ("dim 1\n1\n", "entry (1,1) is not a re,im pair: '1'"),
+        ("dim 2\n1,0 0,0\n0,0 a,b\n", "entry (2,2) is not numeric: 'a,b'"),
+    ],
+    ids=[
+        "empty", "comment-only", "no-dim", "dim-int", "dim-zero", "few-rows", "many-rows",
+        "row-width", "pair", "numeric",
+    ],
+)
+def test_matrix_text_errors(text, message):
+    with pytest.raises(FormatError) as exc:
+        parse_matrix(text)
+    assert type(exc.value) is FormatError and str(exc.value) == message

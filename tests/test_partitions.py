@@ -601,3 +601,43 @@ def test_large_text_takes_the_array_path():
     body = text.split("blocks=")[1]
     assert ";" in body and _strict_grid(body, 512, 4) is not None
     assert parse_partition(text) == _BIG
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "expected three fields in partition text, got 0"),
+        ("m=4 n=2", "expected three fields in partition text, got 2"),
+        ("m=4 n=2 blocks=1,3 ;2,4", "expected three fields in partition text, got 4"),
+        # the field count comes before the keys and the integers
+        ("x=4 n=2 blocks=1 3", "expected three fields in partition text, got 4"),
+        ("m=x n=2 blocks=1,3;2,4 5", "expected three fields in partition text, got 4"),
+        (_big_text(m="x", after=" 5"), "expected three fields in partition text, got 4"),
+        ("k=4 n=2 blocks=1,3;2,4", "expected field m=..., got 'k=4'"),
+        ("m=4 k=2 blocks=1,3;2,4", "expected field n=..., got 'k=2'"),
+        ("m=4 n=2 block=1,3;2,4  ", "expected field blocks=..., got 'block=1,3;2,4'"),
+        # the keys come before the integers
+        ("k=4 n=x blocks=1,3;2,4", "expected field m=..., got 'k=4'"),
+        (_big_text().replace("n=4", "k=4"), "expected field n=..., got 'k=4'"),
+        ("m=x n=2 blocks=1,3;2,4", "bad partition text: invalid literal for int() with base 10: 'x'"),
+        ("m=4 n= blocks=1,3;2,4", "bad partition text: invalid literal for int() with base 10: ''"),
+        # the header integers come before the body's tokens
+        ("m=x n=2 blocks=1,y;2,4", "bad partition text: invalid literal for int() with base 10: 'x'"),
+        (_big_text(n="x"), "bad partition text: invalid literal for int() with base 10: 'x'"),
+        ("m=6 n=2 blocks=1,3;2,4", "declared shape m=6 n=2 does not match blocks (m=4 n=2)"),
+    ],
+    ids=[
+        "empty", "two-fields", "four-fields", "count-before-key", "count-before-int",
+        "large-count", "key-m", "key-n", "key-blocks", "key-before-int", "large-key",
+        "int-m", "int-n", "int-before-body", "large-int", "shape",
+    ],
+)
+def test_partition_text_header_errors(text, message):
+    with pytest.raises(FormatError) as exc:
+        parse_partition(text)
+    assert type(exc.value) is FormatError and str(exc.value) == message
+
+
+def test_partition_text_reads_past_surrounding_whitespace():
+    assert parse_partition(f"\t {_big_text(after='  ')}\n") == _BIG
+    assert parse_partition(" m=4\tn=2   blocks=1,3;2,4 \n") == from_blocks((1, 3), (2, 4))

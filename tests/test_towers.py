@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tuhf.cli
+import tuhf.towers
 
 from tuhf import (
     INF,
@@ -81,6 +82,77 @@ def test_load_parse_errors():
         load_tower("k1 4\nwidth 3\ncycle alt 2 2\n")
     with pytest.raises(InvalidDescriptor):
         load_tower("k1 4\ncycle bogus 2\n")
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("k1 4\ncycle bogus 2\n", InvalidDescriptor, "line 2: unknown descriptor kind 'bogus'"),
+        (
+            "# a tower\n\nk1 4\npreamble alt 2  # short\ncycle alt 2 2\n",
+            InvalidDescriptor,
+            "line 4: alt takes two multiplicities: 'alt 2'",
+        ),
+        (
+            "k1 2\ncycle part 6 m=4 n=2 blocks=1,3;2,4\n",
+            InvalidDescriptor,
+            "line 2: declared size 6 does not match partition ground 4",
+        ),
+        ("k1 4\ncycle\n", InvalidDescriptor, "line 2: empty descriptor"),
+        ("k1\ncycle alt 2 2\n", ParseError, "line 1: k1 needs an integer, got ''"),
+        ("k1 4\n\n# t1\nt1 2 2\ncycle alt 2 2\n", ParseError, "line 4: t1 needs an integer, got '2 2'"),
+        ("k1 4\n  preamble\tstd 2\ncycle alt 2 2\n", ParseError, "line 2: unknown directive 'preamble\\tstd'"),
+    ],
+    ids=["kind", "comments", "part-size", "empty", "k1-empty", "t1-two", "tab"],
+)
+def test_load_tower_names_the_line(text, error, message):
+    with pytest.raises(error) as exc:
+        load_tower(text)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty descriptor"),
+        ("std", "std takes one multiplicity: 'std'"),
+        ("nest 2 3", "nest takes one multiplicity: 'nest 2 3'"),
+        ("alt 2", "alt takes two multiplicities: 'alt 2'"),
+        ("part 4", "part takes a size and a partition: 'part 4'"),
+        (
+            "part 4 m=4 n=2 blocks=1,3 2,4",
+            "bad partition in descriptor: expected three fields in partition text, got 4",
+        ),
+        (
+            "part 4 m=4 n=2 blocks=1,x;2,4",
+            "bad partition in descriptor: bad partition text: "
+            "invalid literal for int() with base 10: 'x'",
+        ),
+        ("part 4 m=4 n=2 blocks=1,3;2,1", "bad partition in descriptor: element 1 occurs twice"),
+        ("part 6 m=4 n=2 blocks=1,3;2,4", "declared size 6 does not match partition ground 4"),
+        ("alt 2 x", "non-integer multiplicity in 'alt 2 x'"),
+        ("part four m=4 n=2 blocks=1,3;2,4", "non-integer multiplicity in 'part four m=4 n=2 blocks=1,3;2,4'"),
+        ("std 0", "multiplicities must be >= 1, got 0, 1"),
+        ("bogus 2", "unknown descriptor kind 'bogus'"),
+    ],
+    ids=[
+        "empty", "std", "nest", "alt", "part", "part-fields", "part-token", "part-invalid",
+        "part-size", "alt-int", "part-int", "std-zero", "kind",
+    ],
+)
+def test_descriptor_errors(text, message):
+    with pytest.raises(InvalidDescriptor) as exc:
+        parse_descriptor(text)
+    assert type(exc.value) is InvalidDescriptor and str(exc.value) == message
+
+
+def test_part_descriptor_hands_its_partition_text_over_as_written(monkeypatch):
+    seen = []
+    read = tuhf.towers.parse_partition
+    monkeypatch.setattr(tuhf.towers, "parse_partition", lambda text: seen.append(text) or read(text))
+    d = parse_descriptor(" part  4 m=4\tn=2  blocks=1,3;2,4 ")
+    assert seen == ["m=4\tn=2  blocks=1,3;2,4 "]
+    assert d == parse_descriptor("part 4 m=4 n=2 blocks=1,3;2,4")
 
 
 def test_load_part_descriptor_chain_checked():
