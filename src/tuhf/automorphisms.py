@@ -513,7 +513,8 @@ def load_auto_data(text: str) -> tuple[FiniteAutoData, ...]:
     records: list[FiniteAutoData] = []
     pending: Optional[tuple[int, int]] = None
     for lineno, line in _content_lines(text):
-        head, _, rest = line.partition(" ")
+        head, *tail = line.split(None, 1)
+        rest = tail[0] if tail else ""
         try:
             if head == "levels":
                 if pending is not None:

@@ -317,65 +317,48 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _piece_decomps(
-    images: Sequence[Sequence[int]], elems: Sequence[int], chunks: Sequence[frozenset[int]]
-) -> Iterator[tuple[range, ...]]:
-    """All ways to cut the source elements into len(chunks) intervals
-    whose images contain the matching chunks; ``images[j]`` is the block
-    of ``elems[j]``.  Containment prunes the recursion hard, so the
-    fan-out stays small in practice."""
-    n, size = len(chunks), len(elems)
-
-    def rec(start: int, pieces: list[range]) -> Iterator[tuple[range, ...]]:
-        i = len(pieces)
-        left = n - 1 - i  # pieces still to cut, one element each at least
-        img: set[int] = set()
-        for end in range(start + 1, size + 1 - left):
-            if elems[end - 1] - elems[start] != end - 1 - start:
-                break  # a gap inside the piece never heals
-            img.update(images[end - 1])
-            if chunks[i] <= img and (left or end == size):
-                pieces.append(range(elems[start], elems[end - 1] + 1))
-                if left:
-                    yield from rec(end, pieces)
-                else:
-                    yield tuple(pieces)
-                pieces.pop()
-
-    yield from rec(0, [])
-
-
 def _psize_runs(
     p: OrderedPartition, elems: Sequence[int], rng: Optional[random.Random] = None
 ) -> Iterator[tuple[tuple[range, ...], tuple[range, ...]]]:
     """Every (source runs, target runs) pair over the source elements
     ``elems`` of p: the sorted image is cut into n runs of size h plus a
-    nonempty remainder, and the elements into matching intervals.
+    nonempty remainder, and the elements into n matching intervals.
 
     The jumps are the positions j where the sorted image does not follow
-    position j-1.  Every cut is a contiguous interval exactly when each
-    jump falls on a cut, a multiple of h up to n*h, so one gcd and the
-    last jump decide each (n, h) before any run is built.  The runs are
-    forced once (n, h) is chosen, which is what makes enumeration cheap.
-    ``rng`` shuffles the (n, h) candidates.
+    position j-1.  Every target run is a contiguous interval exactly when
+    each jump falls on a multiple of h up to n*h, so one gcd and the last
+    jump decide each (n, h) before any run is built.  Source run i must
+    hold the position in ``elems`` of every element of target run i, so
+    cut i (where source run i+1 starts) lies after target run i's last
+    position and at or before target run i+1's first; these spans are
+    disjoint and increasing, so every choice of cuts increases.  Every
+    gap in ``elems`` must be a cut.  ``rng`` shuffles the (n, h)
+    candidates.
     """
     blocks = p.blocks
-    images = [blocks[e - 1] for e in elems]
-    sorted_image = sorted(set().union(*images))
-    t = len(sorted_image)
+    owners = sorted((x, j) for j, e in enumerate(elems) for x in blocks[e - 1])
+    sorted_image = [x for x, _ in owners]
+    where = [j for _, j in owners]
+    t, size = len(sorted_image), len(elems)
     jumps = [j for j in range(1, t) if sorted_image[j] != sorted_image[j - 1] + 1]
     step, last = math.gcd(*jumps), (jumps[-1] if jumps else 0)
-    pairs = [(n, h) for n in range(1, len(elems) + 1) for h in range(1, (t - 1) // n + 1)]
+    gaps = {j for j in range(1, size) if elems[j] != elems[j - 1] + 1}
+    pairs = [(n, h) for n in range(1, size + 1) for h in range(1, (t - 1) // n + 1)]
     if rng is not None:
         rng.shuffle(pairs)
     for n, h in pairs:
         if step % h or last > n * h:
             continue
-        cuts = [(j * h, (j + 1) * h) for j in range(n)] + [(n * h, t)]
-        s_runs = tuple(range(sorted_image[lo], sorted_image[hi - 1] + 1) for lo, hi in cuts)
-        chunks = [frozenset(run) for run in s_runs[:n]]
-        for r_runs in _piece_decomps(images, elems, chunks):
-            yield r_runs, s_runs
+        bounds = [(j * h, (j + 1) * h) for j in range(n)] + [(n * h, t)]
+        s_runs = tuple(range(sorted_image[lo], sorted_image[hi - 1] + 1) for lo, hi in bounds)
+        spans = [
+            range(max(where[lo:hi]) + 1, min(where[hi : hi + h]) + 1) for lo, hi in bounds[: n - 1]
+        ]
+        for cuts in itertools.product(*spans):
+            if gaps.issubset(cuts):
+                ends = (0, *cuts, size)
+                r_runs = tuple(range(elems[a], elems[b - 1] + 1) for a, b in zip(ends, ends[1:]))
+                yield r_runs, s_runs
 
 
 def enumerate_psize_instances(

@@ -404,7 +404,7 @@ def psize_oracle(
             prev_hi = run[-1]
     if any(len(run) != len(s_runs[0]) for run in s_runs[:n]):
         raise HypothesisViolated("the first n target runs must have equal sizes")
-    images = [set().union(*(unit_embedding.block(x) for x in run)) for run in r_runs]
+    images = [set().union(*unit_embedding.blocks[run.start - 1 : run.stop - 1]) for run in r_runs]
     if set().union(*images) != set().union(*s_runs):
         raise HypothesisViolated("embedding image of the source union must equal the target union")
     for i, (run, img) in enumerate(zip(s_runs, images), 1):

@@ -350,8 +350,8 @@ def load_tower(text: str) -> TowerSpec:
     preamble: list[Descriptor] = []
     cycle: list[Descriptor] = []
     for lineno, line in _content_lines(text):
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+        head, *tail = line.split(None, 1)
+        rest = tail[0] if tail else ""
         try:
             if head in header:
                 try:

@@ -15,6 +15,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from tuhf.automorphisms import (
     ShiftWord,
     alternating_iso,
@@ -46,17 +48,27 @@ from tuhf.towers import Descriptor, TensorTower, TowerSpec, format_tower
 # One line per criterion; tests/conftest.py prints the collected lines
 # as a terminal-summary section after the run, past pytest's capture.
 _SCORECARD: list[str] = []
+_started = 0.0
+
+
+@pytest.fixture(autouse=True)
+def _stamp_start() -> None:
+    """Stamp each test's start, so its scorecard line can carry its elapsed time."""
+    global _started
+    _started = time.perf_counter()
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
     """Record one scorecard line, then assert.
 
     The line is recorded before the assert so failures still show up in
-    the end-of-run scorecard as FAIL lines.
+    the end-of-run scorecard as FAIL lines.  It ends with the test's
+    elapsed time up to this call.
     """
     line = f"ACCEPTANCE {num:2d} {'PASS' if ok else 'FAIL'}  {desc}"
     if detail:
         line = f"{line}  [{detail}]"
+    line = f"{line}  ({time.perf_counter() - _started:.2f} s)"
     _SCORECARD.append(line)
     assert ok, line
 

@@ -1,5 +1,6 @@
 """Ordered partitions, subpartitions, runs, and the run-size oracle."""
 
+import hashlib
 import itertools
 import random
 
@@ -22,7 +23,7 @@ from tuhf import (
     restrict_prefix,
     runs_of,
 )
-from tuhf.checks import random_ordered_partition
+from tuhf.checks import enumerate_psize_instances, random_ordered_partition, random_psize_instance
 from tuhf.embeddings import alternating
 from tuhf.errors import FormatError
 from tuhf.partitions import (
@@ -245,6 +246,68 @@ def test_psize_refuses_runs_that_are_not_nonempty_step_one_ranges(r_runs, s_runs
     with pytest.raises(HypothesisViolated) as exc:
         psize_oracle(r_runs, s_runs, theta)
     assert str(exc.value) == f"{message} is not a nonempty step-1 range"
+
+
+def _source_runs(r, lo=1):
+    """Every tuple of disjoint, increasing, nonempty step-1 ranges in lo..r."""
+    for start in range(lo, r + 1):
+        for stop in range(start + 1, r + 2):
+            yield (range(start, stop),)
+            for rest in _source_runs(r, stop):
+                yield (range(start, stop), *rest)
+
+
+def _hypothesis_configurations(s_max):
+    """Every (source runs, target runs, embedding blocks) that psize_oracle
+    accepts, with target ground size up to s_max, straight from the
+    hypotheses: the targets cut the sorted image into n runs of size h
+    and a nonempty remainder."""
+    for s in range(1, s_max + 1):
+        for r in (d for d in range(1, s + 1) if s % d == 0):
+            for p in ordered_partitions(s, r):
+                for r_runs in _source_runs(r):
+                    n = len(r_runs)
+                    image = sorted(x for run in r_runs for e in run for x in p.blocks[e - 1])
+                    for h in range(1, (len(image) - 1) // n + 1):
+                        pieces = [image[j * h : (j + 1) * h] for j in range(n)] + [image[n * h :]]
+                        if any(piece[-1] - piece[0] != len(piece) - 1 for piece in pieces):
+                            continue
+                        s_runs = tuple(range(piece[0], piece[-1] + 1) for piece in pieces)
+                        try:
+                            psize_oracle(r_runs, s_runs, p)
+                        except HypothesisViolated:
+                            continue
+                        yield r_runs, s_runs, p.blocks
+
+
+def test_psize_enumeration_finds_every_configuration_once():
+    found = [(r_runs, s_runs, p.blocks) for r_runs, s_runs, p in enumerate_psize_instances(8)]
+    expected = set(_hypothesis_configurations(8))
+    assert len(found) == len(set(found)) == len(expected) == 1255
+    assert set(found) == expected
+
+
+def _stream_digest(instances):
+    """(line count, sha256) of one line per instance, runs as (start, stop)."""
+    digest, count = hashlib.sha256(), 0
+    for r_runs, s_runs, p in instances:
+        runs = tuple(tuple((run.start, run.stop) for run in rs) for rs in (r_runs, s_runs))
+        digest.update((repr((*runs, p.blocks)) + "\n").encode())
+        count += 1
+    return count, digest.hexdigest()
+
+
+def test_psize_streams_are_pinned():
+    assert _stream_digest(enumerate_psize_instances(8)) == (
+        1255,
+        "a3a2fcd5f9bc1d259b4a129f6dfbab37507a343e017f90ae92aedaf0fddb698c",
+    )
+    rng = random.Random(2206)
+    assert _stream_digest(random_psize_instance(rng) for _ in range(500)) == (
+        500,
+        "51b9d68ff8583ae6943e5680f865f5bc0f0861934aa2371dd00d03eb5916f6bb",
+    )
+    assert rng.random() == 0.7169470355885885
 
 
 # -- compose ------------------------------------------------------------

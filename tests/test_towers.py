@@ -101,14 +101,18 @@ def test_load_parse_errors():
         ("k1 4\ncycle\n", InvalidDescriptor, "line 2: empty descriptor"),
         ("k1\ncycle alt 2 2\n", ParseError, "line 1: k1 needs an integer, got ''"),
         ("k1 4\n\n# t1\nt1 2 2\ncycle alt 2 2\n", ParseError, "line 4: t1 needs an integer, got '2 2'"),
-        ("k1 4\n  preamble\tstd 2\ncycle alt 2 2\n", ParseError, "line 2: unknown directive 'preamble\\tstd'"),
     ],
-    ids=["kind", "comments", "part-size", "empty", "k1-empty", "t1-two", "tab"],
+    ids=["kind", "comments", "part-size", "empty", "k1-empty", "t1-two"],
 )
 def test_load_tower_names_the_line(text, error, message):
     with pytest.raises(error) as exc:
         load_tower(text)
     assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_load_tower_reads_a_tab_after_the_directive():
+    tower = load_tower("k1 4\n  preamble\tstd 2\ncycle\talt 2 2\n")
+    assert tower == load_tower("k1 4\npreamble std 2\ncycle alt 2 2\n")
 
 
 @pytest.mark.parametrize(
