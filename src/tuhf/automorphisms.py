@@ -45,7 +45,8 @@ from .partitions import (
     parse_partition,
 )
 from .supernatural import (
-    factorize,
+    TRIAL_LIMIT,
+    _least_factor,
     is_prime,
     rational_pair_witness,
 )
@@ -142,16 +143,21 @@ def common_infinite_primes(tower: TowerSpec) -> frozenset[int]:
     return s.infinite_primes() & t.infinite_primes()
 
 
-def validate_word(tower: TowerSpec, w: ShiftWord) -> None:
-    """Check that every prime of the word is infinite on both sides."""
+def validate_word(tower: TowerSpec, w: ShiftWord) -> dict[int, int]:
+    """Check that every prime of the word is infinite on both sides, and
+    return each word prime's exponent in u*v.  A refusal names the least
+    prime that is not; the rest of the cofactor is not factored."""
     if w.is_identity:
-        return
-    rest = _split_off(w.u * w.v, common_infinite_primes(tower))[1]
+        return {}
+    exponents, rest = _split_off(w.u * w.v, common_infinite_primes(tower))
     if rest > 1:
+        p = _least_factor(rest)
+        if p is None:
+            raise DomainError(f"cannot factor {rest} by trial division up to {TRIAL_LIMIT}")
         raise InvalidShiftWord(
-            f"prime {min(factorize(rest))} of word {w} "
-            f"is not infinite in both supernatural coordinates"
+            f"prime {p} of word {w} is not infinite in both supernatural coordinates"
         )
+    return exponents
 
 
 def _split_off(n: int, primes: Iterable[int]) -> tuple[dict[int, int], int]:
@@ -244,17 +250,18 @@ def normalize_for_word(tower: TowerSpec, w: ShiftWord) -> TowerSpec:
     same limit algebra on a subsequence of the original levels, which is
     what makes per-level shift actions well defined for the word.
     """
-    validate_word(tower, w)
+    exponents = validate_word(tower, w)
     if w.is_identity or _first_unnormalized(tower, w.u * w.v) is None:
         return tower
     base_level = len(tower.preamble) + 1
     k0, s0, t0 = tower.level_dims(base_level)
     assert s0 is not None and t0 is not None  # alternating-form per validate_word
     cyc_s, cyc_t = _ratio_product(tower.cycle)
-    fs = factorize(cyc_s)
-    ft = factorize(cyc_t)
+    # every word prime is common infinite, so it divides both cycle products
+    fs = _split_off(cyc_s, exponents)[0]
+    ft = _split_off(cyc_t, exponents)[0]
     passes = 1
-    for q, e in _split_off(w.u * w.v, fs.keys() & ft.keys())[0].items():
+    for q, e in exponents.items():
         passes = max(passes, -(-e // fs[q]), -(-e // ft[q]))
     return TowerSpec(
         k0,
@@ -338,19 +345,22 @@ def materialize_word(tower: TowerSpec, w: ShiftWord, m: int, m_to: int) -> Finit
     return FiniteAutoData(m, m_to, acc)
 
 
-def _factor_walk(
-    tower: TowerSpec, data: Sequence[FiniteAutoData]
-) -> tuple[list[tuple[FiniteAutoData, Optional[RegularEmbedding]]], ShiftWord]:
-    """Read each record once, in level order: check its shape against
-    the tower, detect its interval form (None where k_m = 1) and derive
-    the word, which every informative record must agree on.  Below a
-    record's top level the tower is read no deeper than the first level
-    past the record's ground, which already rules the record out."""
+def factor_automorphism(tower: TowerSpec, data: Sequence[FiniteAutoData]) -> ShiftWord:
+    """Recover the shift word from recorded actions at >= 2 level pairs.
+
+    Each record is read once, in level order, and its shape checked
+    against the tower.  Each informative record (k_m > 1) must be an
+    interval pattern; its detected s divided by the tower's own s-growth
+    between the levels is the word, and all records must agree.  Records
+    at k_m = 1 are skipped: a single block fits every interval reading.
+    Below a record's top level the tower is read no deeper than the
+    first level past the record's ground, which already rules the
+    record out.
+    """
     if len(data) < 2:
         raise UnderdeterminedWord(
             f"need at least two level pairs for a cross-checked word, got {len(data)}"
         )
-    readings: list[tuple[FiniteAutoData, Optional[RegularEmbedding]]] = []
     fractions: list[Fraction] = []
     for datum in sorted(data, key=lambda d: (d.level_from, d.level_to)):
         a, b, q = datum.level_from, datum.level_to, datum.action
@@ -366,12 +376,10 @@ def _factor_walk(
         if q.block_count != k_m or q.ground_size != k_n:
             raise ShapeMismatch(f"{shape}, tower expects {k_m}|{k_n}")
         if k_m == 1:
-            readings.append((datum, None))
             continue
         iv = detect_interval_form(q)
         if iv is None:
             raise NotIntervalForm(f"action at levels {a}..{b} is not an interval pattern")
-        readings.append((datum, iv))
         fractions.append(Fraction(iv.st[0] * s_m, s_n))
     if not fractions:
         raise UnderdeterminedWord("every datum has k_m = 1 and carries no information")
@@ -381,29 +389,27 @@ def _factor_walk(
             raise InconsistentLevels(f"level pairs disagree: {first} vs {frac}")
     w = ShiftWord.from_fraction(first)
     validate_word(tower, w)
-    return readings, w
-
-
-def factor_automorphism(tower: TowerSpec, data: Sequence[FiniteAutoData]) -> ShiftWord:
-    """Recover the shift word from recorded actions at >= 2 level pairs.
-
-    Each informative datum (k_m > 1) must be an interval pattern; its
-    detected s divided by the tower's own s-growth between the levels is
-    the word, and all data must agree.  Data at k_m = 1 are skipped: a
-    single block fits every interval reading.
-    """
-    return _factor_walk(tower, data)[1]
+    return w
 
 
 def factor_report(tower: TowerSpec, data: Sequence[FiniteAutoData]) -> str:
     """Human-readable factorization record: one line per level pair with
-    its detected interval shape, then the word and a consistency stamp."""
-    readings, w = _factor_walk(tower, data)
-    lines = [
-        f"levels {datum.level_from} {datum.level_to} "
-        + ("uninformative (k = 1)" if iv is None else "interval s={} t={}".format(*iv.st))
-        for datum, iv in readings
-    ]
+    its interval shape, then the word and a consistency stamp.
+
+    The shapes are read back from the word and the level table: every
+    informative record's detected s equalled u*s_b / (v*s_a), so each
+    line is exact without detecting again."""
+    w = factor_automorphism(tower, data)
+    lines = []
+    for datum in sorted(data, key=lambda d: (d.level_from, d.level_to)):
+        a, b = datum.level_from, datum.level_to
+        k_a, s_a, _ = tower.level_dims(a)
+        k_b, s_b, _ = tower.level_dims(b)
+        if k_a == 1:
+            lines.append(f"levels {a} {b} uninformative (k = 1)")
+            continue
+        s = w.u * s_b // (w.v * s_a)
+        lines.append(f"levels {a} {b} interval s={s} t={k_b // (k_a * s)}")
     lines.append(f"word {w}")
     lines.append("status consistent")
     return "\n".join(lines) + "\n"
@@ -431,11 +437,10 @@ def torsion_check(tower: TowerSpec, w: ShiftWord, m: int) -> bool:
     composite, starting from the first level with more than one block so
     the comparison has content.
     """
-    validate_word(tower, w)
+    nt = normalize_for_word(tower, w)
     if m < 1:
         raise OutOfRange(f"power must be >= 1, got {m}")
     verdict = w.power(m).is_identity
-    nt = normalize_for_word(tower, w)
     base = 1 if nt.level_dim(1) > 1 else 2
     acc = word_action(nt, w, base)
     for n in range(base + 1, base + m):

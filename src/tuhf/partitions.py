@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections.abc import Sized
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -94,6 +95,9 @@ def _scan(blocks: Sequence[Sequence[object]]) -> None:
     """
     if not blocks:
         raise InvalidPartition("a partition needs at least one block")
+    for i, b in enumerate(blocks, 1):
+        if not isinstance(b, Sized):
+            raise InvalidPartition(f"block {i} is not a sequence: {b!r}")
     size = len(blocks[0])
     for b in blocks:
         if len(b) != size:

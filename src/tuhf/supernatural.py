@@ -68,22 +68,28 @@ class DuplicatePrime(FormatError):
 TRIAL_LIMIT = 10**6
 
 
+def _least_factor(n: int, d: int = 2) -> Optional[int]:
+    """The least prime factor of n > 1 that is at least d (2 or odd), for
+    n with no prime factor below d: n itself when nothing divides it up to
+    isqrt(n), and None when trial division passes TRIAL_LIMIT undecided."""
+    if n % d == 0:
+        return d
+    root = isqrt(n)
+    for c in range(d + 1 if d == 2 else d + 2, min(root, TRIAL_LIMIT) + 1, 2):
+        if n % c == 0:
+            return c
+    return n if root <= TRIAL_LIMIT else None
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    root = isqrt(n)
-    for d in range(3, min(root, TRIAL_LIMIT) + 1, 2):
-        if n % d == 0:
-            return False
-    if root > TRIAL_LIMIT:
+    p = _least_factor(n)
+    if p is None:
         raise DomainError(
             f"cannot decide whether {n} is prime by trial division up to {TRIAL_LIMIT}"
         )
-    return True
+    return p == n
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -92,16 +98,16 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError(f"cannot factor {n}")
     whole = n
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n and d <= TRIAL_LIMIT:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if d * d <= n:
-        raise DomainError(f"cannot factor {whole} by trial division up to {TRIAL_LIMIT}")
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    p = 2
+    while n > 1:
+        q = _least_factor(n, p)
+        if q is None:
+            raise DomainError(f"cannot factor {whole} by trial division up to {TRIAL_LIMIT}")
+        out[q] = 0
+        while n % q == 0:
+            out[q] += 1
+            n //= q
+        p = q
     return out
 
 

@@ -1,5 +1,6 @@
 """Shift words, interval-form factorization, rank, torsion, tensor autos."""
 
+import random
 import re
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from tuhf import (
     Descriptor,
+    DomainError,
     FiniteAutoData,
     FormatError,
     OrderedPartition,
@@ -29,6 +31,7 @@ from tuhf import (
     lift_block_words,
     load_auto_data,
     materialize_word,
+    normalize_for_word,
     out_rank,
     parse_word,
     shift_auto,
@@ -45,7 +48,8 @@ from tuhf.automorphisms import (
     UnderdeterminedWord,
     word_action,
 )
-from tuhf.partitions import OutOfRange, ShapeMismatch
+from tuhf.checks import random_shift_instance
+from tuhf.partitions import OutOfRange, ShapeMismatch, ordered_partitions
 from tuhf.towers import NotAlternatingTower
 
 IDENT = ShiftWord.identity()
@@ -96,9 +100,38 @@ def test_word_serialization():
 
 
 def test_validate_word_is_tower_relative(two_inf_alt):
-    validate_word(two_inf_alt, ShiftWord(2, 1))
+    # a valid word gives each of its primes' exponents in u*v
+    assert validate_word(two_inf_alt, ShiftWord(2, 1)) == {2: 1}
+    assert validate_word(alt_tower(1, 6, 6), ShiftWord(8, 9)) == {2: 3, 3: 2}
     with pytest.raises(InvalidShiftWord):
         validate_word(two_inf_alt, ShiftWord(3, 1))  # 3 not common-infinite
+    # the identity word is valid on any tower, even one with no supernatural pair
+    part = TowerSpec(
+        2,
+        preamble=(Descriptor("part", partition=OrderedPartition.from_blocks(((1, 3), (2, 4)))),),
+        cycle=(Descriptor("std", 2),),
+    )
+    assert validate_word(part, IDENT) == {}
+
+
+BIG_PRIME = 10000000000037  # above TRIAL_LIMIT**2 = 10^12, prime
+
+
+def test_a_refused_word_names_its_least_bad_prime(two_inf_alt):
+    # 7 decides the refusal; the cofactor 10000000000037 is never factored
+    with pytest.raises(
+        InvalidShiftWord,
+        match=rf"^prime 7 of word {7 * BIG_PRIME}/1 is not infinite in both supernatural coordinates$",
+    ):
+        validate_word(two_inf_alt, ShiftWord(7 * BIG_PRIME, 1))
+    # a common infinite prime is split off first
+    with pytest.raises(InvalidShiftWord, match=rf"^prime 5 of word 2/{5 * BIG_PRIME} "):
+        validate_word(two_inf_alt, ShiftWord(2, 5 * BIG_PRIME))
+    # no factor up to the trial limit: the least prime cannot be decided
+    with pytest.raises(
+        DomainError, match=rf"^cannot factor {BIG_PRIME} by trial division up to 1000000$"
+    ):
+        validate_word(two_inf_alt, ShiftWord(2 * BIG_PRIME, 1))
 
 
 def test_common_infinite_primes(two_inf_alt):
@@ -189,6 +222,26 @@ def test_detect_interval_form_examples():
     ragged = OrderedPartition.from_blocks(((1, 2, 3, 5), (4, 6, 7, 8)))
     assert detect_interval_form(ragged) is None
 
+    # block 1's first run (t = 2) divides the block size, so only the
+    # full pattern comparison tells this from alternating(2, 2, 2)
+    near = OrderedPartition.from_blocks(((1, 2, 5, 7), (3, 4, 6, 8)))
+    assert detect_interval_form(near) is None
+
+
+def test_detect_interval_form_agrees_with_a_brute_force_search():
+    # every ordered partition of up to 12 elements: detection succeeds
+    # exactly on the diagonals alternating(n, s, t).diag with s*t = m/n
+    for m in range(1, 13):
+        for n in (n for n in range(1, m + 1) if m % n == 0):
+            size = m // n
+            alternating_diags = {
+                alternating(n, s, size // s).diag for s in range(1, size + 1) if size % s == 0
+            }
+            for p in ordered_partitions(m, n):
+                iv = detect_interval_form(p)
+                assert (iv is not None) == (p in alternating_diags), p
+                assert iv is None or iv.diag == p
+
 
 def test_materialize_is_one_application(two_inf_alt):
     # a datum spanning several levels applies the word once at the bottom
@@ -275,6 +328,35 @@ def test_factor_report_shape(two_inf_alt):
     assert lines[1] == "levels 2 3 interval s=4 t=1"
     assert lines[2] == "word 2/1"
     assert lines[3] == "status consistent"
+
+
+def test_factor_report_lines_agree_with_detection():
+    # the report writes each shape from the word and the level table;
+    # detection on the record itself must read the same (s, t)
+    rng = random.Random(1919)
+    informative = 0
+    for _ in range(40):
+        tower, w = random_shift_instance(rng)
+        nt = normalize_for_word(tower, w)
+        data = [
+            materialize_word(nt, w, m, m + span)
+            for m in (1, 2)
+            for span in (1, 2, 3)
+            if nt.level_dim(m + span) <= 20_000
+        ]
+        if len(data) < 2 or all(d.action.block_count == 1 for d in data):
+            continue
+        *lines, word, status = factor_report(nt, data).splitlines()
+        assert (word, status) == (f"word {w}", "status consistent")
+        assert len(lines) == len(data)
+        for datum, line in zip(data, lines):
+            head = f"levels {datum.level_from} {datum.level_to} "
+            if datum.action.block_count == 1:
+                assert line == head + "uninformative (k = 1)"
+            else:
+                informative += 1
+                assert line == head + "interval s={} t={}".format(*detect_interval_form(datum.action).st)
+    assert informative > 60
 
 
 # -- rank, isomorphism, torsion --------------------------------------------

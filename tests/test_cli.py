@@ -751,6 +751,17 @@ def test_large_user_numbers_are_refused_quickly(files, capsys, argv, tower):
     assert f"{BIG_PRIME} " in err
 
 
+def test_a_refused_word_names_its_least_prime(files, capsys):
+    # 70000000000259 = 7 * 10000000000037: prime 7 decides the refusal, and
+    # the cofactor past TRIAL_LIMIT**2 is never factored
+    f = files("t.tower", "k1 1\ncycle alt 2 2\n")
+    assert run(capsys, "tower", "normalize", f, "--word", "70000000000259/1") == (
+        1,
+        "",
+        "error: prime 7 of word 70000000000259/1 is not infinite in both supernatural coordinates\n",
+    )
+
+
 def test_the_parser_is_built_once_per_process(files, capsys, monkeypatch):
     built = []
     init = tuhf.cli._Parser.__init__

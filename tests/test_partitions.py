@@ -389,6 +389,20 @@ def test_true_is_not_a_ground_element():
         OrderedPartition.from_assignment([True, 1], 1)
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ([1, 2], "block 1 is not a sequence: 1"),
+        (np.array([1, 2]), "block 1 is not a sequence: 1"),
+        ([(1, 2), 3], "block 2 is not a sequence: 3"),
+    ],
+)
+def test_a_block_that_is_not_a_sequence_is_named(raw, message):
+    # a flat list of elements is not a list of blocks
+    with pytest.raises(InvalidPartition, match=f"^{message}$"):
+        OrderedPartition(raw)
+
+
 def test_assignment_round_trip_and_errors():
     for p in ordered_partitions(6, 3):
         assert OrderedPartition.from_assignment(p.assignment()) == p

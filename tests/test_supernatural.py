@@ -1,6 +1,7 @@
 """Prime-exponent maps with infinite exponents and the rational witness."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -39,6 +40,36 @@ def test_trial_division_stops_at_its_limit():
         with pytest.raises(DomainError, match=r"by trial division up to 1000000$"):
             fn(1000003**2)
     assert is_prime(3 * 1000003**2) is False
+    # the bound is on the cofactor left once the small factors are out
+    assert factorize(10**12 + 39) == {10**12 + 39: 1} and is_prime(10**12 + 39)
+    assert factorize(2 * 1000003) == {2: 1, 1000003: 1}
+    assert factorize(2**80) == {2: 80} and not is_prime(2**80)
+    big = 10000000000037
+    assert is_prime(3 * big) is False
+    with pytest.raises(DomainError, match=rf"^cannot factor {3 * big} by trial division"):
+        factorize(3 * big)
+    with pytest.raises(DomainError, match=rf"^cannot decide whether {big} is prime by trial"):
+        is_prime(big)
+
+
+def test_trial_division_agrees_with_a_sieve():
+    # least prime factors by the sieve of Eratosthenes, below 10^5
+    bound = 10**5
+    least = list(range(bound))
+    for p in range(2, isqrt(bound) + 1):
+        if least[p] == p:
+            for q in range(p * p, bound, p):
+                if least[q] == q:
+                    least[q] = p
+    for n in range(-3, bound):
+        assert is_prime(n) == (n >= 2 and least[n] == n), n
+    for n in range(1, bound):
+        expected: dict[int, int] = {}
+        rest = n
+        while rest > 1:
+            expected[least[rest]] = expected.get(least[rest], 0) + 1
+            rest //= least[rest]
+        assert factorize(n) == expected, n
 
 
 def test_factorize_reconstructs():
