@@ -401,6 +401,25 @@ def random_psize_instance(
 # suites
 # ----------------------------------------------------------------------
 
+def _is_ordered_partition(p: OrderedPartition) -> bool:
+    """The ordered-partition invariant, restated apart from the
+    constructor's check: the grid's rows and columns strictly increase,
+    and the flattened grid is a permutation of 1..m.  Composition,
+    tensoring and the closed form build their partitions unchecked, so
+    the suites that exercise them check what they build with this."""
+    a = p.array
+    if a.ndim != 2 or a.size == 0:
+        return False
+    flat = a.ravel()
+    if flat.min() < 1 or flat.max() > a.size:
+        return False
+    hit = np.zeros(a.size + 1, dtype=bool)
+    hit[flat] = True
+    return bool(
+        (np.diff(a, axis=1) > 0).all() and (np.diff(a, axis=0) > 0).all() and hit[1:].all()
+    )
+
+
 def _suite_partition_total_order(
     rng: random.Random, cases: int, tower: Optional[TowerSpec]
 ) -> SuiteResult:
@@ -432,7 +451,12 @@ def _suite_order_preservation(
             a, b = b, a
         mult = rng.randint(1, 96 // m)
         phi = random_ordered_partition(rng, m * mult, m)
-        if compare(compose(phi, a), compose(phi, b)) is not compare(a, b):
+        pa, pb = compose(phi, a), compose(phi, b)
+        if not (_is_ordered_partition(pa) and _is_ordered_partition(pb)):
+            return False, (
+                f"case {idx}: a composite of shape {n}|{m * mult} is not an ordered partition"
+            )
+        if compare(pa, pb) is not compare(a, b):
             return False, f"case {idx}: composition broke the order on shape {n}|{m}"
     return True, f"{cases} cases"
 
@@ -448,8 +472,13 @@ def _suite_compose_associative(
         a = random_ordered_partition(rng, m, n)
         phi = random_ordered_partition(rng, m2, m)
         psi = random_ordered_partition(rng, m3, m2)
-        if compose(psi, compose(phi, a)) != compose(compose(psi, phi), a):
+        lhs = compose(psi, compose(phi, a))
+        if lhs != compose(compose(psi, phi), a):
             return False, f"case {idx}: associativity fails at {n}|{m}|{m2}|{m3}"
+        if not _is_ordered_partition(lhs):
+            return False, (
+                f"case {idx}: the composite at {n}|{m}|{m2}|{m3} is not an ordered partition"
+            )
     return True, f"{cases} cases"
 
 
@@ -557,6 +586,11 @@ def _suite_alternating_closure(
         closed = alternating(k, s1 * s2, t1 * t2)
         if compose(outer.diag, inner.diag) != closed.diag:
             return False, f"case {idx}: closure fails at k={k} ({s1},{t1})({s2},{t2})"
+        if not _is_ordered_partition(closed.diag):
+            return False, (
+                f"case {idx}: the closed form at k={k} ({s1 * s2},{t1 * t2}) "
+                f"is not an ordered partition"
+            )
         if compose_embeddings(outer, inner) != closed:
             return False, (
                 f"case {idx}: closed-form composite differs at k={k} ({s1},{t1})({s2},{t2})"
@@ -688,6 +722,8 @@ def _suite_shift_well_defined(
                     f"case {idx}: word {w} does not commute with the "
                     f"level-{n} inclusion"
                 )
+            if not _is_ordered_partition(lhs):
+                return False, f"case {idx}: the level-{n} square is not an ordered partition"
             checked += 1
     return True, f"{cases} cases, {checked} level squares"
 
@@ -820,7 +856,8 @@ def _suite_tensor_combine(
         n = rng.choice((1, 2))
         k_n, j_n = phi.level_dim(n), psi.level_dim(n)
         ident = ShiftWord.identity()
-        if combine_tensor_autos(tensor, n, [ident] * k_n, ident).action != tensor.embedding(n).diag:
+        emb = tensor.embedding(n).diag
+        if combine_tensor_autos(tensor, n, [ident] * k_n, ident).action != emb:
             return False, f"case {idx}: identity words do not reproduce the inclusion"
         block_words = [rng.choice(words) for _ in range(k_n)]
         gamma = rng.choice(words)
@@ -838,13 +875,14 @@ def _suite_tensor_combine(
                 f"case {idx}: global word {gamma} does not exchange with the "
                 f"blockwise family at level {n}"
             )
+        built = (emb, inner_blocks, outer_global, inner_global, outer_blocks)
+        if not all(map(_is_ordered_partition, built)):
+            return False, f"case {idx}: a tensor action at level {n} is not an ordered partition"
         if j_n >= 2:
-            got = inner_blocks
-            emb = tensor.embedding(n).diag
             for i in range(1, k_n + 1):
                 for a in range(1, j_n + 1):
                     unit = (i - 1) * j_n + a
-                    same = got.block(unit) == emb.block(unit)
+                    same = inner_blocks.block(unit) == emb.block(unit)
                     if same != block_words[i - 1].is_identity:
                         return False, (
                             f"case {idx}: unit ({i},{a}) moved iff word trivial"

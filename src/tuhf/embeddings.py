@@ -60,7 +60,8 @@ def _alternating_grid(k: int, s: int, t: int) -> np.ndarray:
     """The blocks of I_s (x) A_k (x) I_t as a (k, s*t) array: the ground
     1..kst laid out as s copies of k slots of t, read slot by slot."""
     _require_within_budget(k * s * t)
-    return np.arange(1, k * s * t + 1).reshape(s, k, t).transpose(1, 0, 2).reshape(k, s * t)
+    grid = np.arange(1, k * s * t + 1, dtype=np.int64).reshape(s, k, t)
+    return grid.transpose(1, 0, 2).reshape(k, s * t)
 
 
 def _rank_check(k: int, mult: int, i: int, r: int) -> None:
@@ -109,7 +110,8 @@ class RegularEmbedding:
 
     ``alternating(k, s, t)`` makes the closed form I_s (x) A (x) I_t,
     with k_to = k*s*t: it carries ``st = (s, t)`` instead of a
-    partition, and ``diag`` is built (and fully validated) when read.
+    partition, and ``diag`` is built when read, unchecked: the grid of
+    I_s (x) A (x) I_t is an ordered partition for every k, s, t >= 1.
     Instances are immutable; equality is equality of the diagonal
     partitions.
     """
@@ -125,7 +127,7 @@ class RegularEmbedding:
         if self._diag is None:
             s, t = self.st  # type: ignore[misc]
             object.__setattr__(
-                self, "_diag", OrderedPartition(_alternating_grid(self.k_from, s, t))
+                self, "_diag", OrderedPartition._trusted(_alternating_grid(self.k_from, s, t))
             )
         return self._diag  # type: ignore[return-value]
 
@@ -266,9 +268,16 @@ def _tensor_blocks(
     The unit (i, a) -- stored at position (i-1)*j + a, for inner
     partitions of j blocks on {1..j'} -- maps to the slots
     {(i''-1)*j' + b : i'' in outer block i, b in block a of inners[i-1]}.
-    Both factors ascend, so every block comes out sorted.
+    Both factors ascend, so every block comes out sorted; the inners must
+    share one shape, or the units would not tile {1..m*j'}.
     """
-    j_to = inners[0].ground_size
+    j, j_to = inners[0].block_count, inners[0].ground_size
+    for inner in inners:
+        if (inner.block_count, inner.ground_size) != (j, j_to):
+            raise ShapeMismatch(
+                f"inner partitions differ in shape: {j}|{j_to} "
+                f"and {inner.block_count}|{inner.ground_size}"
+            )
     _require_within_budget(outer.ground_size * j_to)
     # One broadcast per outer block: its slots, as offsets, against every
     # element of every block of its inner partition.
@@ -276,7 +285,7 @@ def _tensor_blocks(
         (offsets[None, :, None] + inner.array[:, None, :]).reshape(inner.block_count, -1)
         for offsets, inner in zip((outer.array - 1) * j_to, inners, strict=True)
     ]
-    return OrderedPartition(np.concatenate(rows))
+    return OrderedPartition._trusted(np.concatenate(rows))
 
 
 def tensor_embed(ephi: RegularEmbedding, epsi: RegularEmbedding) -> RegularEmbedding:

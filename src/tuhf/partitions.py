@@ -20,10 +20,20 @@ matrix algebra.
 An ordered partition is stored as one read-only (n, m/n) int64 array
 whose row i is block i+1 in ascending order, so construction,
 composition, comparison and the text form are whole-array numpy
-operations.  Every build is still validated in full, by vectorized
+operations.  Every build from input is validated in full, by vectorized
 checks; when they fail, the element-by-element scan ``_scan``, kept as
 the reference, names the offending block or element.  ``blocks`` gives
 the same data as tuples of Python ints.
+
+Three kernels build from partitions already valid, or by formula, and
+wrap their grid with an unchecked private constructor instead:
+``compose`` (block i of the composite collects the outer blocks over
+inner block i, and rank order survives because both factors keep it),
+``embeddings._tensor_blocks`` (a row-major tensor of rank-ordered
+partitions whose inner factors share one shape), and the ``diag`` of
+a closed form ``alternating(k, s, t)`` (the grid of I_s (x) A (x) I_t).
+The seeded suites in ``checks`` that exercise these kernels check what
+they build against their own restatement of the invariant.
 
 The text form is ``m=<m> n=<n> blocks=<body>``, the body being the
 blocks' elements in decimal, ``,`` within a block and ``;`` between
@@ -186,6 +196,17 @@ class OrderedPartition:
             raise AssertionError("vectorized validation rejected a partition the scan accepts")
         a.flags.writeable = False
         object.__setattr__(self, "array", a)
+
+    @classmethod
+    def _trusted(cls, a: np.ndarray) -> "OrderedPartition":
+        """Wrap an int64 grid that is an ordered partition by construction,
+        unchecked: only the three kernels named in the module docstring
+        call it, each on a grid built from valid partitions or by formula."""
+        p = object.__new__(cls)
+        a.flags.writeable = False
+        object.__setattr__(p, "_blocks", None)
+        object.__setattr__(p, "array", a)
+        return p
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"OrderedPartition is immutable; cannot set {name}")
@@ -426,7 +447,7 @@ def compose(outer: OrderedPartition, inner: OrderedPartition) -> OrderedPartitio
         )
     grid = outer.array[inner.array - 1].reshape(inner.block_count, -1)
     grid.sort(axis=1)
-    return OrderedPartition(grid)
+    return OrderedPartition._trusted(grid)
 
 
 def ordered_partitions(m: int, n: int) -> Iterator[OrderedPartition]:

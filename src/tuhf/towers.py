@@ -206,7 +206,8 @@ class TowerSpec:
     An omitted side of the split defaults to the cofactor of the other
     in k1, and an omitted split to (1, k1).  Level data (k_n, s_n, t_n)
     are memoized in one table that grows on demand, so per-level queries
-    cost amortized O(1); the table takes no part in equality or repr.
+    cost amortized O(1), and the supernatural pair is kept once found;
+    neither takes part in equality or repr.
     """
 
     k1: int
@@ -216,6 +217,9 @@ class TowerSpec:
     cycle: tuple[Descriptor, ...] = ()
     _levels: list[tuple[int, Optional[int], Optional[int]]] = field(
         default_factory=list, init=False, compare=False, repr=False
+    )
+    _pair: Optional[tuple[SupernaturalNumber, SupernaturalNumber]] = field(
+        default=None, init=False, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -321,7 +325,10 @@ class TowerSpec:
 
     def supernatural_pair(self) -> tuple[SupernaturalNumber, SupernaturalNumber]:
         """(s, t) of the limit: preamble ratios carry finite exponents,
-        every prime of the cycle ratios divides its side infinitely."""
+        every prime of the cycle ratios divides its side infinitely.
+        Kept once found; a refusal is raised again on every call."""
+        if self._pair is not None:
+            return self._pair
         if not self.is_alternating_form:
             raise NotAlternatingTower(
                 "supernatural pair needs s/t ratios at every level"
@@ -335,7 +342,8 @@ class TowerSpec:
                 factors[p] = INF
             return SupernaturalNumber.from_dict(factors)  # type: ignore[arg-type]
 
-        return (build(s_pre, s_cyc), build(t_pre, t_cyc))
+        object.__setattr__(self, "_pair", (build(s_pre, s_cyc), build(t_pre, t_cyc)))
+        return self._pair
 
 
 def format_tower(spec: TowerSpec) -> str:

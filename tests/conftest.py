@@ -2,9 +2,11 @@
 
 import sys
 
+import numpy as np
 import pytest
 
 from tuhf import Descriptor, TowerSpec
+from tuhf.partitions import OrderedPartition, _is_partition_grid, _scan
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -15,6 +17,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance scorecard", sep="-")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def trusted_builds_are_checked(monkeypatch):
+    """Composition, tensoring and the closed form build their partitions
+    through ``OrderedPartition._trusted``, which skips validation; under
+    every test each such build is validated in full first.  Returns the
+    unchecked constructor, for tests that need it back."""
+    unchecked = OrderedPartition.__dict__["_trusted"]
+
+    def checked(cls, a):
+        assert a.dtype == np.int64, f"a trusted build has dtype {a.dtype}"
+        if not _is_partition_grid(a):
+            _scan(a.tolist())
+            raise AssertionError("vectorized validation rejected a partition the scan accepts")
+        return unchecked.__func__(cls, a)
+
+    monkeypatch.setattr(OrderedPartition, "_trusted", classmethod(checked))
+    return unchecked
 
 
 @pytest.fixture

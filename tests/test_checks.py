@@ -1,0 +1,63 @@
+"""The seeded suites against kernels broken on purpose.
+
+Composition, tensoring and the closed form build their partitions
+without validation, so the suites that exercise them must catch a
+kernel whose output is no ordered partition.  Each mutant below breaks
+every grid one site builds, in one of two ways: elements 1 and m trade
+blocks, or block 1 loses its order.  In the compose and tensor suites
+both sides of each compared equality come from the mutant, so equality
+alone misses the second way (and, in two of the compose suites, the
+first); their explicit validity checks catch it.  The closed form is
+also compared with ``standard`` and ``nest``, which validate in full.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from tuhf import automorphisms, checks, embeddings, partitions
+from tuhf.partitions import OrderedPartition
+
+
+def _across_blocks(grid: np.ndarray) -> None:
+    grid[0, 0], grid[-1, -1] = grid[-1, -1], grid[0, 0]
+
+
+def _within_block_1(grid: np.ndarray) -> None:
+    grid[0, 0], grid[0, -1] = grid[0, -1], grid[0, 0]
+
+
+# site: (modules that bind the kernel, its name, suites that must fail)
+_SITES = {
+    "compose": (
+        (partitions, checks),
+        "compose",
+        ("partition-order-preservation", "partition-compose-associative", "shift-well-defined"),
+    ),
+    "tensor": ((embeddings, automorphisms), "_tensor_blocks", ("tensor-combine",)),
+    "closed form": ((embeddings,), "_alternating_grid", ("alternating-closure",)),
+}
+
+
+@pytest.mark.parametrize("mix", [_across_blocks, _within_block_1])
+@pytest.mark.parametrize("site", sorted(_SITES))
+def test_each_suite_catches_a_broken_trusted_build(
+    site, mix, monkeypatch, trusted_builds_are_checked
+):
+    # The suites, not the test fixture's re-validation, must catch it.
+    monkeypatch.setattr(OrderedPartition, "_trusted", trusted_builds_are_checked)
+    modules, name, suites = _SITES[site]
+    kernel = getattr(modules[0], name)
+
+    def broken(*args):
+        built = kernel(*args)
+        grid = np.array(getattr(built, "array", built))
+        mix(grid)
+        return grid if isinstance(built, np.ndarray) else OrderedPartition._trusted(grid)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, broken)
+    for suite in suites:
+        ok, detail = checks.SUITES[suite](random.Random(f"0:{suite}"), 20, None)
+        assert not ok, (suite, detail)

@@ -20,7 +20,12 @@ from tuhf import (
     standard,
     tensor_embed,
 )
-from tuhf.embeddings import IndexOutOfRange, LowerTriangularRequest, _alternating_rank
+from tuhf.embeddings import (
+    IndexOutOfRange,
+    LowerTriangularRequest,
+    _alternating_rank,
+    _tensor_blocks,
+)
 from tuhf.partitions import OutOfRange, ShapeMismatch
 
 SMALL = range(1, 5)  # exhaustive ranges of k, s and t for the closed form
@@ -288,3 +293,15 @@ def test_tensor_tower_reproduces_alternating_chain():
         k = 2**n
         got = tensor_embed(standard(k, 2), nest(k, 2))
         assert got.diag == alternating(k * k, 2, 2).diag
+
+
+def test_tensor_inners_must_share_one_shape():
+    outer = OrderedPartition([[1], [2]])
+    four_into_two = OrderedPartition([[1, 2], [3, 4]])
+    # Equal widths but different shapes once tiled a valid, meaningless
+    # partition; different widths ended in numpy's concatenate error.
+    for other, shape in (([[1, 3], [2, 5], [4, 6]], "3|6"), ([[1, 2, 3], [4, 5, 6]], "2|6")):
+        with pytest.raises(
+            ShapeMismatch, match=rf"^inner partitions differ in shape: 2\|4 and {re.escape(shape)}$"
+        ):
+            _tensor_blocks(outer, [four_into_two, OrderedPartition(other)])

@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tuhf.cli
+import tuhf.supernatural
 import tuhf.towers
 
 from tuhf import (
     INF,
     Descriptor,
+    ShiftWord,
     SupernaturalNumber,
     TensorTower,
     TowerSpec,
@@ -24,7 +26,9 @@ from tuhf import (
     load_tower,
     parse_descriptor,
     tensor_embed,
+    validate_word,
 )
+from tuhf.errors import DomainError
 from tuhf.towers import ChainMismatch, InvalidDescriptor, NotAlternatingTower, ParseError
 
 S = SupernaturalNumber.from_dict
@@ -358,6 +362,40 @@ def test_supernatural_pair_includes_declared_split():
     t = load_tower("k1 4\ns1 2\nt1 2\ncycle alt 2 2")
     s, tt = t.supernatural_pair()
     assert s == S({2: INF}) and tt == S({2: INF})
+
+
+def _count_factorize(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    factorize = tuhf.supernatural.factorize
+    monkeypatch.setattr(
+        tuhf.supernatural, "factorize", lambda n: calls.append(n) or factorize(n)
+    )
+    return calls
+
+
+def test_supernatural_pair_is_kept_once_found(monkeypatch):
+    text = "k1 1\npreamble alt 3 1\ncycle alt 2 2\n"
+    t = load_tower(text)
+    before = (hash(t), repr(t))
+    calls = _count_factorize(monkeypatch)
+    validate_word(t, ShiftWord(2, 1))
+    first = len(calls)
+    assert first > 0
+    validate_word(t, ShiftWord(2, 1))
+    assert len(calls) == first
+    assert t.supernatural_pair() == (S({3: 1, 2: INF}), S({2: INF}))
+    assert (hash(t), repr(t)) == before
+    assert t == load_tower(text) and repr(t) == repr(load_tower(text))
+
+
+def test_supernatural_pair_refusal_is_raised_on_every_call(monkeypatch):
+    # 1000003 * 1000033: both prime factors lie past the trial limit
+    t = load_tower("k1 1\ncycle alt 1000036000099 2\n")
+    calls = _count_factorize(monkeypatch)
+    for expected_calls in (1, 2):
+        with pytest.raises(DomainError, match="^cannot factor 1000036000099 "):
+            t.supernatural_pair()
+        assert calls.count(1000036000099) == expected_calls
 
 
 def test_supernatural_pair_requires_alternating_form():
