@@ -30,7 +30,6 @@ import numpy as np
 from . import embeddings, partitions
 from .embeddings import (
     RegularEmbedding,
-    _alternating_grid,
     _require_within_budget,
     _tensor_blocks,
     alternating,
@@ -206,9 +205,8 @@ def detect_interval_form(q: OrderedPartition) -> Optional[RegularEmbedding]:
     if k_n % (k_m * t):
         return None
     s = k_n // (k_m * t)
-    if np.array_equal(q.array, _alternating_grid(k_m, s, t)):
-        return alternating(k_m, s, t)
-    return None
+    e = alternating(k_m, s, t)
+    return e if e.diag == q else None
 
 
 def word_action(tower: TowerSpec, w: ShiftWord, n: int) -> OrderedPartition:

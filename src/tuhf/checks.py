@@ -56,7 +56,7 @@ from .gelfand import (
     GelfandPoint,
     coordinate_sizes,
     gelfand_compare,
-    gelfand_compare_via_projections,
+    gelfand_readings,
     projection_chain,
     relation_member,
 )
@@ -759,25 +759,28 @@ def _suite_torsion(
 def _suite_gelfand_agreement(
     rng: random.Random, cases: int, tower: Optional[TowerSpec]
 ) -> SuiteResult:
-    towers = []
+    count = max(1, cases // 10)
+    supplied = []
     if tower is not None and tower.is_alternating_form:
         if all(d.kind == "nest" for d in tower.preamble + tower.cycle):
             if tower.level_dim(3) <= _K3_CAP:
-                towers.append(tower)
-    while len(towers) < max(1, cases // 10):
-        towers.append(random_interval_tower(rng))
+                supplied.append(tower)
+    # Each tower is drawn when its turn comes, so memory stays flat in
+    # cases; comparisons draw nothing from rng.
+    drawn = (random_interval_tower(rng) for _ in range(count - len(supplied)))
     pairs = 0
-    for t in towers:
+    for t in itertools.chain(supplied, drawn):
         for depth in (1, 2, 3):
             pts = list(all_points(t, depth))
             for x, y in itertools.product(pts, pts):
-                if gelfand_compare(t, x, y) is not gelfand_compare_via_projections(t, x, y):
+                coordinate, projection, _ = gelfand_readings(t, x, y)
+                if coordinate is not projection:
                     return False, (
                         f"order verdicts split at depth {depth} on "
                         f"x={x.coords} y={y.coords}"
                     )
                 pairs += 1
-    return True, f"{len(towers)} towers, {pairs} pairs"
+    return True, f"{count} towers, {pairs} pairs"
 
 
 def _suite_gelfand_total_order(
@@ -1004,14 +1007,13 @@ SUITES: dict[str, Suite] = {
 
 def run_all(
     tower: Optional[TowerSpec], seed: int, cases: int
-) -> list[tuple[str, bool, str]]:
-    """Run every suite with a per-suite deterministic stream."""
-    results = []
+) -> Iterator[tuple[str, bool, str]]:
+    """Run every suite with a per-suite deterministic stream, yielding
+    each suite's result as soon as it returns."""
     for name, fn in SUITES.items():
         rng = random.Random(f"{seed}:{name}")
         try:
             ok, detail = fn(rng, cases, tower)
         except Exception as exc:  # a crashing suite is a failing suite
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append((name, ok, detail))
-    return results
+        yield name, ok, detail

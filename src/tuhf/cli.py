@@ -208,9 +208,9 @@ def _cmd_check_all(args: argparse.Namespace) -> int:
     failures = 0
     for name, ok, detail in run_all(tower, args.seed, _positive(args.cases, "--cases")):
         if ok:
-            print(f"{name} ok ({detail})")
+            print(f"{name} ok ({detail})", flush=True)
         else:
-            print(f"{name} FAIL {detail}")
+            print(f"{name} FAIL {detail}", flush=True)
             failures += 1
     if failures:
         print(f"{failures} suite(s) failed")

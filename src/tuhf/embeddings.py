@@ -38,7 +38,8 @@ memory.
 from __future__ import annotations
 
 import enum
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -79,18 +80,6 @@ def _alternating_rank(k: int, s: int, t: int, i: int, r: int) -> int:
     return (r // t) * k * t + (i - 1) * t + r % t + 1
 
 
-def _freeze(
-    e: RegularEmbedding,
-    k_from: int,
-    k_to: int,
-    st: Optional[tuple[int, int]],
-    diag: Optional[OrderedPartition],
-) -> RegularEmbedding:
-    for name, value in (("k_from", k_from), ("k_to", k_to), ("st", st), ("_diag", diag)):
-        object.__setattr__(e, name, value)
-    return e
-
-
 class IndexOutOfRange(DomainError):
     """A matrix-unit index is outside 1..k_from."""
 
@@ -110,26 +99,22 @@ class RegularEmbedding:
 
     ``alternating(k, s, t)`` makes the closed form I_s (x) A (x) I_t,
     with k_to = k*s*t: it carries ``st = (s, t)`` instead of a
-    partition, and ``diag`` is built when read, unchecked: the grid of
-    I_s (x) A (x) I_t is an ordered partition for every k, s, t >= 1.
-    Instances are immutable; equality is equality of the diagonal
-    partitions.
+    partition, and ``diag`` is a cached property, built unchecked on
+    first read: the grid of I_s (x) A (x) I_t is an ordered partition
+    for every k, s, t >= 1.  Instances are immutable; equality is
+    equality of the diagonal partitions.
     """
 
     def __init__(self, diag: OrderedPartition) -> None:
-        _freeze(self, diag.block_count, diag.ground_size, None, diag)
+        self.__dict__.update(k_from=diag.block_count, k_to=diag.ground_size, st=None, diag=diag)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"RegularEmbedding is immutable; cannot set {name}")
 
-    @property
+    @cached_property
     def diag(self) -> OrderedPartition:
-        if self._diag is None:
-            s, t = self.st  # type: ignore[misc]
-            object.__setattr__(
-                self, "_diag", OrderedPartition._trusted(_alternating_grid(self.k_from, s, t))
-            )
-        return self._diag  # type: ignore[return-value]
+        s, t = self.st  # type: ignore[misc]
+        return OrderedPartition._trusted(_alternating_grid(self.k_from, s, t))
 
     @property
     def multiplicity(self) -> int:
@@ -162,7 +147,7 @@ class RegularEmbedding:
     def __repr__(self) -> str:
         if self.st is not None:
             return "alternating({}, {}, {})".format(self.k_from, *self.st)
-        return f"RegularEmbedding({self._diag!r})"
+        return f"RegularEmbedding({self.diag!r})"
 
 
 def standard(k: int, mult: int) -> RegularEmbedding:
@@ -194,7 +179,8 @@ def alternating(k: int, s_mult: int, t_mult: int) -> RegularEmbedding:
             f"need k, s_mult, t_mult >= 1, got k={k} s={s_mult} t={t_mult}"
         )
     e = object.__new__(RegularEmbedding)  # the one path to a closed form
-    return _freeze(e, k, k * s_mult * t_mult, (s_mult, t_mult), None)
+    e.__dict__.update(k_from=k, k_to=k * s_mult * t_mult, st=(s_mult, t_mult))
+    return e
 
 
 def identity_embedding(k: int) -> RegularEmbedding:
@@ -271,6 +257,11 @@ def _tensor_blocks(
     Both factors ascend, so every block comes out sorted; the inners must
     share one shape, or the units would not tile {1..m*j'}.
     """
+    if len(inners) != outer.block_count:
+        raise ShapeMismatch(
+            f"{outer.block_count} outer blocks need {outer.block_count} "
+            f"inner partitions, got {len(inners)}"
+        )
     j, j_to = inners[0].block_count, inners[0].ground_size
     for inner in inners:
         if (inner.block_count, inner.ground_size) != (j, j_to):

@@ -8,8 +8,8 @@ and a repeating cycle can only generate finitely many primes, so finite
 support is not a restriction here.
 
 Values are immutable and canonical: primes sorted ascending, no zero
-exponents stored.  ``INF`` is a distinguished absorbing symbol, not a
-large sentinel integer, so ``INF + e is INF`` holds structurally.
+exponents stored.  ``INF`` is ``math.inf``, which absorbs every finite
+exponent under addition, so ``INF + e == INF``.
 """
 
 from __future__ import annotations
@@ -17,37 +17,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Mapping, Optional, Union
+from math import inf, isqrt
+from typing import Mapping, Optional
 
 from .errors import DomainError, FormatError
 
-
-class _Infinity:
-    """Absorbing exponent symbol; a singleton compared by identity."""
-
-    _instance: Optional["_Infinity"] = None
-
-    def __new__(cls) -> "_Infinity":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "inf"
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __hash__(self) -> int:
-        return hash("supernatural-inf")
-
-
-INF = _Infinity()
-
-Exponent = Union[int, _Infinity]
+INF = inf
+Exponent = int | float
 
 
 class NonPrimeBase(FormatError):
@@ -127,7 +103,7 @@ class SupernaturalNumber:
                 raise NonPrimeBase(f"{p} is not prime")
             if p <= last:
                 raise MalformedLiteral("primes must be strictly ascending")
-            if e is not INF and (not isinstance(e, int) or e < 1):
+            if e != INF and (not isinstance(e, int) or e < 1):
                 raise MalformedLiteral(f"bad exponent {e!r} for prime {p}")
             last = p
 
@@ -135,7 +111,7 @@ class SupernaturalNumber:
 
     @classmethod
     def from_dict(cls, d: Mapping[int, Exponent]) -> "SupernaturalNumber":
-        kept = [(p, e) for p, e in d.items() if e is INF or e != 0]
+        kept = [(p, e) for p, e in d.items() if e != 0]
         kept.sort(key=lambda pe: pe[0])
         return cls(tuple(kept))
 
@@ -184,7 +160,7 @@ class SupernaturalNumber:
         return tuple(p for p, _ in self.factors)
 
     def infinite_primes(self) -> frozenset[int]:
-        return frozenset(p for p, e in self.factors if e is INF)
+        return frozenset(p for p, e in self.factors if e == INF)
 
     # -- arithmetic and formatting ------------------------------------
 
@@ -201,7 +177,7 @@ class SupernaturalNumber:
             return "1"
         terms = []
         for p, e in self.factors:
-            if e is INF:
+            if e == INF:
                 terms.append(f"{p}^inf")
             elif e == 1:
                 terms.append(str(p))
@@ -240,9 +216,9 @@ def rational_pair_witness(
         # s_a = r * s_b and t_b = r * t_a: each side pins r's exponent
         for x, y in ((s_a, s_b), (t_b, t_a)):
             ex, ey = x.exponent(p), y.exponent(p)
-            if (ex is INF) != (ey is INF):
+            if (ex == INF) != (ey == INF):
                 return None
-            if ex is not INF:
+            if ex != INF:
                 wanted.append(ex - ey)
         if not wanted:
             continue

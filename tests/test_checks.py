@@ -1,4 +1,4 @@
-"""The seeded suites against kernels broken on purpose.
+"""The seeded suites against kernels broken on purpose, and their cost.
 
 Composition, tensoring and the closed form build their partitions
 without validation, so the suites that exercise them must catch a
@@ -61,3 +61,21 @@ def test_each_suite_catches_a_broken_trusted_build(
     for suite in suites:
         ok, detail = checks.SUITES[suite](random.Random(f"0:{suite}"), 20, None)
         assert not ok, (suite, detail)
+
+
+def test_gelfand_agreement_draws_each_tower_when_it_is_compared(monkeypatch):
+    drawn = []
+
+    def draw(rng):
+        drawn.append(rng)
+        return real_draw(rng)
+
+    def stop(tower, depth):
+        raise RuntimeError("stop")
+
+    real_draw = checks.random_interval_tower
+    monkeypatch.setattr(checks, "random_interval_tower", draw)
+    monkeypatch.setattr(checks, "all_points", stop)
+    with pytest.raises(RuntimeError, match="stop"):
+        checks.SUITES["gelfand-agreement"](random.Random(0), 10**4, None)
+    assert len(drawn) == 1  # not all cases // 10 = 1000 towers up front

@@ -1,6 +1,9 @@
 """End-to-end runs of every subcommand through main()."""
 
+import contextlib
 import decimal
+import hashlib
+import io
 import time
 
 import pytest
@@ -447,6 +450,43 @@ def test_check_all_reports_failing_and_raising_suites(files, capsys, monkeypatch
         "raises FAIL raised ValueError: no such case",
         "2 suite(s) failed",
     ]
+
+
+def test_check_all_prints_each_suite_as_it_finishes(files, monkeypatch):
+    out = io.StringIO()
+    seen = []
+
+    def second(rng, cases, tower):
+        seen.append(out.getvalue())
+        return True, "two"
+
+    suites = {"first": lambda rng, cases, tower: (True, "one"), "second": second}
+    monkeypatch.setattr(tuhf.checks, "SUITES", suites)
+    with contextlib.redirect_stdout(out):
+        code = main(["check", "all", files("two.tower", TWO_INF)])
+    assert code == 0
+    assert seen == ["first ok (one)\n"]
+    assert out.getvalue() == "first ok (one)\nsecond ok (two)\nall suites passed\n"
+
+
+def test_check_all_output_is_pinned(files, capsys):
+    # Every suite's instance stream and detail, on six towers and three
+    # (seed, cases) pairs each, hashed as exit code and stdout.
+    towers = (
+        TWO_INF,
+        "k1 3\ncycle std 2\ncycle nest 2\n",
+        "k1 2\ncycle std 3\ncycle nest 2\n",
+        "k1 1\ncycle alt 3 3\n",
+        "k1 2\ncycle nest 2\ncycle std 2\ncycle nest 2\n",
+        "k1 2\ncycle nest 2\n",
+    )
+    digest = hashlib.sha256()
+    for i, text in enumerate(towers):
+        f = files(f"t{i}.tower", text)
+        for seed, cases in ((0, 5), (i, 5), (7, 23)):
+            code, out, _ = run(capsys, "check", "all", f, "--seed", str(seed), "--cases", str(cases))
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == "259c561968b4e5ad8038c30f8cd48807b4d7932f38a6250439b0340a6fc65c77"
 
 
 def test_missing_file_is_parse_error(capsys):

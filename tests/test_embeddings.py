@@ -81,13 +81,18 @@ def test_alternating_is_closed_form_until_diag_is_read():
     assert e.st == (3, 2) and e.k_to == 12
     assert repr(e) == "alternating(2, 3, 2)"
     assert repr(standard(2, 1)) == "RegularEmbedding(OrderedPartition(blocks=((1,), (2,))))"
+    assert "diag" not in vars(e)
     assert e.diag.blocks == (
         (1, 2, 5, 6, 9, 10),
         (3, 4, 7, 8, 11, 12),
     )
-    assert e.diag is e.diag  # built once, then cached
-    with pytest.raises(AttributeError):
-        e.k_to = 24
+    assert vars(e)["diag"] is e.diag  # built once, then cached
+    p = OrderedPartition([[1, 3], [2, 4]])
+    assert RegularEmbedding(p).diag is p
+    for target in (e, RegularEmbedding(p)):
+        for name, value in (("k_to", 24), ("k_from", 1), ("diag", p)):
+            with pytest.raises(AttributeError, match=f"immutable; cannot set {name}$"):
+                setattr(target, name, value)
 
 
 def test_rank_image_matches_diag_exhaustively():
@@ -305,3 +310,13 @@ def test_tensor_inners_must_share_one_shape():
             ShapeMismatch, match=rf"^inner partitions differ in shape: 2\|4 and {re.escape(shape)}$"
         ):
             _tensor_blocks(outer, [four_into_two, OrderedPartition(other)])
+
+
+def test_tensor_needs_one_inner_per_outer_block():
+    outer = OrderedPartition([[1], [2]])
+    inner = OrderedPartition([[1, 2], [3, 4]])
+    for count in (0, 1, 3):
+        with pytest.raises(
+            ShapeMismatch, match=rf"^2 outer blocks need 2 inner partitions, got {count}$"
+        ):
+            _tensor_blocks(outer, [inner] * count)

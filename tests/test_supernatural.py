@@ -98,6 +98,18 @@ def test_infinite_exponent_absorbs():
     assert S({2: INF}) * S({2: INF}) == S({2: INF})
 
 
+def test_inf_is_the_float_infinity():
+    assert INF == float("inf") and INF + 7 == INF and 7 + INF == INF
+    n = SupernaturalNumber.parse("2^inf*3^2")
+    assert n.factors == ((2, INF), (3, 2)) and n.format() == "2^inf*3^2"
+    assert SupernaturalNumber.parse(n.format()) == n
+    assert S({2: INF, 3: 0}).factors == ((2, INF),)
+    assert S({2: float("inf")}) == S({2: INF})
+    for bad in (1.5, 2.0, float("nan"), -INF):
+        with pytest.raises(MalformedLiteral, match="bad exponent"):
+            S({2: bad})
+
+
 def test_exponent_zero_drops_prime():
     assert S({2: 0, 3: 1}) == S({3: 1})
     assert S({2: 0}) == SupernaturalNumber()
