@@ -17,10 +17,11 @@ The three classical patterns all arise from tensoring with identity
 factors: ``standard`` is I_mult (x) A, ``nest`` is A (x) I_mult, and
 ``alternating`` is I_s (x) A (x) I_t.  ``alternating`` is closed-form:
 it records (k, s, t), composes by multiplying multiplicities, reads the
-r-th element of a block by arithmetic, and builds its partition only
-when ``diag`` is read.  That arithmetic, with its range checks, is the
-one function ``_alternating_rank(k, s, t, i, r)``: ``rank_image`` of a
-closed form calls it, and so does ``towers.Descriptor.rank_image`` on a
+r-th element of a block and compares with another closed form by
+arithmetic, and builds its partition only when ``diag`` is read.  The
+rank arithmetic, with its range checks, is the one function
+``_alternating_rank(k, s, t, i, r)``: ``rank_image`` of a closed form
+calls it, and so does ``towers.Descriptor.rank_image`` on a
 descriptor's (s, t), without making an embedding.  ``standard`` and
 ``nest`` build their block formulas explicitly and serve as the
 reference the closed form is checked against, so the tensor identities
@@ -102,7 +103,7 @@ class RegularEmbedding:
     partition, and ``diag`` is a cached property, built unchecked on
     first read: the grid of I_s (x) A (x) I_t is an ordered partition
     for every k, s, t >= 1.  Instances are immutable; equality is
-    equality of the diagonal partitions.
+    equality of the diagonal partitions, read off ``compare_embeddings``.
     """
 
     def __init__(self, diag: OrderedPartition) -> None:
@@ -136,10 +137,7 @@ class RegularEmbedding:
             return NotImplemented
         if (self.k_from, self.k_to) != (other.k_from, other.k_to):
             return False
-        if self.st is not None and other.st is not None:
-            # One block admits a single partition whatever the split.
-            return self.k_from == 1 or self.st == other.st
-        return self.diag == other.diag
+        return compare_embeddings(self, other) is EmbeddingOrder.EQUAL_ON_PROJECTIONS
 
     def __hash__(self) -> int:
         return hash((self.k_from, self.k_to))
@@ -237,12 +235,20 @@ def compare_embeddings(a: RegularEmbedding, b: RegularEmbedding) -> EmbeddingOrd
     """Order two same-shape embeddings by their diagonal partitions.
 
     Partition equality only certifies agreement on diagonal projections,
-    hence the middle verdict's name.
+    hence the middle verdict's name.  Two closed forms are ordered by
+    arithmetic, building no partition: element x of alt(k, s, t) lies in
+    block ((x - 1) // t) mod k + 1, so the forms first differ at x = 1 +
+    min(t, t'), which the smaller t sends to the later block.
     """
     if (a.k_from, a.k_to) != (b.k_from, b.k_to):
         raise ShapeMismatch(
             f"cannot compare {a.k_from}->{a.k_to} with {b.k_from}->{b.k_to}"
         )
+    if a.st is not None and b.st is not None:
+        t, u = a.st[1], b.st[1]
+        if a.k_from == 1 or t == u:
+            return EmbeddingOrder.EQUAL_ON_PROJECTIONS
+        return EmbeddingOrder.GREATER if t < u else EmbeddingOrder.LESS
     return _ORDER_MAP[partitions.compare(a.diag, b.diag)]
 
 

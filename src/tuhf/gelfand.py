@@ -23,11 +23,11 @@ current chain indices, so a point costs memory linear in its depth.
 Each level steps an index by ``Descriptor.rank_image``: a
 ``std``/``nest``/``alt`` level by arithmetic on the descriptor's ints
 (i -> (r // t)*k*t + (i-1)*t + r % t + 1, then k -> k*s*t), building no
-embedding, and a ``part`` level by reading its partition.  The walk's
-result (d, i_d, j_d) feeds three views, each building only what it
-returns: ``gelfand_readings`` all three lines of ``gelfand cmp``,
-``gelfand_compare_via_projections`` the projection order, and
-``relation_member`` the witness.  ``projection_chain`` steps one point
+embedding, and a ``part`` level by reading its partition.
+``gelfand_readings`` is the one reading: from the walk's result
+(d, i_d, j_d) it returns all three lines of ``gelfand cmp``, and
+``gelfand_compare_via_projections`` and ``relation_member`` return its
+projection order and its witness.  ``projection_chain`` steps one point
 the same way and keeps every level.
 """
 
@@ -119,21 +119,6 @@ def _walk(
     return i, j
 
 
-def _witness(tower: TowerSpec, x: GelfandPoint, y: GelfandPoint) -> tuple[int, int, int] | None:
-    """After one check: None for different tails, else (d, i_d, j_d) at
-    the deepest coordinate disagreement d (1 for equal points), from one
-    walk that stops there.  Distinct points differ at d, in distinct ranks
-    of one block or in disjoint blocks, so i_d = j_d iff x = y."""
-    _check(tower, x, y)
-    if x.tail != y.tail:
-        return None
-    xs, ys = x.coords, y.coords
-    d = len(xs)
-    while d > 1 and xs[d - 1] == ys[d - 1]:
-        d -= 1
-    return (d, *_walk(tower, xs, ys, d))
-
-
 def _order(a: object, b: object) -> GelfandOrder:
     if a == b:
         return GelfandOrder.EQUAL
@@ -174,13 +159,22 @@ def gelfand_readings(
     tower: TowerSpec, x: GelfandPoint, y: GelfandPoint
 ) -> tuple[GelfandOrder, GelfandOrder, RelationPair | None]:
     """Coordinate order, projection order and relation witness of one
-    pair, from one check and one walk."""
-    w = _witness(tower, x, y)
-    if w is None:
+    pair, from one check and one walk.
+
+    The walk stops at the deepest coordinate disagreement d (1 for equal
+    points).  Distinct points differ at d, in distinct ranks of one
+    block or in disjoint blocks, so i_d = j_d iff x = y.
+    """
+    _check(tower, x, y)
+    if x.tail != y.tail:
         return GelfandOrder.INCOMPARABLE, GelfandOrder.INCOMPARABLE, None
-    d, i, j = w
+    xs, ys = x.coords, y.coords
+    d = len(xs)
+    while d > 1 and xs[d - 1] == ys[d - 1]:
+        d -= 1
+    i, j = _walk(tower, xs, ys, d)
     member = RelationPair(x, y, d, i, j) if i <= j else None
-    return _order(x.coords, y.coords), _order(i, j), member
+    return _order(xs, ys), _order(i, j), member
 
 
 def gelfand_compare_via_projections(
@@ -194,8 +188,7 @@ def gelfand_compare_via_projections(
     separate they keep their relative order rankwise, so the deepest
     coordinate disagreement is the only depth that needs inspection.
     """
-    w = _witness(tower, x, y)
-    return GelfandOrder.INCOMPARABLE if w is None else _order(w[1], w[2])
+    return gelfand_readings(tower, x, y)[1]
 
 
 @dataclass(frozen=True)
@@ -223,7 +216,4 @@ def relation_member(tower: TowerSpec, x: GelfandPoint, y: GelfandPoint) -> Relat
     equal points).  Returns None when the tails differ or when y is
     strictly below x in the projection order.
     """
-    w = _witness(tower, x, y)
-    if w is None or w[1] > w[2]:
-        return None
-    return RelationPair(x, y, *w)
+    return gelfand_readings(tower, x, y)[2]

@@ -71,7 +71,7 @@ def is_prime(n: int) -> bool:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division up to TRIAL_LIMIT."""
     if n < 1:
-        raise ValueError(f"cannot factor {n}")
+        raise DomainError(f"cannot factor {n}")
     whole = n
     out: dict[int, int] = {}
     p = 2
@@ -118,7 +118,7 @@ class SupernaturalNumber:
     @classmethod
     def from_int(cls, n: int) -> "SupernaturalNumber":
         if n < 1:
-            raise ValueError(f"{n} has no prime factorization")
+            raise DomainError(f"{n} has no prime factorization")
         return cls.from_dict(factorize(n)) if n > 1 else cls()
 
     @classmethod

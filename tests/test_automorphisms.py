@@ -86,6 +86,7 @@ def test_word_algebra():
     assert w.compose(w.inverse()) == IDENT
     assert w.power(2) == ShiftWord(4, 9)
     assert w.power(0) == IDENT
+    assert w.power(-2) == ShiftWord(9, 4)
     # composition reduces: (2/3) * (3/2) cancels completely
     assert ShiftWord(2, 1).compose(ShiftWord(1, 2)) == IDENT
 
@@ -557,10 +558,16 @@ _PART_TOWER = TowerSpec(
             "level 1 has 4 first-factor units, got 3 words",
         ),
         (lambda t: dirichlet_dimension_check(0), OutOfRange, "dimension must be >= 1, got 0"),
+        (
+            lambda t: ShiftWord.from_fraction(Fraction(-1, 2)),
+            InvalidShiftWord,
+            "word must be a positive rational, got -1/2",
+        ),
     ],
     ids=[
         "word-part-level", "word-denominator", "word-numerator", "materialize-range",
         "torsion-power", "lift-count", "combine-count", "dirichlet-dimension",
+        "word-fraction",
     ],
 )
 def test_argument_checks(two_inf_alt, call, error, message):

@@ -342,6 +342,20 @@ def test_embed_compare(capsys):
     assert code == 0 and out.strip() == "less"
 
 
+def test_embed_compare_decides_closed_forms_over_the_budget(capsys):
+    # 10^9 elements each: the verdict comes from (k, t), not a partition
+    code, out, err = run(
+        capsys, "embed", "compare", "--k", "1000", "alt 1000 1000", "alt 1000 1000"
+    )
+    assert (code, out, err) == (0, "equal-on-projections\n", "")
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "embed", "compare", "--k", "2", "alt 1000000 1", "alt 1 1000000"
+    )
+    assert (code, out, err) == (0, "greater\n", "")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_embed_tensor(capsys):
     code, out, _ = run(
         capsys, "embed", "tensor", "--k", "2", "--j", "2", "std 2", "std 2"

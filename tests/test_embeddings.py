@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from tuhf import partitions
+from tuhf import embeddings, partitions
 from tuhf import (
     EmbeddingOrder,
     OrderedPartition,
@@ -261,6 +261,57 @@ def test_compare_embeddings_examples():
 def test_compare_embeddings_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         compare_embeddings(standard(2, 2), standard(2, 3))
+
+
+def _splits(n: int):
+    return [(d, n // d) for d in range(1, n + 1) if n % d == 0]
+
+
+def test_closed_form_order_is_partition_order():
+    # every split s'*t' = s*t of every small closed form, against the
+    # order of the two built partitions; == agrees with diag equality
+    # whichever side is closed and whichever explicit
+    verdicts = {
+        partitions.Order.LESS: EmbeddingOrder.LESS,
+        partitions.Order.EQUAL: EmbeddingOrder.EQUAL_ON_PROJECTIONS,
+        partitions.Order.GREATER: EmbeddingOrder.GREATER,
+    }
+    pairs = 0
+    for k, s, t in itertools.product(range(1, 6), SMALL, SMALL):
+        a = alternating(k, s, t)
+        for s2, t2 in _splits(s * t):
+            b = alternating(k, s2, t2)
+            want = verdicts[partitions.compare(a.diag, b.diag)]
+            equal = a.diag == b.diag
+            assert compare_embeddings(a, b) is want, (k, s, t, s2, t2)
+            explicit_a, explicit_b = RegularEmbedding(a.diag), RegularEmbedding(b.diag)
+            for x, y in itertools.product((a, explicit_a), (b, explicit_b)):
+                assert compare_embeddings(x, y) is want
+                assert (x == y) is equal and (y == x) is equal
+            pairs += 1
+    assert pairs == 270
+
+
+def test_closed_forms_compare_without_building_a_partition(monkeypatch):
+    def refuse(k, s, t):
+        raise AssertionError(f"built the grid of alternating({k}, {s}, {t})")
+
+    monkeypatch.setattr(embeddings, "_alternating_grid", refuse)
+    for (s, t), (s2, t2), want in (
+        ((2, 2), (1, 4), EmbeddingOrder.GREATER),
+        ((1, 4), (4, 1), EmbeddingOrder.LESS),
+        ((4, 1), (2, 2), EmbeddingOrder.GREATER),
+        ((2, 2), (2, 2), EmbeddingOrder.EQUAL_ON_PROJECTIONS),
+    ):
+        assert compare_embeddings(alternating(3, s, t), alternating(3, s2, t2)) is want
+    assert alternating(1, 2, 3) == alternating(1, 6, 1)
+    assert alternating(2, 2, 3) != alternating(2, 6, 1)
+    big = alternating(1000, 1000, 1000)  # 10^9 elements, far over MAX_GROUND
+    assert compare_embeddings(big, alternating(1000, 1000, 1000)) is (
+        EmbeddingOrder.EQUAL_ON_PROJECTIONS
+    )
+    assert big == alternating(1000, 1000, 1000)
+    assert "diag" not in vars(big)
 
 
 def test_order_preserved_under_composition():

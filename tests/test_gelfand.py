@@ -19,8 +19,10 @@ from tuhf import (
     projection_chain,
     relation_member,
 )
-from tuhf.gelfand import DepthMismatch, coordinate_sizes, gelfand_readings
+from tuhf.gelfand import DepthMismatch, RelationPair, coordinate_sizes, gelfand_readings
 from tuhf.partitions import OutOfRange, parse_partition
+
+ORIGIN = GelfandPoint((0,))
 
 
 def block_by_hand(tower, n, i):
@@ -61,6 +63,21 @@ def test_coordinates_are_python_ints(two_inf_alt, coords):
     # and to raise TypeError on None
     with pytest.raises(OutOfRange, match="is not an integer"):
         gelfand_compare(two_inf_alt, GelfandPoint(coords), GelfandPoint((1,) * len(coords)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GelfandPoint(()), "a point needs at least one coordinate"),
+        (lambda: RelationPair(ORIGIN, ORIGIN, 0, 1, 1), "witness level must be >= 1, got 0"),
+        (lambda: RelationPair(ORIGIN, ORIGIN, 1, 2, 1), "witness needs i <= j, got (2,1)"),
+    ],
+    ids=["no-coordinates", "witness-level", "witness-order"],
+)
+def test_constructor_checks(call, message):
+    with pytest.raises(OutOfRange) as exc:
+        call()
+    assert type(exc.value) is OutOfRange and str(exc.value) == message
 
 
 def test_coordinate_ranges_checked(two_inf_alt):

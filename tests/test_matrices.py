@@ -232,6 +232,48 @@ def test_straighten_chain_of_three():
         assert np.max(np.abs(conj.entries - w.to_matrix())) <= 1e-9
 
 
+IDENTITY2 = DiagonalUnitary((1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: ComplexUpperTriangular(np.zeros((2, 3))),
+            "need a square matrix, got shape (2, 3)",
+        ),
+        (lambda: PartialPermutationMatrix(0, ()), "dimension must be positive, got 0"),
+        (lambda: PartialPermutationMatrix(2, ((1, 3),)), "pair (1,3) outside 1..2"),
+        (lambda: DiagonalUnitary(()), "need at least one phase"),
+        (
+            lambda: recompose(IDENTITY2, PartialPermutationMatrix(3, ())),
+            "dimension mismatch 2 vs 3",
+        ),
+        (
+            lambda: conjugate_by_diagonal(IDENTITY2, ComplexUpperTriangular(np.eye(3))),
+            "dimension mismatch 2 vs 3",
+        ),
+        (lambda: straighten_level([(IDENTITY2, None)], [(1,), (1,)]), "supports must be disjoint"),
+        (lambda: straighten_level([(IDENTITY2, None)], [(1,), (3,)]), "supports must cover 1..2"),
+        (
+            lambda: straighten_level(
+                [(DiagonalUnitary((1.0,) * 3), PartialPermutationMatrix(3, ((1, 2),)))],
+                [(1,), (2,)],
+            ),
+            "image 1 has dimension 3x3, expected 2",
+        ),
+    ],
+    ids=[
+        "square", "ppm-dimension", "ppm-pair", "no-phase", "recompose", "conjugate",
+        "straighten-disjoint", "straighten-cover", "straighten-dimension",
+    ],
+)
+def test_shape_checks(call, message):
+    with pytest.raises(ShapeMismatch) as exc:
+        call()
+    assert type(exc.value) is ShapeMismatch and str(exc.value) == message
+
+
 def test_straighten_shape_errors():
     w = PartialPermutationMatrix(4, ((1, 3), (2, 4)))
     d = DiagonalUnitary((1.0,) * 4)

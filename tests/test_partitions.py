@@ -141,6 +141,41 @@ def test_subpartition_invariants_checked():
         OrderedSubpartition(((1,), (2, 3)))
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: OrderedPartition.from_assignment([]), InvalidPartition, "empty assignment"),
+        (lambda: OrderedPartition.from_assignment([1], 0), InvalidPartition, "bad block count 0"),
+        (
+            lambda: OrderedSubpartition(((2, 1),)),
+            InvalidPartition,
+            "block elements must be sorted and distinct",
+        ),
+        (lambda: OrderedSubpartition(((1, 2), (2, 3))), InvalidPartition, "element 2 occurs twice"),
+        (
+            lambda: ordered_partitions(5, 2),
+            InvalidPartition,
+            "no ordered partitions of 5 into 2 equal blocks",
+        ),
+        (
+            lambda: psize_oracle(
+                [range(1, 3)], [range(1, 2), range(2, 3)], OrderedPartition([[1, 2]])
+            ),
+            HypothesisViolated,
+            "source run 1..2 outside 1..1",
+        ),
+    ],
+    ids=[
+        "assignment-empty", "assignment-blocks", "sub-unsorted", "sub-repeat", "enumerate-shape",
+        "psize-source",
+    ],
+)
+def test_argument_checks(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 # -- runs ---------------------------------------------------------------
 
 def test_runs_of_examples():

@@ -82,8 +82,13 @@ def test_factorize_reconstructs():
 
 
 def test_factorize_rejects_nonpositive():
-    with pytest.raises(Exception):
+    # a library error, like every other refusal
+    with pytest.raises(DomainError) as exc:
         factorize(0)
+    assert type(exc.value) is DomainError and str(exc.value) == "cannot factor 0"
+    with pytest.raises(DomainError) as exc:
+        SupernaturalNumber.from_int(0)
+    assert type(exc.value) is DomainError and str(exc.value) == "0 has no prime factorization"
 
 
 def test_multiply_matches_integers():
@@ -120,6 +125,20 @@ def test_parse_format_round_trip():
         n = SupernaturalNumber.parse(text)
         assert n.format() == text
         assert SupernaturalNumber.parse(n.format()) == n
+
+
+@pytest.mark.parametrize(
+    "factors, error, message",
+    [
+        (((4, 1),), NonPrimeBase, "4 is not prime"),
+        (((3, 1), (2, 1)), MalformedLiteral, "primes must be strictly ascending"),
+    ],
+    ids=["non-prime", "descending"],
+)
+def test_constructor_checks(factors, error, message):
+    with pytest.raises(error) as exc:
+        SupernaturalNumber(factors)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_parse_rejects_bad_literals():

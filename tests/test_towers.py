@@ -29,6 +29,7 @@ from tuhf import (
     validate_word,
 )
 from tuhf.errors import DomainError
+from tuhf.partitions import OutOfRange
 from tuhf.towers import ChainMismatch, InvalidDescriptor, NotAlternatingTower, ParseError
 
 S = SupernaturalNumber.from_dict
@@ -152,6 +153,37 @@ def test_descriptor_errors(text, message):
     with pytest.raises(InvalidDescriptor) as exc:
         parse_descriptor(text)
     assert type(exc.value) is InvalidDescriptor and str(exc.value) == message
+
+
+STD2 = (Descriptor("std", 2),)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Descriptor("foo"), InvalidDescriptor, "unknown descriptor kind 'foo'"),
+        (lambda: Descriptor("part"), InvalidDescriptor, "part descriptor needs a partition"),
+        (lambda: Descriptor("std", 2, 3), InvalidDescriptor, "std descriptor has t multiplicity 1"),
+        (lambda: Descriptor("nest", 2, 3), InvalidDescriptor, "nest descriptor has s multiplicity 1"),
+        (lambda: TowerSpec(0, cycle=STD2), ChainMismatch, "k1 must be positive, got 0"),
+        (lambda: TowerSpec(2), ChainMismatch, "a tower needs at least one cycle descriptor"),
+        (lambda: TowerSpec(1, cycle=STD2).descriptor_at(0), OutOfRange, "level must be >= 1, got 0"),
+        (lambda: TowerSpec(1, cycle=STD2).level_dims(0), OutOfRange, "level must be >= 1, got 0"),
+        (
+            lambda: TowerSpec(1, cycle=STD2).composite(3, 2),
+            OutOfRange,
+            "need 1 <= m <= m_to, got 3..2",
+        ),
+    ],
+    ids=[
+        "kind", "part-partition", "std-t", "nest-s", "k1", "no-cycle", "descriptor-level",
+        "dims-level", "composite-range",
+    ],
+)
+def test_constructor_and_level_checks(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_part_descriptor_hands_its_partition_text_over_as_written(monkeypatch):
