@@ -75,6 +75,7 @@ from .matrices import (
 from .partitions import (
     Order,
     OrderedPartition,
+    _is_partition_grid,
     compare,
     compose,
     format_partition,
@@ -400,25 +401,6 @@ def random_psize_instance(
 # suites
 # ----------------------------------------------------------------------
 
-def _is_ordered_partition(p: OrderedPartition) -> bool:
-    """The ordered-partition invariant, restated apart from the
-    constructor's check: the grid's rows and columns strictly increase,
-    and the flattened grid is a permutation of 1..m.  Composition,
-    tensoring and the closed form build their partitions unchecked, so
-    the suites that exercise them check what they build with this."""
-    a = p.array
-    if a.ndim != 2 or a.size == 0:
-        return False
-    flat = a.ravel()
-    if flat.min() < 1 or flat.max() > a.size:
-        return False
-    hit = np.zeros(a.size + 1, dtype=bool)
-    hit[flat] = True
-    return bool(
-        (np.diff(a, axis=1) > 0).all() and (np.diff(a, axis=0) > 0).all() and hit[1:].all()
-    )
-
-
 def _suite_partition_total_order(
     rng: random.Random, cases: int, tower: Optional[TowerSpec]
 ) -> SuiteResult:
@@ -451,7 +433,7 @@ def _suite_order_preservation(
         mult = rng.randint(1, 96 // m)
         phi = random_ordered_partition(rng, m * mult, m)
         pa, pb = compose(phi, a), compose(phi, b)
-        if not (_is_ordered_partition(pa) and _is_ordered_partition(pb)):
+        if not (_is_partition_grid(pa.array) and _is_partition_grid(pb.array)):
             return False, (
                 f"case {idx}: a composite of shape {n}|{m * mult} is not an ordered partition"
             )
@@ -474,7 +456,7 @@ def _suite_compose_associative(
         lhs = compose(psi, compose(phi, a))
         if lhs != compose(compose(psi, phi), a):
             return False, f"case {idx}: associativity fails at {n}|{m}|{m2}|{m3}"
-        if not _is_ordered_partition(lhs):
+        if not _is_partition_grid(lhs.array):
             return False, (
                 f"case {idx}: the composite at {n}|{m}|{m2}|{m3} is not an ordered partition"
             )
@@ -585,7 +567,7 @@ def _suite_alternating_closure(
         closed = alternating(k, s1 * s2, t1 * t2)
         if compose(outer.diag, inner.diag) != closed.diag:
             return False, f"case {idx}: closure fails at k={k} ({s1},{t1})({s2},{t2})"
-        if not _is_ordered_partition(closed.diag):
+        if not _is_partition_grid(closed.diag.array):
             return False, (
                 f"case {idx}: the closed form at k={k} ({s1 * s2},{t1 * t2}) "
                 f"is not an ordered partition"
@@ -721,7 +703,7 @@ def _suite_shift_well_defined(
                     f"case {idx}: word {w} does not commute with the "
                     f"level-{n} inclusion"
                 )
-            if not _is_ordered_partition(lhs):
+            if not _is_partition_grid(lhs.array):
                 return False, f"case {idx}: the level-{n} square is not an ordered partition"
             checked += 1
     return True, f"{cases} cases, {checked} level squares"
@@ -877,7 +859,7 @@ def _suite_tensor_combine(
                 f"blockwise family at level {n}"
             )
         built = (emb, inner_blocks, outer_global, inner_global, outer_blocks)
-        if not all(map(_is_ordered_partition, built)):
+        if not all(_is_partition_grid(p.array) for p in built):
             return False, f"case {idx}: a tensor action at level {n} is not an ordered partition"
         if j_n >= 2:
             for i in range(1, k_n + 1):

@@ -263,11 +263,13 @@ def parse_matrix(text: str) -> ComplexUpperTriangular:
         raise FormatError(f"dimension must be positive, got {k}")
     if len(lines) != k + 1:
         raise FormatError(f"expected {k} rows, got {len(lines) - 1}")
-    a = np.zeros((k, k), dtype=complex)
+    # Rows are read into lists, so memory follows the text, not k*k.
+    rows: list[list[complex]] = []
     for r, line in enumerate(lines[1:]):
         cells = line.split()
         if len(cells) != k:
             raise FormatError(f"row {r + 1} has {len(cells)} entries, expected {k}")
+        row: list[complex] = []
         for c, cell in enumerate(cells):
             re_part, sep, im_part = cell.partition(",")
             if not sep:
@@ -280,5 +282,6 @@ def parse_matrix(text: str) -> ComplexUpperTriangular:
                 ) from None
             if not cmath.isfinite(z):
                 raise FormatError(f"entry ({r + 1},{c + 1}) is not finite: {cell!r}")
-            a[r, c] = z
-    return ComplexUpperTriangular(a)
+            row.append(z)
+        rows.append(row)
+    return ComplexUpperTriangular(rows)

@@ -148,6 +148,9 @@ def test_alternating_equality_is_partition_equality():
     assert alternating(2, 2, 3) != alternating(2, 6, 1)
     assert alternating(2, 2, 3).diag != alternating(2, 6, 1).diag
     assert len({alternating(3, 2, 2), nest(3, 4), standard(3, 4)}) == 3
+    # different source sizes are unequal, and not a ShapeMismatch
+    assert (alternating(2, 2, 1) == alternating(4, 1, 1)) is False
+    assert (alternating(2, 1, 1) == 5) is False
 
 
 # -- unit images ---------------------------------------------------------

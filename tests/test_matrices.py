@@ -1,6 +1,7 @@
 """Matrix-level checks: splits, straightening, and the Kronecker bridge."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,16 +263,37 @@ IDENTITY2 = DiagonalUnitary((1.0, 1.0))
             ),
             "image 1 has dimension 3x3, expected 2",
         ),
+        (
+            lambda: straighten_level(
+                [(DiagonalUnitary((1, 1, 1)), PartialPermutationMatrix(3, ((1, 2),)))],
+                [[1], [2, 3]],
+            ),
+            "supports must have equal sizes",
+        ),
+        (
+            lambda: straighten_level(
+                [(IDENTITY2, PartialPermutationMatrix(2, ((1, 1),)))], [[1], [2]]
+            ),
+            "image 1 must map support 2 onto support 1",
+        ),
     ],
     ids=[
         "square", "ppm-dimension", "ppm-pair", "no-phase", "recompose", "conjugate",
         "straighten-disjoint", "straighten-cover", "straighten-dimension",
+        "straighten-sizes", "straighten-image",
     ],
 )
 def test_shape_checks(call, message):
     with pytest.raises(ShapeMismatch) as exc:
         call()
     assert type(exc.value) is ShapeMismatch and str(exc.value) == message
+
+
+def test_upper_triangular_is_immutable_and_named_by_size():
+    m = ComplexUpperTriangular(np.eye(2))
+    with pytest.raises(AttributeError, match="^ComplexUpperTriangular is immutable$"):
+        m.k = 3
+    assert repr(m) == "ComplexUpperTriangular(k=2)"
 
 
 def test_straighten_shape_errors():
@@ -321,3 +343,17 @@ def test_matrix_text_errors(text, message):
     with pytest.raises(FormatError) as exc:
         parse_matrix(text)
     assert type(exc.value) is FormatError and str(exc.value) == message
+
+
+def test_matrix_text_memory_follows_the_text():
+    # a 12 KB text claiming dim 3000 must be refused before a 3000 x 3000
+    # complex array (144 MB) is allocated
+    text = "dim 3000\n" + "0,0\n" * 3000
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"^row 1 has 1 entries, expected 3000$"):
+            parse_matrix(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak

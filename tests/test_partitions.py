@@ -1,8 +1,10 @@
 """Ordered partitions, subpartitions, runs, and the run-size oracle."""
 
+import ast
 import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,16 +166,27 @@ def test_subpartition_invariants_checked():
             HypothesisViolated,
             "source run 1..2 outside 1..1",
         ),
+        (
+            lambda: OrderedSubpartition(((2, 3), (1,))),
+            RankOrderViolation,
+            "rank 1 of block 1 is not below rank 1 of block 2",
+        ),
+        (lambda: from_blocks((1,), (2,)).block(0), OutOfRange, "block index 0 outside 1..2"),
+        (lambda: from_blocks((1,), (2,)).block(3), OutOfRange, "block index 3 outside 1..2"),
     ],
     ids=[
         "assignment-empty", "assignment-blocks", "sub-unsorted", "sub-repeat", "enumerate-shape",
-        "psize-source",
+        "psize-source", "sub-rank", "block-low", "block-high",
     ],
 )
 def test_argument_checks(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_partition_is_unequal_to_other_types():
+    assert (from_blocks((1,), (2,)) == 5) is False
 
 
 # -- runs ---------------------------------------------------------------
@@ -753,3 +766,51 @@ def test_partition_text_header_errors(text, message):
 def test_partition_text_reads_past_surrounding_whitespace():
     assert parse_partition(f"\t {_big_text(after='  ')}\n") == _BIG
     assert parse_partition(" m=4\tn=2   blocks=1,3;2,4 \n") == from_blocks((1, 3), (2, 4))
+
+
+# -- unchecked builds ----------------------------------------------------
+
+_SRC = Path(__file__).resolve().parents[1] / "src" / "tuhf"
+
+
+def _calls_by_site(match):
+    """(module, enclosing qualname, call) for each call in src/tuhf that
+    ``match`` accepts."""
+    found = []
+
+    def walk(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call) and match(child):
+                found.append((module, scope, child))
+            walk(child, module, inner)
+
+    for path in sorted(_SRC.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
+def test_unchecked_partition_builds_stay_at_their_named_sites():
+    # A new caller of _trusted skips validation: it must be named in the
+    # partitions docstring, with why its grid is valid, and here.
+    trusted = _calls_by_site(
+        lambda call: isinstance(call.func, ast.Attribute) and call.func.attr == "_trusted"
+    )
+    assert {(module, scope) for module, scope, _ in trusted} == {
+        ("partitions", "compose"),
+        ("embeddings", "_tensor_blocks"),
+        ("embeddings", "RegularEmbedding.diag"),
+    }
+    # and only _trusted makes a partition without __init__
+    bare = _calls_by_site(
+        lambda call: isinstance(call.func, ast.Attribute)
+        and call.func.attr == "__new__"
+        and ast.unparse(call.func.value) == "object"
+    )
+    assert {
+        (module, scope)
+        for module, scope, call in bare
+        if scope.startswith("OrderedPartition.") or "OrderedPartition" in ast.unparse(call)
+    } == {("partitions", "OrderedPartition._trusted")}

@@ -95,6 +95,8 @@ def test_multiply_matches_integers():
     a = SupernaturalNumber.from_int(6)
     b = SupernaturalNumber.from_int(10)
     assert multiply(a, b) == SupernaturalNumber.from_int(60)
+    with pytest.raises(TypeError):
+        SupernaturalNumber() * 5  # a product takes two supernatural numbers
 
 
 def test_infinite_exponent_absorbs():

@@ -165,6 +165,16 @@ STD2 = (Descriptor("std", 2),)
         (lambda: Descriptor("part"), InvalidDescriptor, "part descriptor needs a partition"),
         (lambda: Descriptor("std", 2, 3), InvalidDescriptor, "std descriptor has t multiplicity 1"),
         (lambda: Descriptor("nest", 2, 3), InvalidDescriptor, "nest descriptor has s multiplicity 1"),
+        (
+            lambda: Descriptor("part", 2, 1, partition=alternating(2, 1, 1).diag),
+            InvalidDescriptor,
+            "part descriptor carries no multiplicities",
+        ),
+        (
+            lambda: Descriptor("std", 2, partition=alternating(2, 1, 1).diag),
+            InvalidDescriptor,
+            "std descriptor carries no partition",
+        ),
         (lambda: TowerSpec(0, cycle=STD2), ChainMismatch, "k1 must be positive, got 0"),
         (lambda: TowerSpec(2), ChainMismatch, "a tower needs at least one cycle descriptor"),
         (lambda: TowerSpec(1, cycle=STD2).descriptor_at(0), OutOfRange, "level must be >= 1, got 0"),
@@ -176,7 +186,8 @@ STD2 = (Descriptor("std", 2),)
         ),
     ],
     ids=[
-        "kind", "part-partition", "std-t", "nest-s", "k1", "no-cycle", "descriptor-level",
+        "kind", "part-partition", "std-t", "nest-s", "part-mults", "std-partition", "k1",
+        "no-cycle", "descriptor-level",
         "dims-level", "composite-range",
     ],
 )

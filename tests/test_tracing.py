@@ -80,3 +80,49 @@ def test_traced_factor_times_factor_automorphism(tmp_path):
                          "levels 3 4 interval s=4 t=1"]
     assert "exit 0" in lines
     assert float(lines[-1].split()[1]) > 0
+
+
+# One traced `shift` as command 0 of a one-pass trace; its records go to
+# a buffer so the metrics are the last lines printed.
+TRACED_SHIFT = """\
+import contextlib, io, sys
+from pathlib import Path
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tuhf
+import tuhf.cli
+import tracing
+
+tower, work = sys.argv[3], Path(sys.argv[4])
+tracer = tracing.install(tuhf)
+tracer.command, tracer.kind = 0, "shift"
+with contextlib.redirect_stdout(io.StringIO()):
+    code = tuhf.cli.main(["shift", tower, "-p", "2", "--levels", "1..4"])
+print("exit", code)
+tracer.write(work / "trace.bin")
+metrics = tracing.summarize(work / "trace.bin", ["shift"], 1)
+for name in ("automorphisms.shift.built_elements", "automorphisms.shift.useful_ratio",
+             "partitions.OrderedPartition.max_ground"):
+    print(name, metrics.get(name, 0))
+"""
+
+
+def test_traced_shift_counts_every_partition_it_builds(tmp_path):
+    # shift's actions are composites, built unchecked through _trusted;
+    # every build passes through __post_init__, where the tracer counts
+    # it, so the three levels' 16 + 64 + 256 elements are all read
+    tower = tmp_path / "two.tower"
+    tower.write_text("k1 4\ns1 2\nt1 2\ncycle alt 2 2\n")
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", TRACED_SHIFT, str(ROOT / "src"), str(ROOT / "perfbench"),
+         str(tower), str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "exit 0"
+    metrics = {name: float(value) for name, value in map(str.split, lines[1:])}
+    assert metrics == {
+        "automorphisms.shift.built_elements": 336,
+        "automorphisms.shift.useful_ratio": 1.0,
+        "partitions.OrderedPartition.max_ground": 256,
+    }
