@@ -51,6 +51,7 @@ from .embeddings import (
     nest,
     standard,
 )
+from .errors import DomainError
 from .gelfand import (
     GelfandOrder,
     GelfandPoint,
@@ -672,10 +673,14 @@ def _suite_level_straightening(
 
 def _word_pool(tower: Optional[TowerSpec]) -> list[tuple[TowerSpec, ShiftWord]]:
     """Fold the CLI-supplied tower into a suite's pool when it carries
-    a usable word and stays within _DIM_CAP."""
+    a usable word and stays within _DIM_CAP.  A tower whose supernatural
+    pair trial division cannot settle carries none."""
     if tower is None or not tower.is_alternating_form:
         return []
-    primes = sorted(common_infinite_primes(tower))
+    try:
+        primes = sorted(common_infinite_primes(tower))
+    except DomainError:
+        return []
     if not primes:
         return []
     w = ShiftWord(primes[0], 1)

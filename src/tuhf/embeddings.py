@@ -289,4 +289,5 @@ def tensor_embed(ephi: RegularEmbedding, epsi: RegularEmbedding) -> RegularEmbed
     """Tensor product of embeddings, row-major on (outer, inner) indices:
     the diagonal unit (i, a) maps to ephi's block i tensored with epsi's
     block a (see ``_tensor_blocks``)."""
+    _require_within_budget(ephi.k_to * epsi.k_to)  # before either diag is built
     return RegularEmbedding(_tensor_blocks(ephi.diag, [epsi.diag] * ephi.k_from))

@@ -41,11 +41,11 @@ blocks' elements in decimal, ``,`` within a block and ``;`` between
 blocks.  From m = ``_VECTOR_MIN`` on, ``format_partition`` writes the
 body as one uint8 array, byte for byte the text of the joins it uses
 below that size.  ``parse_partition`` checks the two header words once,
-then reads a body as one array only when it is in the strict grammar
-(m tokens of 1 to 18 ASCII digits, a ``;`` after every (m/n)-th) and
-hands the grid to the fully validating constructor; every other body
-is read token by token, as at every smaller size, so every error and
-its message is the token path's.
+then reads a body as one array only when it is in the writer's layout
+(m values in 1..m, each just its digits, ``;`` after every (m/n)-th,
+where ``_token_ends`` places them) and hands the grid to the fully
+validating constructor; every other body is read token by token, as
+at every smaller size, so every error and its message is the token path's.
 """
 
 from __future__ import annotations
@@ -118,22 +118,29 @@ def _scan(blocks: Sequence[Sequence[object]]) -> None:
             )
     if size == 0:
         raise InvalidPartition("blocks must be nonempty")
-    m = size * len(blocks)
-    seen = [False] * (m + 1)
+    _rank_scan(blocks, size * len(blocks))
+
+
+def _rank_scan(blocks: Sequence[Sequence[object]], m: Optional[int] = None) -> None:
+    """Each element lies in 1..m (if m is given), is sorted and is new;
+    block sizes weakly decrease and rank order holds."""
+    seen: set[object] = set()
     for b in blocks:
-        prev = 0
+        prev = None
         for x in b:
-            if type(x) is not int or not 1 <= x <= m:
+            if m is not None and (type(x) is not int or not 1 <= x <= m):
                 raise InvalidPartition(f"element {x!r} outside 1..{m}")
-            if x <= prev:
+            if prev is not None and x <= prev:
                 raise InvalidPartition("block elements must be sorted and distinct")
-            if seen[x]:
+            if x in seen:
                 raise InvalidPartition(f"element {x} occurs twice")
-            seen[x] = True
+            seen.add(x)
             prev = x
     for i in range(len(blocks) - 1):
         a, b = blocks[i], blocks[i + 1]
-        for l in range(size):
+        if len(a) < len(b):
+            raise InvalidPartition("block sizes must be weakly decreasing")
+        for l in range(len(b)):
             if a[l] >= b[l]:
                 raise RankOrderViolation(i + 1, i + 2, l + 1)
 
@@ -320,23 +327,7 @@ class OrderedSubpartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for b in self.blocks:
-            prev = None
-            for x in b:
-                if prev is not None and x <= prev:
-                    raise InvalidPartition("block elements must be sorted and distinct")
-                if x in seen:
-                    raise InvalidPartition(f"element {x} occurs twice")
-                seen.add(x)
-                prev = x
-        for i in range(len(self.blocks) - 1):
-            a, b = self.blocks[i], self.blocks[i + 1]
-            if len(a) < len(b):
-                raise InvalidPartition("block sizes must be weakly decreasing")
-            for l in range(len(b)):
-                if a[l] >= b[l]:
-                    raise RankOrderViolation(i + 1, i + 2, l + 1)
+        _rank_scan(self.blocks)
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "OrderedSubpartition":
@@ -487,12 +478,20 @@ def ordered_partitions(m: int, n: int) -> Iterator[OrderedPartition]:
 # array; below it the joins and the token path are faster.
 _VECTOR_MIN = 512
 _COMMA, _SEMICOLON, _ZERO = ord(","), ord(";"), ord("0")
-_MAX_DIGITS = 18  # every token of at most 18 digits fits in int64
 
 
 def _join_body(p: OrderedPartition) -> str:
     """The body ``1,2,5;3,4,6``, one join per block: the reference."""
     return ";".join(",".join(map(str, b)) for b in p.array.tolist())
+
+
+def _token_ends(q: np.ndarray, m: int) -> np.ndarray:
+    """The writer's layout of elements ``q`` in 1..m, each token just its
+    digits: ``ends[i] - 1`` is the offset of the separator after token i."""
+    digits = np.ones(q.size, dtype=np.int64)
+    for d in range(1, len(str(m))):
+        digits += q >= 10**d
+    return np.cumsum(digits + 1)
 
 
 def _vector_body(p: OrderedPartition) -> str:
@@ -508,10 +507,7 @@ def _vector_body(p: OrderedPartition) -> str:
     """
     places = len(str(p.ground_size))
     q = p.array.ravel().astype(np.min_scalar_type(p.ground_size))
-    digits = np.ones(q.size, dtype=np.int64)
-    for d in range(1, places):
-        digits += q >= 10**d
-    ends = np.cumsum(digits + 1) + places
+    ends = _token_ends(q, p.ground_size) + places
     place_digits = np.empty((places, q.size), dtype=np.uint8)
     for d in range(places):
         higher = q // 10
@@ -533,7 +529,7 @@ def format_partition(p: OrderedPartition) -> str:
 
 def _token_grid(body: str) -> np.ndarray | list[list[int]]:
     """The blocks of a body, read token by token: the reference, and the
-    path of every body outside the strict grammar.  Raises ValueError."""
+    path of every body outside the writer's layout.  Raises ValueError."""
     tokens = [group.split(",") for group in body.split(";")]
     try:
         return np.sort(np.array(tokens, dtype=np.int64), axis=1)
@@ -544,34 +540,31 @@ def _token_grid(body: str) -> np.ndarray | list[list[int]]:
 
 
 def _strict_grid(body: str, m: int, n: int) -> Optional[np.ndarray]:
-    """The (n, m/n) grid of a body in the strict grammar, else None.
-
-    The grammar: m nonempty tokens of at most 18 ASCII digits, joined by
-    ``,`` except for the n-1 ``;`` after every (m/n)-th token.  On such
-    a body ``np.fromstring`` reads exactly the tokens, and the token path
-    would build the same grid; every other body goes to the token path.
+    """The (n, m/n) grid of a body in the writer's layout, else None: m
+    values in 1..m, read by ``np.fromstring``, with the body's length
+    and its ``,``/``;`` bytes where ``_token_ends`` puts them.  numpy
+    2.4's int64 reader raises ValueError on ``1e3``, ``0x1``, ``1_0``,
+    ``٣`` and an empty token; beyond digits it accepts only a sign,
+    whitespace, a leading zero or a trailing separator, each making the
+    text longer.  So a body of the layout's length holds every token as
+    just its digits, and the token path would read the same grid; every
+    other body (a sign, a leading zero or an element outside 1..m among
+    them) goes to that path, which gives the same grid or error.
     """
-    if not body.isascii():
+    try:
+        values = np.fromstring(body.replace(";", ","), dtype=np.int64, sep=",")
+    except ValueError:
         return None
-    buf = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    is_sep = (buf == _COMMA) | (buf == _SEMICOLON)
-    # Bytes below "0" wrap around to large values; ";" lies above "9".
-    if not ((buf - np.uint8(_ZERO) <= 9) | is_sep).all():
+    if values.size != m or values.min() < 1 or values.max() > m:
         return None
-    seps = np.flatnonzero(is_sep)
-    if seps.size != m - 1:
+    ends = _token_ends(values, m)
+    if ends[-1] != len(body) + 1:
         return None
-    # Token lengths: the gaps between separators, less one.
-    gaps = np.diff(seps, prepend=-1, append=buf.size)
-    if gaps.min() < 2 or gaps.max() > _MAX_DIGITS + 1:
+    # The byte after each token, with a ";" closing the last block.
+    seps = np.frombuffer((body + ";").encode(), dtype=np.uint8)[ends - 1].reshape(n, -1)
+    if (seps[:, :-1] != _COMMA).any() or (seps[:, -1] != _SEMICOLON).any():
         return None
-    size = m // n
-    if not np.array_equal(
-        np.flatnonzero(buf[seps] == _SEMICOLON), np.arange(size - 1, m - 1, size)
-    ):
-        return None
-    values = np.fromstring(body.replace(";", ","), dtype=np.int64, sep=",")
-    return np.sort(values.reshape(n, size), axis=1)
+    return np.sort(values.reshape(n, -1), axis=1)
 
 
 _KEYS = ("m=", "n=", "blocks=")
@@ -581,9 +574,9 @@ def parse_partition(text: str) -> OrderedPartition:
     """Parse ``m=<int> n=<int> blocks=<semicolon-separated comma lists>``.
 
     The two header words are split off and checked once.  From ``m`` of
-    ``_VECTOR_MIN`` on, a body in the strict grammar is then read as one
+    ``_VECTOR_MIN`` on, a body in the writer's layout is then read as one
     array; any other body is read token by token, so errors and their
-    messages do not depend on the path.  The strict grammar admits no
+    messages do not depend on the path.  The layout admits no
     whitespace, so a body it reads is never scanned for it; a header
     error waits for the field count, the token path's first check.
     """

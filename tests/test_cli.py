@@ -5,6 +5,7 @@ import decimal
 import hashlib
 import io
 import time
+import tracemalloc
 
 import pytest
 
@@ -445,6 +446,15 @@ def test_check_all(files, capsys):
     }
 
 
+def test_check_all_passes_on_a_tower_trial_division_cannot_settle(files, capsys):
+    # the ratio (10^12 + 39)^2 has no prime factor below the trial limit,
+    # so the tower's supernatural pair is unknown and it carries no word
+    f = files("big.tower", "k1 1\ncycle alt 1000000000078000000001521 2\n")
+    code, out, _ = run(capsys, "check", "all", f, "--cases", "3")
+    assert code == 0
+    assert out.splitlines()[-1] == "all suites passed"
+
+
 def test_check_all_reports_failing_and_raising_suites(files, capsys, monkeypatch):
     def fails(rng, cases, tower):
         return False, f"case 2 of {cases} broke"
@@ -587,6 +597,21 @@ def test_materialization_budget_refuses_large_partitions(
     code, out, err = run(capsys, *(a.format(f=f) for a in argv))
     assert (code, out) == (1, "")
     assert err == f"error: refusing to build a partition of {size} elements (limit 64)\n"
+
+
+def test_embed_tensor_refuses_before_building_either_factor(capsys):
+    # each factor has 2048^2 elements, exactly the limit; building both
+    # before the tensor's size is checked allocates 64 MB
+    argv = ("embed", "tensor", "--k", "2048", "--j", "2048", "alt 2048 1", "alt 2048 1")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == "error: refusing to build a partition of 17592186044416 elements (limit 4194304)\n"
+    assert peak < 8 * 2**20, peak
 
 
 DEEP = "k1 2\ncycle alt 2 2\n"

@@ -559,15 +559,25 @@ def _parse_by_token(text):
     return outcome
 
 
-_BAD_TOKENS = ["", "0", "-1", "1.5", "x", "+1", "0x1", "1_0", "٣", str(2**70), str(2**63)]
+_BAD_TOKENS = [
+    "", "0", "-1", "1.5", "x", "+1", "0x1", "1_0", "٣", "01", "1e2", str(2**70), str(2**63),
+]
 
 
 @st.composite
 def mutated_texts(draw):
-    """Partition text of a valid partition after at most one mutation."""
+    """Partition text of a valid partition after at most one mutation;
+    half the bases have at least _VECTOR_MIN elements, so the array
+    reader sees them."""
     kind = draw(st.sampled_from(["none", "swap", "bad", "ragged", "empty", "shape"]))
     rng = draw(_RNGS)
-    tokens = [[str(x) for x in b] for b in _valid_blocks(rng)]
+    if draw(st.booleans()):
+        blocks = _valid_blocks(rng)
+    else:
+        n = rng.choice([1, 2, 4, 8])
+        size = rng.randint(_VECTOR_MIN // n, 2 * _VECTOR_MIN // n)
+        blocks = random_ordered_partition(rng, n * size, n).blocks
+    tokens = [[str(x) for x in b] for b in blocks]
     m, n = sum(map(len, tokens)), len(tokens)
     i, j = _position(rng, tokens)
     if kind == "swap":
@@ -670,7 +680,7 @@ def _put(i, j, token):
     return lambda rows: rows[i].__setitem__(j, token)
 
 
-# (text, whether the strict grammar takes it, outcome) where the outcome
+# (text, whether the array reader takes it, outcome) where the outcome
 # is "ok" or (class, message), as the token path gives it.
 _CORRUPTED = {
     "empty token": (_big_text(_put(1, 5, "")), False,
@@ -689,6 +699,14 @@ _CORRUPTED = {
     "20 digits": (_big_text(_put(2, 0, "1" + "0" * 19)), False,
                   (InvalidPartition, "element 10000000000000000000 outside 1..512")),
     "unicode digit": (_big_text(_put(0, 2, "٣")), False, "ok"),
+    "leading zero": (_big_text(_put(0, 4, "05")), False, "ok"),
+    "over m": (_big_text(_put(0, 4, "513")), False,
+               (InvalidPartition, "element 513 outside 1..512")),
+    # the array reader relies on np.fromstring refusing an exponent
+    "exponent": (_big_text(_put(0, _BIG_ROWS[0].index("100"), "1e2")), False,
+                 (FormatError, "bad partition text: invalid literal for int() with base 10: '1e2'")),
+    "tab": (_big_text(_put(0, 4, "\t5")), False,
+            (FormatError, "expected three fields in partition text, got 4")),
     "short row": (_big_text(lambda rows: rows[1].pop()), False,
                   (UnequalBlockSizes, "block sizes differ: [127, 128]")),
     "long row": (_big_text(lambda rows: rows[3].append("513")), False,
