@@ -32,7 +32,6 @@ from .partitions import (
     runs_of,
 )
 from .embeddings import (
-    EmbeddingOrder,
     RegularEmbedding,
     alternating,
     compare_embeddings,
@@ -65,7 +64,6 @@ from .towers import (
     parse_descriptor,
 )
 from .gelfand import (
-    GelfandOrder,
     GelfandPoint,
     RelationPair,
     gelfand_compare,

@@ -53,7 +53,6 @@ from .embeddings import (
 )
 from .errors import DomainError
 from .gelfand import (
-    GelfandOrder,
     GelfandPoint,
     coordinate_sizes,
     gelfand_compare,
@@ -107,6 +106,8 @@ _K3_CAP = 64
 # Target ground sizes and search attempts of a random run-size instance.
 _PSIZE_GROUND = (13, 24)
 _PSIZE_ATTEMPTS = 600
+# The verdict of (b, a) that antisymmetry demands from each verdict of (a, b).
+_FLIPS = {Order.LESS: Order.GREATER, Order.GREATER: Order.LESS, Order.EQUAL: Order.EQUAL}
 
 SuiteResult = tuple[bool, str]
 Suite = Callable[[random.Random, int, Optional[TowerSpec]], SuiteResult]
@@ -405,14 +406,13 @@ def random_psize_instance(
 def _suite_partition_total_order(
     rng: random.Random, cases: int, tower: Optional[TowerSpec]
 ) -> SuiteResult:
-    flips = {Order.LESS: Order.GREATER, Order.GREATER: Order.LESS, Order.EQUAL: Order.EQUAL}
     for idx in range(cases):
         m, n = random_shape(rng, 18)
         a = random_ordered_partition(rng, m, n)
         b = random_ordered_partition(rng, m, n)
         c = random_ordered_partition(rng, m, n)
         ab, ba = compare(a, b), compare(b, a)
-        if ba is not flips[ab]:
+        if ba is not _FLIPS[ab]:
             return False, f"case {idx}: compare not antisymmetric on shape {n}|{m}"
         if (ab is Order.EQUAL) != (a == b):
             return False, f"case {idx}: Equal verdict disagrees with equality"
@@ -535,8 +535,6 @@ def _suite_embedding_functoriality(
         d2 = random_descriptor(rng, 6)
         e1 = d1.embedding(k)
         e2 = d2.embedding(e1.k_to)
-        if e2.k_to > 400:
-            continue
         comp = compose_embeddings(e2, e1)
         for _ in range(4):
             i = rng.randint(1, k)
@@ -673,9 +671,10 @@ def _suite_level_straightening(
 
 def _word_pool(tower: Optional[TowerSpec]) -> list[tuple[TowerSpec, ShiftWord]]:
     """Fold the CLI-supplied tower into a suite's pool when it carries
-    a usable word and stays within _DIM_CAP.  A tower whose supernatural
-    pair trial division cannot settle carries none."""
-    if tower is None or not tower.is_alternating_form:
+    a usable word and stays within _DIM_CAP.  A tower without a
+    supernatural pair (one that leaves alternating form, or whose pair
+    trial division cannot settle) carries none."""
+    if tower is None:
         return []
     try:
         primes = sorted(common_infinite_primes(tower))
@@ -772,32 +771,25 @@ def _suite_gelfand_agreement(
 def _suite_gelfand_total_order(
     rng: random.Random, cases: int, tower: Optional[TowerSpec]
 ) -> SuiteResult:
-    flips = {
-        GelfandOrder.LESS: GelfandOrder.GREATER,
-        GelfandOrder.GREATER: GelfandOrder.LESS,
-        GelfandOrder.EQUAL: GelfandOrder.EQUAL,
-    }
     for idx in range(cases):
         t = random_alternating_tower(rng, k1_max=3, max_ratio=6)
         depth = rng.randint(1, 3)
-        if t.level_dim(depth) > 4096:
-            depth = 1
         x = random_point(rng, t, depth)
         y = random_point(rng, t, depth)
         z = random_point(rng, t, depth)
         xy = gelfand_compare(t, x, y)
-        if xy is GelfandOrder.INCOMPARABLE:
+        if xy is Order.INCOMPARABLE:
             return False, f"case {idx}: same-tail points judged incomparable"
-        if gelfand_compare(t, y, x) is not flips[xy]:
+        if gelfand_compare(t, y, x) is not _FLIPS[xy]:
             return False, f"case {idx}: antisymmetry fails"
         if (
-            xy is not GelfandOrder.GREATER
-            and gelfand_compare(t, y, z) is not GelfandOrder.GREATER
-            and gelfand_compare(t, x, z) is GelfandOrder.GREATER
+            xy is not Order.GREATER
+            and gelfand_compare(t, y, z) is not Order.GREATER
+            and gelfand_compare(t, x, z) is Order.GREATER
         ):
             return False, f"case {idx}: transitivity fails"
         other = GelfandPoint(x.coords, tail="elsewhere")
-        if gelfand_compare(t, other, y) is not GelfandOrder.INCOMPARABLE:
+        if gelfand_compare(t, other, y) is not Order.INCOMPARABLE:
             return False, f"case {idx}: distinct tails must be incomparable"
     return True, f"{cases} cases"
 
@@ -811,7 +803,7 @@ def _suite_relation_member(
         x = random_point(rng, t, depth)
         y = random_point(rng, t, depth)
         verdict, _, member = gelfand_readings(t, x, y)
-        if (member is not None) != (verdict in (GelfandOrder.LESS, GelfandOrder.EQUAL)):
+        if (member is not None) != (verdict in (Order.LESS, Order.EQUAL)):
             return False, f"case {idx}: witness presence disagrees with the order"
         if member is None:
             continue
@@ -822,9 +814,9 @@ def _suite_relation_member(
             return False, f"case {idx}: witness does not match the chains"
         if x.coords[lvl:] != y.coords[lvl:]:
             return False, f"case {idx}: witness level not deep enough"
-        if verdict is GelfandOrder.EQUAL and lvl != 1:
+        if verdict is Order.EQUAL and lvl != 1:
             return False, f"case {idx}: equal points must witness at the first level"
-        if verdict is GelfandOrder.LESS:
+        if verdict is Order.LESS:
             d = max(i for i in range(depth) if x.coords[i] != y.coords[i]) + 1
             if lvl != d:
                 return False, f"case {idx}: witness level {lvl} is not minimal ({d})"
@@ -922,8 +914,6 @@ def _suite_iso_witness(
         cyc = (Descriptor("alt", cyc_s, cyc_t),)
         cycle_primes = factorize(cyc_s).keys() | factorize(cyc_t).keys()
         free = [q for q in _PRIMES if q not in cycle_primes]
-        if not free:
-            continue
         p = rng.choice(free)
         e = rng.randint(1, 2)
         x = rng.choice((1, 2))

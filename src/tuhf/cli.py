@@ -4,7 +4,8 @@ One command per invocation, plain deterministic text on stdout.  Exit
 codes: 0 on success (including a negative verdict such as "not
 isomorphic"), 1 when the inputs are well-formed but outside a
 command's domain, 2 when an input cannot be parsed.  Argument errors
-from the parser itself also exit 2.
+from the parser itself also exit 2.  A reader that closes stdout early
+(``| head``) ends the command with exit code 1 and no message.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import functools
+import os
 import re
 import sys
 from itertools import chain
@@ -34,7 +36,7 @@ from .embeddings import RegularEmbedding, compare_embeddings, compose_embeddings
 from .errors import FormatError, TuhfError
 from .gelfand import gelfand_readings, parse_point
 from .matrices import normalizer_split, parse_matrix
-from .partitions import format_partition
+from .partitions import Order, format_partition
 from .towers import format_tower, load_tower, parse_descriptor
 
 
@@ -86,6 +88,8 @@ _EXACT = decimal.Context(
 def _cmd_tower_show(args: argparse.Namespace) -> int:
     tower = _load_tower_file(args.file)
     levels = _positive(args.levels, "--levels")
+    # The pair is read first, so a refusal leaves stdout empty.
+    pair = tower.supernatural_pair() if tower.is_alternating_form else None
     with decimal.localcontext(_EXACT):
         first = tuple(decimal.Decimal(v) for v in (tower.k1, tower.s1, tower.t1))
         # The range comes first, so no level past the last one is stepped.
@@ -95,10 +99,9 @@ def _cmd_tower_show(args: argparse.Namespace) -> int:
                 print(f"level {n} k {k!s}")
             else:
                 print(f"level {n} k {k!s} s {s!s} t {t!s}")
-    if tower.is_alternating_form:
-        s_side, t_side = tower.supernatural_pair()
-        print(f"s-side {s_side}")
-        print(f"t-side {t_side}")
+    if pair is not None:
+        print(f"s-side {pair[0]}")
+        print(f"t-side {pair[1]}")
     else:
         print("supernatural pair undefined (tower leaves interval form)")
     return 0
@@ -168,7 +171,9 @@ def _cmd_embed_compose(args: argparse.Namespace) -> int:
 def _cmd_embed_compare(args: argparse.Namespace) -> int:
     a = parse_descriptor(args.descriptor_a).embedding(args.k)
     b = parse_descriptor(args.descriptor_b).embedding(args.k)
-    print(compare_embeddings(a, b).value)
+    verdict = compare_embeddings(a, b)
+    # Equal diagonal partitions only certify agreement on diagonal projections.
+    print("equal-on-projections" if verdict is Order.EQUAL else verdict.value)
     return 0
 
 
@@ -334,10 +339,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()
+        return rc
     except TuhfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, FormatError) else 1
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  Point fd 1 at devnull so
+        # the interpreter's last flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -38,7 +38,6 @@ memory.
 
 from __future__ import annotations
 
-import enum
 from functools import cached_property
 from typing import Sequence
 
@@ -137,7 +136,7 @@ class RegularEmbedding:
             return NotImplemented
         if (self.k_from, self.k_to) != (other.k_from, other.k_to):
             return False
-        return compare_embeddings(self, other) is EmbeddingOrder.EQUAL_ON_PROJECTIONS
+        return compare_embeddings(self, other) is Order.EQUAL
 
     def __hash__(self) -> int:
         return hash((self.k_from, self.k_to))
@@ -218,27 +217,15 @@ def compose_embeddings(
     return RegularEmbedding(partitions.compose(outer.diag, inner.diag))
 
 
-class EmbeddingOrder(enum.Enum):
-    LESS = "less"
-    EQUAL_ON_PROJECTIONS = "equal-on-projections"
-    GREATER = "greater"
-
-
-_ORDER_MAP = {
-    Order.LESS: EmbeddingOrder.LESS,
-    Order.EQUAL: EmbeddingOrder.EQUAL_ON_PROJECTIONS,
-    Order.GREATER: EmbeddingOrder.GREATER,
-}
-
-
-def compare_embeddings(a: RegularEmbedding, b: RegularEmbedding) -> EmbeddingOrder:
+def compare_embeddings(a: RegularEmbedding, b: RegularEmbedding) -> Order:
     """Order two same-shape embeddings by their diagonal partitions.
 
     Partition equality only certifies agreement on diagonal projections,
-    hence the middle verdict's name.  Two closed forms are ordered by
-    arithmetic, building no partition: element x of alt(k, s, t) lies in
-    block ((x - 1) // t) mod k + 1, so the forms first differ at x = 1 +
-    min(t, t'), which the smaller t sends to the later block.
+    so ``embed compare`` prints ``Order.EQUAL`` as equal-on-projections.
+    Two closed forms are ordered by arithmetic, building no partition:
+    element x of alt(k, s, t) lies in block ((x - 1) // t) mod k + 1, so
+    the forms first differ at x = 1 + min(t, t'), which the smaller t
+    sends to the later block.
     """
     if (a.k_from, a.k_to) != (b.k_from, b.k_to):
         raise ShapeMismatch(
@@ -247,9 +234,9 @@ def compare_embeddings(a: RegularEmbedding, b: RegularEmbedding) -> EmbeddingOrd
     if a.st is not None and b.st is not None:
         t, u = a.st[1], b.st[1]
         if a.k_from == 1 or t == u:
-            return EmbeddingOrder.EQUAL_ON_PROJECTIONS
-        return EmbeddingOrder.GREATER if t < u else EmbeddingOrder.LESS
-    return _ORDER_MAP[partitions.compare(a.diag, b.diag)]
+            return Order.EQUAL
+        return Order.GREATER if t < u else Order.LESS
+    return partitions.compare(a.diag, b.diag)
 
 
 def _tensor_blocks(

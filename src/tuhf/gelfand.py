@@ -33,23 +33,15 @@ the same way and keeps every level.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .errors import DomainError, FormatError
-from .partitions import OutOfRange
+from .partitions import Order, OutOfRange
 from .towers import TowerSpec
 
 
 class DepthMismatch(DomainError):
     """Points recorded at different depths cannot be compared."""
-
-
-class GelfandOrder(enum.Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
 
 
 @dataclass(frozen=True)
@@ -119,13 +111,13 @@ def _walk(
     return i, j
 
 
-def _order(a: object, b: object) -> GelfandOrder:
+def _order(a: object, b: object) -> Order:
     if a == b:
-        return GelfandOrder.EQUAL
-    return GelfandOrder.LESS if a < b else GelfandOrder.GREATER  # type: ignore[operator]
+        return Order.EQUAL
+    return Order.LESS if a < b else Order.GREATER  # type: ignore[operator]
 
 
-def gelfand_compare(tower: TowerSpec, x: GelfandPoint, y: GelfandPoint) -> GelfandOrder:
+def gelfand_compare(tower: TowerSpec, x: GelfandPoint, y: GelfandPoint) -> Order:
     """Coordinate reading of the order: lexicographic on x_1..x_N.
 
     Points with different tail markers are incomparable; on a shared
@@ -133,7 +125,7 @@ def gelfand_compare(tower: TowerSpec, x: GelfandPoint, y: GelfandPoint) -> Gelfa
     """
     _check(tower, x, y)
     if x.tail != y.tail:
-        return GelfandOrder.INCOMPARABLE
+        return Order.INCOMPARABLE
     return _order(x.coords, y.coords)
 
 
@@ -157,7 +149,7 @@ def projection_chain(tower: TowerSpec, x: GelfandPoint) -> tuple[int, ...]:
 
 def gelfand_readings(
     tower: TowerSpec, x: GelfandPoint, y: GelfandPoint
-) -> tuple[GelfandOrder, GelfandOrder, RelationPair | None]:
+) -> tuple[Order, Order, RelationPair | None]:
     """Coordinate order, projection order and relation witness of one
     pair, from one check and one walk.
 
@@ -167,7 +159,7 @@ def gelfand_readings(
     """
     _check(tower, x, y)
     if x.tail != y.tail:
-        return GelfandOrder.INCOMPARABLE, GelfandOrder.INCOMPARABLE, None
+        return Order.INCOMPARABLE, Order.INCOMPARABLE, None
     xs, ys = x.coords, y.coords
     d = len(xs)
     while d > 1 and xs[d - 1] == ys[d - 1]:
@@ -179,7 +171,7 @@ def gelfand_readings(
 
 def gelfand_compare_via_projections(
     tower: TowerSpec, x: GelfandPoint, y: GelfandPoint
-) -> GelfandOrder:
+) -> Order:
     """Projection-chain reading of the order: membership in the relation.
 
     x <= y iff at some depth n the chains satisfy i_n <= j_n while the

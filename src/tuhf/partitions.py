@@ -92,9 +92,15 @@ class HypothesisViolated(DomainError):
 
 
 class Order(enum.Enum):
+    """The one verdict of every comparison: of same-shape partitions, of
+    same-shape embeddings (``embeddings.compare_embeddings``) and of
+    Gelfand points (``gelfand``).  Only Gelfand points with different
+    tails are INCOMPARABLE; the other orders are total."""
+
     LESS = "less"
     EQUAL = "equal"
     GREATER = "greater"
+    INCOMPARABLE = "incomparable"
 
 
 def _scan(blocks: Sequence[Sequence[object]]) -> None:

@@ -9,6 +9,8 @@ both sides of each compared equality come from the mutant, so equality
 alone misses the second way (and, in two of the compose suites, the
 first); their explicit validity checks catch it.  The closed form is
 also compared with ``standard`` and ``nest``, which validate in full.
+The tower that ``check all`` is given joins the shift suites' pool only
+when it carries a usable word.
 """
 
 import random
@@ -18,6 +20,7 @@ import pytest
 
 from tuhf import automorphisms, checks, embeddings, partitions
 from tuhf.partitions import OrderedPartition
+from tuhf.towers import load_tower
 
 
 def _across_blocks(grid: np.ndarray) -> None:
@@ -79,3 +82,18 @@ def test_gelfand_agreement_draws_each_tower_when_it_is_compared(monkeypatch):
     with pytest.raises(RuntimeError, match="stop"):
         checks.SUITES["gelfand-agreement"](random.Random(0), 10**4, None)
     assert len(drawn) == 1  # not all cases // 10 = 1000 towers up front
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # level 3 of the word-normalized tower is 500^4 = 6.25e10 > _DIM_CAP
+        "k1 1\ncycle alt 500 500\n",
+        # no supernatural pair: the tower leaves alternating form
+        "k1 2\npreamble part 4 m=4 n=2 blocks=1,3;2,4\ncycle std 2\n",
+    ],
+    ids=["over-dim-cap", "not-alternating"],
+)
+def test_word_pool_refuses_a_tower_it_cannot_use(text):
+    assert checks._word_pool(load_tower(text)) == []
+

@@ -4,8 +4,12 @@ import contextlib
 import decimal
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,7 @@ ISO_A = "k1 1\npreamble alt 3 1\ncycle alt 2 5\n"
 ISO_B = "k1 1\npreamble alt 1 3\ncycle alt 2 5\n"
 SWAPPED_A = "k1 1\ncycle alt 2 3\n"
 SWAPPED_B = "k1 1\ncycle alt 3 2\n"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -66,6 +71,43 @@ def test_tower_show_non_alternating(files, capsys):
     assert lines[0] == "level 1 k 2 s 1 t 2"
     assert lines[1] == "level 2 k 4"
     assert lines[-1] == "supernatural pair undefined (tower leaves interval form)"
+
+
+def test_tower_show_refuses_before_the_first_level(files, capsys):
+    # (10^12 + 39)^2 has no prime factor below the trial limit, so the
+    # supernatural pair is refused, and it is read before any level
+    f = files("big.tower", "k1 1\ncycle alt 1000000000078000000001521 2\n")
+    code, out, err = run(capsys, "tower", "show", f, "--levels", "2")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: cannot factor 1000000000078000000001521 by trial division up to 1000000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("out-rank", "{f}"),
+        ("tower", "show", "{f}", "--levels", "100000"),
+        ("check", "all", "{f}", "--cases", "1"),
+    ],
+    ids=["out-rank", "tower-show", "check-all"],
+)
+def test_a_closed_stdout_exits_1_without_a_traceback(files, argv):
+    # as under `| head`: the reader is gone before the first write
+    f = files("two.tower", TWO_INF)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-B", "-m", "tuhf.cli", *(a.format(f=f) for a in argv)],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (1, b"")
 
 
 def test_tower_normalize_prime(files, capsys):

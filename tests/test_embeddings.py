@@ -7,7 +7,7 @@ import pytest
 
 from tuhf import embeddings, partitions
 from tuhf import (
-    EmbeddingOrder,
+    Order,
     OrderedPartition,
     RegularEmbedding,
     alternating,
@@ -255,10 +255,10 @@ def test_unit_images_do_not_compose_in_general():
 # -- order ---------------------------------------------------------------
 
 def test_compare_embeddings_examples():
-    assert compare_embeddings(nest(2, 2), standard(2, 2)) is EmbeddingOrder.LESS
-    assert compare_embeddings(standard(2, 2), nest(2, 2)) is EmbeddingOrder.GREATER
+    assert compare_embeddings(nest(2, 2), standard(2, 2)) is Order.LESS
+    assert compare_embeddings(standard(2, 2), nest(2, 2)) is Order.GREATER
     e = alternating(2, 2, 2)
-    assert compare_embeddings(e, e) is EmbeddingOrder.EQUAL_ON_PROJECTIONS
+    assert compare_embeddings(e, e) is Order.EQUAL
 
 
 def test_compare_embeddings_shape_mismatch():
@@ -274,17 +274,12 @@ def test_closed_form_order_is_partition_order():
     # every split s'*t' = s*t of every small closed form, against the
     # order of the two built partitions; == agrees with diag equality
     # whichever side is closed and whichever explicit
-    verdicts = {
-        partitions.Order.LESS: EmbeddingOrder.LESS,
-        partitions.Order.EQUAL: EmbeddingOrder.EQUAL_ON_PROJECTIONS,
-        partitions.Order.GREATER: EmbeddingOrder.GREATER,
-    }
     pairs = 0
     for k, s, t in itertools.product(range(1, 6), SMALL, SMALL):
         a = alternating(k, s, t)
         for s2, t2 in _splits(s * t):
             b = alternating(k, s2, t2)
-            want = verdicts[partitions.compare(a.diag, b.diag)]
+            want = partitions.compare(a.diag, b.diag)
             equal = a.diag == b.diag
             assert compare_embeddings(a, b) is want, (k, s, t, s2, t2)
             explicit_a, explicit_b = RegularEmbedding(a.diag), RegularEmbedding(b.diag)
@@ -301,17 +296,17 @@ def test_closed_forms_compare_without_building_a_partition(monkeypatch):
 
     monkeypatch.setattr(embeddings, "_alternating_grid", refuse)
     for (s, t), (s2, t2), want in (
-        ((2, 2), (1, 4), EmbeddingOrder.GREATER),
-        ((1, 4), (4, 1), EmbeddingOrder.LESS),
-        ((4, 1), (2, 2), EmbeddingOrder.GREATER),
-        ((2, 2), (2, 2), EmbeddingOrder.EQUAL_ON_PROJECTIONS),
+        ((2, 2), (1, 4), Order.GREATER),
+        ((1, 4), (4, 1), Order.LESS),
+        ((4, 1), (2, 2), Order.GREATER),
+        ((2, 2), (2, 2), Order.EQUAL),
     ):
         assert compare_embeddings(alternating(3, s, t), alternating(3, s2, t2)) is want
     assert alternating(1, 2, 3) == alternating(1, 6, 1)
     assert alternating(2, 2, 3) != alternating(2, 6, 1)
     big = alternating(1000, 1000, 1000)  # 10^9 elements, far over MAX_GROUND
     assert compare_embeddings(big, alternating(1000, 1000, 1000)) is (
-        EmbeddingOrder.EQUAL_ON_PROJECTIONS
+        Order.EQUAL
     )
     assert big == alternating(1000, 1000, 1000)
     assert "diag" not in vars(big)
@@ -320,10 +315,10 @@ def test_closed_forms_compare_without_building_a_partition(monkeypatch):
 def test_order_preserved_under_composition():
     a, b = nest(2, 2), standard(2, 2)
     c = alternating(4, 2, 2)
-    assert compare_embeddings(a, b) is EmbeddingOrder.LESS
+    assert compare_embeddings(a, b) is Order.LESS
     assert (
         compare_embeddings(compose_embeddings(c, a), compose_embeddings(c, b))
-        is EmbeddingOrder.LESS
+        is Order.LESS
     )
 
 

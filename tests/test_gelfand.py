@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from tuhf import (
     Descriptor,
-    GelfandOrder,
     GelfandPoint,
+    Order,
     OrderedPartition,
     TowerSpec,
     gelfand_compare,
@@ -105,18 +105,18 @@ def test_errors_name_depths_first_then_x_then_y(two_inf_alt, read):
 
 def test_lex_compare_examples(two_inf_alt):
     x, y = GelfandPoint((1, 2)), GelfandPoint((2, 1))
-    assert gelfand_compare(two_inf_alt, x, y) is GelfandOrder.LESS
-    assert gelfand_compare(two_inf_alt, y, x) is GelfandOrder.GREATER
-    assert gelfand_compare(two_inf_alt, x, x) is GelfandOrder.EQUAL
+    assert gelfand_compare(two_inf_alt, x, y) is Order.LESS
+    assert gelfand_compare(two_inf_alt, y, x) is Order.GREATER
+    assert gelfand_compare(two_inf_alt, x, x) is Order.EQUAL
 
 
 def test_different_tails_incomparable(two_inf_alt):
     x = GelfandPoint((0, 0), tail="a")
     y = GelfandPoint((0, 0), tail="b")
-    assert gelfand_compare(two_inf_alt, x, y) is GelfandOrder.INCOMPARABLE
+    assert gelfand_compare(two_inf_alt, x, y) is Order.INCOMPARABLE
     assert (
         gelfand_compare_via_projections(two_inf_alt, x, y)
-        is GelfandOrder.INCOMPARABLE
+        is Order.INCOMPARABLE
     )
 
 
@@ -167,8 +167,8 @@ def test_projection_chain_reads_part_levels_explicitly():
 def test_projection_compare_agreeing_example(two_inf_alt):
     # chains (1,2) vs (2,3): both conditions say Less
     x, y = GelfandPoint((0, 1)), GelfandPoint((1, 0))
-    assert gelfand_compare(two_inf_alt, x, y) is GelfandOrder.LESS
-    assert gelfand_compare_via_projections(two_inf_alt, x, y) is GelfandOrder.LESS
+    assert gelfand_compare(two_inf_alt, x, y) is Order.LESS
+    assert gelfand_compare_via_projections(two_inf_alt, x, y) is Order.LESS
 
 
 def test_conditions_diverge_on_alternating_towers(two_inf_alt):
@@ -178,9 +178,9 @@ def test_conditions_diverge_on_alternating_towers(two_inf_alt):
     # I_s (x) A (x) I_t steps interleave the blocks enough to flip later
     # coordinates; on nest-form towers (below) the two forms agree.
     x, y = GelfandPoint((1, 2)), GelfandPoint((2, 1))
-    assert gelfand_compare(two_inf_alt, x, y) is GelfandOrder.LESS
+    assert gelfand_compare(two_inf_alt, x, y) is Order.LESS
     assert (
-        gelfand_compare_via_projections(two_inf_alt, x, y) is GelfandOrder.GREATER
+        gelfand_compare_via_projections(two_inf_alt, x, y) is Order.GREATER
     )
 
 
@@ -316,14 +316,14 @@ def test_projection_order_is_relation_membership(case):
     dims = [1] + [tower.level_dim(n) for n in range(1, x.depth + 1)]
     assert coordinate_sizes(tower, x.depth) == [b // a for a, b in zip(dims, dims[1:])]
     if x.tail != y.tail:
-        assert order is GelfandOrder.INCOMPARABLE and member is None
+        assert order is Order.INCOMPARABLE and member is None
         return
-    assert (member is not None) == (order in (GelfandOrder.LESS, GelfandOrder.EQUAL))
+    assert (member is not None) == (order in (Order.LESS, Order.EQUAL))
     d = max((n for n in range(x.depth) if x.coords[n] != y.coords[n]), default=0) + 1
     i, j = chain_by_hand(tower, x)[d - 1], chain_by_hand(tower, y)[d - 1]
     if x == y:
-        assert order is GelfandOrder.EQUAL and i == j
+        assert order is Order.EQUAL and i == j
     else:
-        assert order is (GelfandOrder.LESS if i < j else GelfandOrder.GREATER)
+        assert order is (Order.LESS if i < j else Order.GREATER)
     if member is not None:
         assert (member.level, member.i, member.j) == (d, i, j)

@@ -832,3 +832,23 @@ def test_unchecked_partition_builds_stay_at_their_named_sites():
         for module, scope, call in bare
         if scope.startswith("OrderedPartition.") or "OrderedPartition" in ast.unparse(call)
     } == {("partitions", "OrderedPartition._trusted")}
+
+
+# -- the one verdict type ------------------------------------------------
+
+def test_order_is_the_only_enum():
+    # Partitions, embeddings and Gelfand points share one verdict type, so
+    # no module keeps a second enum or a table translating into one.
+    enums, importers = set(), set()
+    for path in sorted(_SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(base) in ("enum.Enum", "Enum") for base in node.bases
+            ):
+                enums.add((path.stem, node.name))
+            if isinstance(node, ast.Import) and any(a.name == "enum" for a in node.names):
+                importers.add(path.stem)
+            if isinstance(node, ast.ImportFrom) and node.module == "enum":
+                importers.add(path.stem)
+    assert enums == {("partitions", "Order")}
+    assert importers == {"partitions"}
