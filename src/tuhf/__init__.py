@@ -8,6 +8,8 @@ isomorphism invariants, the diagonal-spectrum order, and a small
 floating-point lane for the diagonal-normalizer matrix facts.
 """
 
+import importlib
+
 from .errors import DomainError, FormatError, TuhfError
 from .supernatural import (
     INF,
@@ -98,3 +100,11 @@ from .automorphisms import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The seeded suites load on first use, as ``tuhf.checks`` or through
+    # ``check all``, so that no other command pays for their import.
+    if name == "checks":
+        return importlib.import_module(".checks", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

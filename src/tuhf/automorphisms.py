@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from . import embeddings, partitions
 from .embeddings import (
     RegularEmbedding,
@@ -41,6 +39,7 @@ from .partitions import (
     OutOfRange,
     ShapeMismatch,
     format_partition,
+    np,
     parse_partition,
 )
 from .supernatural import (

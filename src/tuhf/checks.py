@@ -24,8 +24,6 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from .automorphisms import (
     FiniteAutoData,
     ShiftWord,
@@ -80,6 +78,7 @@ from .partitions import (
     compose,
     format_partition,
     interleaved_runs,
+    np,
     ordered_partitions,
     parse_partition,
     psize_oracle,

@@ -31,7 +31,6 @@ from .automorphisms import (
     alternating_iso,
     shift_auto,
 )
-from .checks import run_all
 from .embeddings import RegularEmbedding, compare_embeddings, compose_embeddings, tensor_embed
 from .errors import FormatError, TuhfError
 from .gelfand import gelfand_readings, parse_point
@@ -209,6 +208,8 @@ def _cmd_normalizer_split(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_all(args: argparse.Namespace) -> int:
+    from .checks import run_all
+
     tower = _load_tower_file(args.file)
     failures = 0
     for name, ok, detail in run_all(tower, args.seed, _positive(args.cases, "--cases")):

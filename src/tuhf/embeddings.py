@@ -41,11 +41,9 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 from . import partitions
 from .errors import DomainError
-from .partitions import Order, OrderedPartition, OutOfRange, ShapeMismatch
+from .partitions import Order, OrderedPartition, OutOfRange, ShapeMismatch, np
 
 MAX_GROUND = 1 << 22
 

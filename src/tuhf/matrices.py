@@ -21,11 +21,9 @@ import cmath
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .embeddings import RegularEmbedding
 from .errors import DomainError, FormatError, _content_lines
-from .partitions import ShapeMismatch
+from .partitions import ShapeMismatch, np
 
 UNIT_TOL = 1e-9
 

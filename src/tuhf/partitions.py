@@ -46,20 +46,42 @@ then reads a body as one array only when it is in the writer's layout
 where ``_token_ends`` places them) and hands the grid to the fully
 validating constructor; every other body is read token by token, as
 at every smaller size, so every error and its message is the token path's.
+
+numpy is loaded on the first array operation, not on import: ``np`` is
+a lazy module, and the other modules that use numpy import it from
+here.  Commands that build no partition or matrix never load it.
 """
 
 from __future__ import annotations
 
 import enum
+import importlib.util
 import itertools
+import sys
 from collections.abc import Sized
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from .errors import DomainError, FormatError
+
+
+def _lazy(name: str):
+    """The module ``name``, executed on its first attribute access.  A
+    module already imported is returned as it is."""
+    if name in sys.modules:
+        return importlib.import_module(name)
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy("numpy")
 
 
 class InvalidPartition(DomainError):

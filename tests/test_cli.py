@@ -4,6 +4,7 @@ import contextlib
 import decimal
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -29,6 +30,13 @@ ISO_B = "k1 1\npreamble alt 1 3\ncycle alt 2 5\n"
 SWAPPED_A = "k1 1\ncycle alt 2 3\n"
 SWAPPED_B = "k1 1\ncycle alt 3 2\n"
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _src_env():
+    """The environment with src first on PYTHONPATH, for a child interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture
@@ -96,14 +104,12 @@ def test_tower_show_refuses_before_the_first_level(files, capsys):
 def test_a_closed_stdout_exits_1_without_a_traceback(files, argv):
     # as under `| head`: the reader is gone before the first write
     f = files("two.tower", TWO_INF)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     read, write = os.pipe()
     os.close(read)
     try:
         result = subprocess.run(
             [sys.executable, "-B", "-m", "tuhf.cli", *(a.format(f=f) for a in argv)],
-            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+            stdout=write, stderr=subprocess.PIPE, env=_src_env(), timeout=60,
         )
     finally:
         os.close(write)
@@ -931,3 +937,66 @@ def test_factor_on_a_tower_that_stops_growing_is_refused_at_once(files, capsys):
     start = time.perf_counter()
     assert run(capsys, "factor", f, "--auto", auto) == (1, "", STALLED)
     assert time.perf_counter() - start < 1
+
+
+# -- numpy loads only where an array is built -----------------------------
+
+def _fresh_python(script, *args):
+    """stdout of ``script`` in a new interpreter that imports tuhf from src."""
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", script, *args],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert result.stderr == ""
+    return result.stdout
+
+
+COMMANDS_IN_A_FRESH_PROCESS = """\
+import json, sys
+from tuhf.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    main(argv)
+print("numpy loaded", "numpy._core" in sys.modules, flush=True)
+for argv in json.loads(sys.argv[2]):
+    main(argv)
+"""
+
+
+def test_commands_without_arrays_leave_numpy_unloaded(files, capsys):
+    # The lazy ``numpy`` module is in sys.modules from import on, so look
+    # for a submodule that only its execution loads.
+    f = files("two.tower", TWO_INF)
+    closed = [
+        ["tower", "show", f, "--levels", "3"],
+        ["tower", "normalize", f, "-p", "2"],
+        ["out-rank", f],
+        ["iso", f, f],
+        ["gelfand", "cmp", f, "--x", "0,1", "--y", "1,0"],
+    ]
+    arrays = [["shift", f, "-p", "2", "--levels", "1..3"], ["check", "all", f, "--cases", "2"]]
+    expected = (
+        "".join(run(capsys, *argv)[1] for argv in closed)
+        + "numpy loaded False\n"
+        + "".join(run(capsys, *argv)[1] for argv in arrays)
+    )
+    out = _fresh_python(COMMANDS_IN_A_FRESH_PROCESS, json.dumps(closed), json.dumps(arrays))
+    assert out == expected
+    assert out.endswith("all suites passed\n")
+
+
+def test_an_imported_numpy_is_reused():
+    script = "import sys, numpy, tuhf.partitions; print(tuhf.partitions.np is numpy is sys.modules['numpy'])"
+    assert _fresh_python(script) == "True\n"
+
+
+def test_a_blocked_numpy_fails_the_import():
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "try:\n"
+        "    import tuhf\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__)\n"
+    )
+    assert _fresh_python(script) == "ModuleNotFoundError\n"

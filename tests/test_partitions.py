@@ -852,3 +852,41 @@ def test_order_is_the_only_enum():
                 importers.add(path.stem)
     assert enums == {("partitions", "Order")}
     assert importers == {"partitions"}
+
+
+# -- numpy is bound in one place -------------------------------------------
+
+def test_numpy_is_bound_once_and_lazily():
+    # partitions binds ``np`` with ``_lazy("numpy")`` and every other module
+    # imports that binding, so no module imports numpy by a statement; and
+    # cli leaves the import of the seeded suites to ``check all``.
+    statements = set()
+    for path in sorted(_SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                statements.add(path.stem)
+    assert statements == set()
+    lazy = _calls_by_site(lambda call: ast.unparse(call) == "_lazy('numpy')")
+    assert [(module, scope) for module, scope, _ in lazy] == [("partitions", "")]
+
+    def names(node):
+        if isinstance(node, ast.ImportFrom):
+            return [node.module or ""] + [a.name for a in node.names]
+        return [a.name for a in node.names]
+
+    cli = ast.parse((_SRC / "cli.py").read_text())
+    top = [node for node in cli.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not any(name.split(".")[-1] == "checks" for node in top for name in names(node))
+
+
+def test_lazy_refuses_a_module_that_is_not_there():
+    from tuhf.partitions import _lazy
+
+    with pytest.raises(ModuleNotFoundError):
+        _lazy("tuhf_no_such_module")
