@@ -352,12 +352,9 @@ def factor_automorphism(tower: TowerSpec, data: Sequence[FiniteAutoData]) -> Shi
     at k_m = 1 are skipped: a single block fits every interval reading.
     Below a record's top level the tower is read no deeper than the
     first level past the record's ground, which already rules the
-    record out.
+    record out.  Records at one level pair count once toward the two,
+    and are all checked: a pair cannot cross-check itself.
     """
-    if len(data) < 2:
-        raise UnderdeterminedWord(
-            f"need at least two level pairs for a cross-checked word, got {len(data)}"
-        )
     fractions: list[Fraction] = []
     for datum in sorted(data, key=lambda d: (d.level_from, d.level_to)):
         a, b, q = datum.level_from, datum.level_to, datum.action
@@ -378,6 +375,11 @@ def factor_automorphism(tower: TowerSpec, data: Sequence[FiniteAutoData]) -> Shi
         if iv is None:
             raise NotIntervalForm(f"action at levels {a}..{b} is not an interval pattern")
         fractions.append(Fraction(iv.st[0] * s_m, s_n))
+    pairs = len({(d.level_from, d.level_to) for d in data})
+    if pairs < 2:
+        raise UnderdeterminedWord(
+            f"need at least two level pairs for a cross-checked word, got {pairs}"
+        )
     if not fractions:
         raise UnderdeterminedWord("every datum has k_m = 1 and carries no information")
     first = fractions[0]

@@ -56,11 +56,9 @@ def _require_within_budget(m: int) -> None:
 
 
 def _alternating_grid(k: int, s: int, t: int) -> np.ndarray:
-    """The blocks of I_s (x) A_k (x) I_t as a (k, s*t) array: the ground
-    1..kst laid out as s copies of k slots of t, read slot by slot."""
+    """``partitions._alternating_grid`` within the budget."""
     _require_within_budget(k * s * t)
-    grid = np.arange(1, k * s * t + 1, dtype=np.int64).reshape(s, k, t)
-    return grid.transpose(1, 0, 2).reshape(k, s * t)
+    return partitions._alternating_grid(k, s, t)
 
 
 def _rank_check(k: int, mult: int, i: int, r: int) -> None:

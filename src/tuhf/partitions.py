@@ -25,13 +25,15 @@ checks; when they fail, the element-by-element scan ``_scan``, kept as
 the reference, names the offending block or element.  ``blocks`` gives
 the same data as tuples of Python ints.
 
-Three kernels build from partitions already valid, or by formula, and
+Four sites build from partitions already valid, or by formula, and
 wrap their grid with an unchecked private constructor instead:
 ``compose`` (block i of the composite collects the outer blocks over
 inner block i, and rank order survives because both factors keep it),
 ``embeddings._tensor_blocks`` (a row-major tensor of rank-ordered
-partitions whose inner factors share one shape), and the ``diag`` of
-a closed form ``alternating(k, s, t)`` (the grid of I_s (x) A (x) I_t).
+partitions whose inner factors share one shape), the ``diag`` of a
+closed form ``alternating(k, s, t)``, and ``_closed_form``, the text
+reader's branch for a closed form (both wrap ``_alternating_grid``, the
+grid of I_s (x) A (x) I_t, an ordered partition for every k, s, t >= 1).
 The seeded suites in ``checks`` that exercise these kernels check what
 they build with ``_is_partition_grid``, which the kernels never call.
 Both kinds of build store the grid in ``OrderedPartition.__post_init__``.
@@ -40,12 +42,15 @@ The text form is ``m=<m> n=<n> blocks=<body>``, the body being the
 blocks' elements in decimal, ``,`` within a block and ``;`` between
 blocks.  From m = ``_VECTOR_MIN`` on, ``format_partition`` writes the
 body as one uint8 array, byte for byte the text of the joins it uses
-below that size.  ``parse_partition`` checks the two header words once,
-then reads a body as one array only when it is in the writer's layout
-(m values in 1..m, each just its digits, ``;`` after every (m/n)-th,
-where ``_token_ends`` places them) and hands the grid to the fully
-validating constructor; every other body is read token by token, as
-at every smaller size, so every error and its message is the token path's.
+below that size.  ``parse_partition`` checks the two header words once.
+From m = ``_VECTOR_MIN`` on, a body that is byte for byte the writer's
+text of a closed form alternating(n, s, t) is returned as the formula
+grid, unparsed (``_closed_form``); any other body is read as one array
+only when it is in the writer's layout (m values in 1..m, each just its
+digits, ``;`` after every (m/n)-th, where ``_token_ends`` places them)
+and the grid goes to the fully validating constructor; every other body
+is read token by token, as at every smaller size, so every error and
+its message is the token path's.
 
 numpy is loaded on the first array operation, not on import: ``np`` is
 a lazy module, and the other modules that use numpy import it from
@@ -242,7 +247,7 @@ class OrderedPartition:
     @classmethod
     def _trusted(cls, a: np.ndarray) -> "OrderedPartition":
         """Wrap an int64 grid that is an ordered partition by construction,
-        unchecked: only the three kernels named in the module docstring
+        unchecked: only the four sites named in the module docstring
         call it, each on a grid built from valid partitions or by formula."""
         p = object.__new__(cls)
         p.__post_init__(a, checked=False)
@@ -461,6 +466,17 @@ def psize_oracle(
     return all(sizes[i] <= sizes[i + 1] for i in range(n - 1))
 
 
+def _alternating_cube(k: int, s: int, t: int) -> np.ndarray:
+    """The ground 1..kst laid out as s copies of k slots of t: block i of
+    I_s (x) A_k (x) I_t is slot i of every copy."""
+    return np.arange(1, k * s * t + 1, dtype=np.int64).reshape(s, k, t)
+
+
+def _alternating_grid(k: int, s: int, t: int) -> np.ndarray:
+    """The blocks of I_s (x) A_k (x) I_t as a (k, s*t) array, read slot by slot."""
+    return _alternating_cube(k, s, t).transpose(1, 0, 2).reshape(k, s * t)
+
+
 def compose(outer: OrderedPartition, inner: OrderedPartition) -> OrderedPartition:
     """Composite partition: block i is the union of outer blocks over inner block i."""
     if outer.block_count != inner.ground_size:
@@ -595,6 +611,39 @@ def _strict_grid(body: str, m: int, n: int) -> Optional[np.ndarray]:
     return np.sort(values.reshape(n, -1), axis=1)
 
 
+def _closed_form(body: str, m: int, n: int) -> Optional[OrderedPartition]:
+    """alternating(n, s, t) when ``body`` is byte for byte the writer's
+    text of it, else None.
+
+    The form is forced: block 2's first token is t + 1 (t = m when
+    n = 1) and s = m/(n*t).  Before the grid is built, block 1 must end
+    in that form's last element of block 1, m - (n-1)*t, and be as long
+    as its text.  The writer is deterministic, and both readers take its
+    text back to the grid it wrote, so equal bytes are exactly the
+    partition the readers would return, and any other body is left to
+    them.
+    """
+    end = body.find(";") if n > 1 else len(body)  # block 1 is body[:end]
+    if end < 0:
+        return None
+    if n == 1:
+        t = m
+    else:
+        token = body[end + 1 : end + 2 + len(str(m))].replace(";", ",").split(",", 1)[0]
+        if not (token.isascii() and token.isdigit()):
+            return None
+        t = int(token) - 1
+    if t < 1 or (m // n) % t:
+        return None
+    s = m // (n * t)
+    if body[body.rfind(",", 0, end) + 1 : end] != str(m - (n - 1) * t):
+        return None
+    if _token_ends(_alternating_cube(n, s, t)[:, 0].ravel(), m)[-1] - 1 != end:
+        return None
+    p = OrderedPartition._trusted(_alternating_grid(n, s, t))
+    return p if _vector_body(p) == body else None
+
+
 _KEYS = ("m=", "n=", "blocks=")
 
 
@@ -602,7 +651,10 @@ def parse_partition(text: str) -> OrderedPartition:
     """Parse ``m=<int> n=<int> blocks=<semicolon-separated comma lists>``.
 
     The two header words are split off and checked once.  From ``m`` of
-    ``_VECTOR_MIN`` on, a body in the writer's layout is then read as one
+    ``_VECTOR_MIN`` on, a body that is the writer's text of a closed form
+    alternating(n, s, t) gives that form's grid, neither read nor
+    validated (``_closed_form``: equal bytes are the partition either
+    reader returns); another body in the writer's layout is read as one
     array; any other body is read token by token, so errors and their
     messages do not depend on the path.  The layout admits no
     whitespace, so a body it reads is never scanned for it; a header
@@ -623,7 +675,11 @@ def parse_partition(text: str) -> OrderedPartition:
             error = f"bad partition text: {exc}"
         else:
             if m >= _VECTOR_MIN and n >= 1 and m % n == 0:
-                grid = _strict_grid(fields[2][len("blocks="):], m, n)
+                body = fields[2][len("blocks="):]
+                p = _closed_form(body, m, n)
+                if p is not None:
+                    return p
+                grid = _strict_grid(body, m, n)
                 if grid is not None:
                     return OrderedPartition(grid)
     count = len(fields) if len(fields) < 3 else 2 + len(fields[2].split())

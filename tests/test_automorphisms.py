@@ -315,9 +315,14 @@ def test_factor_underdetermined_when_every_level_is_scalar():
 
 
 def test_factor_needs_two_data(two_inf_alt):
-    data = [materialize_word(two_inf_alt, ShiftWord(2, 1), 1, 2)]
-    with pytest.raises(Exception):
-        factor_automorphism(two_inf_alt, data)
+    datum = materialize_word(two_inf_alt, ShiftWord(2, 1), 1, 2)
+    # one record, and one record written twice: a level pair cannot
+    # cross-check itself
+    for data in ([datum], [datum, datum]):
+        with pytest.raises(UnderdeterminedWord) as exc:
+            factor_automorphism(two_inf_alt, data)
+        assert type(exc.value) is UnderdeterminedWord
+        assert str(exc.value) == "need at least two level pairs for a cross-checked word, got 1"
 
 
 def test_factor_report_shape(two_inf_alt):

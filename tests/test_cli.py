@@ -369,6 +369,14 @@ def test_factor_single_level_errors(files, capsys, tmp_path):
     assert code == 1 and err
 
 
+def test_factor_counts_a_repeated_level_pair_once(files, capsys):
+    f = files("two.tower", TWO_INF)
+    _, record, _ = run(capsys, "shift", f, "-p", "2", "--levels", "1..2")
+    code, out, err = run(capsys, "factor", f, "--auto", files("twice.auto", record * 2))
+    assert (code, out) == (1, "")
+    assert err == "error: need at least two level pairs for a cross-checked word, got 1\n"
+
+
 def test_embed_compose(capsys):
     code, out, _ = run(capsys, "embed", "compose", "--k", "2", "std 2", "nest 2")
     assert code == 0

@@ -146,12 +146,30 @@ DEEP_LEVELS = ("999999 1000000", "199999 200000", "3 1000000", " ".join(HUGE))
 BIG_RECORD = format_auto_data(shift_auto(load_tower(TOWERS[1]), 2, 4, 6))
 
 
+def _edited_big_record(edit):
+    """BIG_RECORD with ``edit`` applied to the body of its last action."""
+    head, _, body = BIG_RECORD.rstrip("\n").rpartition("blocks=")
+    return f"{head}blocks={edit(body)}\n"
+
+
 def _big_record(token):
     """BIG_RECORD with token 700 of its last action replaced."""
-    head, _, body = BIG_RECORD.rstrip("\n").rpartition("blocks=")
-    pieces = re.split(r"([,;])", body)
-    pieces[2 * 700] = token
-    return f"{head}blocks={''.join(pieces)}\n"
+
+    def put(body):
+        pieces = re.split(r"([,;])", body)
+        pieces[2 * 700] = token
+        return "".join(pieces)
+
+    return _edited_big_record(put)
+
+
+def _swap_last_separators(body):
+    """The body with its last ``;`` and the ``,`` after it swapped: every
+    value and the length kept, and block 1 untouched, so of the closed
+    form's checks only the byte comparison refuses it."""
+    i = body.rindex(";")
+    j = body.index(",", i)
+    return f"{body[:i]},{body[i + 1 : j]};{body[j + 1 :]}"
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +237,8 @@ def test_embed_commands_on_any_descriptor(command, k, a, b):
 @example(case=(1, _big_record("1" * 20)), deep=None)
 @example(case=(1, _big_record("٣")), deep=None)
 @example(case=(1, _big_record("1e3")), deep=None)
+@example(case=(1, _edited_big_record(_swap_last_separators)), deep=None)
+@example(case=(1, _edited_big_record(lambda body: body + ";")), deep=None)
 @given(
     case=st.integers(0, len(TOWERS) - 1).flatmap(
         lambda i: st.tuples(st.just(i), mutated(RECORDS[i : i + 1]))

@@ -25,6 +25,8 @@ from tuhf import (
     restrict_prefix,
     runs_of,
 )
+from tuhf import partitions
+from tuhf.automorphisms import detect_interval_form
 from tuhf.checks import enumerate_psize_instances, random_ordered_partition, random_psize_instance
 from tuhf.embeddings import alternating
 from tuhf.errors import FormatError
@@ -564,19 +566,30 @@ _BAD_TOKENS = [
 ]
 
 
+def _large_closed_form(rng):
+    """alternating(k, s, t).diag with _VECTOR_MIN to about 2 * _VECTOR_MIN elements."""
+    k, t = rng.choice([1, 2, 3, 4, 8]), rng.choice([1, 2, 3, 4, 16])
+    s = rng.randint(-(-_VECTOR_MIN // (k * t)), -(-2 * _VECTOR_MIN // (k * t)))
+    return alternating(k, s, t).diag
+
+
 @st.composite
 def mutated_texts(draw):
     """Partition text of a valid partition after at most one mutation;
-    half the bases have at least _VECTOR_MIN elements, so the array
-    reader sees them."""
+    two thirds of the bases have at least _VECTOR_MIN elements, so the
+    array reader sees them, and half of those are closed forms, whose
+    writer text the reader recognizes by its bytes."""
     kind = draw(st.sampled_from(["none", "swap", "bad", "ragged", "empty", "shape"]))
     rng = draw(_RNGS)
-    if draw(st.booleans()):
+    base = draw(st.sampled_from(["small", "random", "closed"]))
+    if base == "small":
         blocks = _valid_blocks(rng)
-    else:
+    elif base == "random":
         n = rng.choice([1, 2, 4, 8])
         size = rng.randint(_VECTOR_MIN // n, 2 * _VECTOR_MIN // n)
         blocks = random_ordered_partition(rng, n * size, n).blocks
+    else:
+        blocks = _large_closed_form(rng).blocks
     tokens = [[str(x) for x in b] for b in blocks]
     m, n = sum(map(len, tokens)), len(tokens)
     i, j = _position(rng, tokens)
@@ -739,11 +752,76 @@ def test_corrupted_large_text_reads_as_the_token_path_does(case):
             assert got == _parse_by_token(text)
 
 
-def test_large_text_takes_the_array_path():
-    text = format_partition(_BIG)
+def test_large_text_takes_the_array_path(monkeypatch):
+    # _BIG is a closed form, which the reader takes by its bytes; a
+    # random partition of its shape is not, so it reaches _strict_grid.
+    p = random_ordered_partition(random.Random(0), 512, 4)
+    assert detect_interval_form(p) is None
+    text = format_partition(p)
     body = text.split("blocks=")[1]
-    assert ";" in body and _strict_grid(body, 512, 4) is not None
-    assert parse_partition(text) == _BIG
+    grids = []
+
+    def spy(*args):
+        grids.append(_strict_grid(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(partitions, "_strict_grid", spy)
+    assert ";" in body and parse_partition(text) == p
+    assert len(grids) == 1 and np.array_equal(grids[0], p.array)
+
+
+# alt(k, s, t) with each factor 1 in turn, and at the digit boundaries
+# m = 1000 and 10000, where one element has one digit more than the rest
+_CLOSED_FORMS = [
+    (1, 1, 512), (1, 512, 1), (512, 1, 1), (1, 32, 16), (16, 1, 32), (16, 32, 1),
+    (4, 16, 8), (1, 1, 1000), (1000, 1, 1), (8, 125, 1), (10, 10, 10), (4, 2, 125),
+    (1, 1, 10000), (10000, 1, 1), (16, 25, 25), (2, 625, 8), (5, 2, 1000),
+]
+
+
+@pytest.mark.parametrize("kst", _CLOSED_FORMS, ids=lambda kst: "alt{}_{}_{}".format(*kst))
+def test_closed_form_text_round_trips_unread_and_unvalidated(
+    kst, monkeypatch, trusted_builds_are_checked
+):
+    p = alternating(*kst).diag
+    text = format_partition(p)
+    monkeypatch.setattr(OrderedPartition, "_trusted", trusted_builds_are_checked)
+
+    def refuse(*args):
+        raise AssertionError("a closed form's text went past the byte comparison")
+
+    for name in ("_strict_grid", "_token_grid"):
+        monkeypatch.setattr(partitions, name, refuse)
+    monkeypatch.setattr(OrderedPartition, "__init__", refuse)
+    assert parse_partition(text) == p
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(rng=_RNGS, data=st.data())
+def test_other_bodies_are_refused_before_rendering(rng, data):
+    m = rng.randint(_VECTOR_MIN, 8 * _VECTOR_MIN)
+    n = data.draw(st.sampled_from([d for d in range(2, 17) if m % d == 0] or [1]))
+    p = random_ordered_partition(rng, m, n)
+    text = format_partition(p)
+    rendered = []
+    real = partitions._vector_body
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partitions, "_vector_body", lambda q: rendered.append(q) or real(q))
+        assert parse_partition(text) == p
+    # only a closed form, every partition of one block among them, is rendered
+    assert bool(rendered) == (detect_interval_form(p) is not None)
+
+
+def test_a_block_1_of_another_length_is_refused_before_rendering(monkeypatch):
+    # alt(2, 512, 1) with 1001 of block 1 and 998 of block 2 swapped: still
+    # an ordered partition, with t + 1 = 2 opening block 2 and m - t = 1023
+    # closing block 1, but block 1's text is one byte shorter.
+    odd, even = (list(b) for b in alternating(2, 512, 1).diag.blocks)
+    odd[odd.index(1001)], even[even.index(998)] = 998, 1001
+    p = OrderedPartition.from_blocks([odd, even])
+    text = format_partition(p)
+    monkeypatch.setattr(partitions, "_vector_body", None)  # any rendering fails
+    assert parse_partition(text) == p
 
 
 @pytest.mark.parametrize(
@@ -818,6 +896,7 @@ def test_unchecked_partition_builds_stay_at_their_named_sites():
     )
     assert {(module, scope) for module, scope, _ in trusted} == {
         ("partitions", "compose"),
+        ("partitions", "_closed_form"),
         ("embeddings", "_tensor_blocks"),
         ("embeddings", "RegularEmbedding.diag"),
     }
