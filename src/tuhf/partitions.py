@@ -466,15 +466,12 @@ def psize_oracle(
     return all(sizes[i] <= sizes[i + 1] for i in range(n - 1))
 
 
-def _alternating_cube(k: int, s: int, t: int) -> np.ndarray:
-    """The ground 1..kst laid out as s copies of k slots of t: block i of
-    I_s (x) A_k (x) I_t is slot i of every copy."""
-    return np.arange(1, k * s * t + 1, dtype=np.int64).reshape(s, k, t)
-
-
 def _alternating_grid(k: int, s: int, t: int) -> np.ndarray:
-    """The blocks of I_s (x) A_k (x) I_t as a (k, s*t) array, read slot by slot."""
-    return _alternating_cube(k, s, t).transpose(1, 0, 2).reshape(k, s * t)
+    """The blocks of I_s (x) A_k (x) I_t as a (k, s*t) array: the ground
+    1..kst laid out as s copies of k slots of t, block i being slot i of
+    every copy."""
+    cube = np.arange(1, k * s * t + 1, dtype=np.int64).reshape(s, k, t)
+    return cube.transpose(1, 0, 2).reshape(k, s * t)
 
 
 def compose(outer: OrderedPartition, inner: OrderedPartition) -> OrderedPartition:
@@ -536,6 +533,16 @@ def _token_ends(q: np.ndarray, m: int) -> np.ndarray:
     for d in range(1, len(str(m))):
         digits += q >= 10**d
     return np.cumsum(digits + 1)
+
+
+def _body_length(m: int) -> int:
+    """The length of the writer's body of any ordered partition of 1..m:
+    each of 1..m once, just its digits, and m - 1 separators."""
+    length, low, digits = m - 1, 1, 1
+    while low <= m:
+        length += digits * (min(m, 10 * low - 1) - low + 1)
+        low, digits = 10 * low, digits + 1
+    return length
 
 
 def _vector_body(p: OrderedPartition) -> str:
@@ -615,14 +622,18 @@ def _closed_form(body: str, m: int, n: int) -> Optional[OrderedPartition]:
     """alternating(n, s, t) when ``body`` is byte for byte the writer's
     text of it, else None.
 
-    The form is forced: block 2's first token is t + 1 (t = m when
-    n = 1) and s = m/(n*t).  Before the grid is built, block 1 must end
-    in that form's last element of block 1, m - (n-1)*t, and be as long
-    as its text.  The writer is deterministic, and both readers take its
+    The body must first be as long as the writer's text of 1..m, so m,
+    which sizes every array built here, is bounded by the body.  The
+    form is forced: block 2's first token is t + 1 (t = m when n = 1)
+    and s = m/(n*t).  Before the grid is built, block 1 must end in that
+    form's last element of block 1, m - (n-1)*t, and be as long as its
+    text.  The writer is deterministic, and both readers take its
     text back to the grid it wrote, so equal bytes are exactly the
     partition the readers would return, and any other body is left to
     them.
     """
+    if len(body) != _body_length(m):
+        return None
     end = body.find(";") if n > 1 else len(body)  # block 1 is body[:end]
     if end < 0:
         return None
@@ -638,7 +649,8 @@ def _closed_form(body: str, m: int, n: int) -> Optional[OrderedPartition]:
     s = m // (n * t)
     if body[body.rfind(",", 0, end) + 1 : end] != str(m - (n - 1) * t):
         return None
-    if _token_ends(_alternating_cube(n, s, t)[:, 0].ravel(), m)[-1] - 1 != end:
+    block_1 = np.arange(0, m, n * t, dtype=np.int64)[:, None] + np.arange(1, t + 1)
+    if _token_ends(block_1.ravel(), m)[-1] - 1 != end:
         return None
     p = OrderedPartition._trusted(_alternating_grid(n, s, t))
     return p if _vector_body(p) == body else None

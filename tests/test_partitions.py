@@ -38,6 +38,7 @@ from tuhf.partitions import (
     ShapeMismatch,
     UnequalBlockSizes,
     _VECTOR_MIN,
+    _body_length,
     _join_body,
     _scan,
     _strict_grid,
@@ -822,6 +823,38 @@ def test_a_block_1_of_another_length_is_refused_before_rendering(monkeypatch):
     text = format_partition(p)
     monkeypatch.setattr(partitions, "_vector_body", None)  # any rendering fails
     assert parse_partition(text) == p
+
+
+@pytest.mark.parametrize("m", [1, 9, 10, 11, 99, 100, 101, 511, 512, 999, 1000, 1001, 10000, 12345])
+def test_body_length_is_the_writer_length_of_1_to_m(m):
+    assert _body_length(m) == len(",".join(map(str, range(1, m + 1))))
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        # t = 1, s = 1 and block 1 ends in m - (n-1)t = 1, as alt(m, 1, 1) does
+        (
+            "m=1000000 n=1000000 blocks=1;2",
+            FormatError,
+            "declared shape m=1000000 n=1000000 does not match blocks (m=2 n=2)",
+        ),
+        # t = m and the one token is m, as alt(1, 1, m) does
+        ("m=1000000 n=1 blocks=1000000", InvalidPartition, "element 1000000 outside 1..1"),
+    ],
+    ids=["many-blocks", "one-block"],
+)
+def test_a_short_body_under_a_large_header_builds_nothing(text, error, message, monkeypatch):
+    # m sizes the closed form's arrays, so the body's length must vouch
+    # for m before any of them is built or rendered
+    def refuse(*args):
+        raise AssertionError("an array sized by the header was built")
+
+    for name in ("_alternating_grid", "_token_ends", "_vector_body"):
+        monkeypatch.setattr(partitions, name, refuse)
+    with pytest.raises(error) as exc:
+        parse_partition(text)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 @pytest.mark.parametrize(
