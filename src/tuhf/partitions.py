@@ -41,16 +41,21 @@ Both kinds of build store the grid in ``OrderedPartition.__post_init__``.
 The text form is ``m=<m> n=<n> blocks=<body>``, the body being the
 blocks' elements in decimal, ``,`` within a block and ``;`` between
 blocks.  From m = ``_VECTOR_MIN`` on, ``format_partition`` writes the
-body as one uint8 array, byte for byte the text of the joins it uses
-below that size.  ``parse_partition`` checks the two header words once.
-From m = ``_VECTOR_MIN`` on, a body that is byte for byte the writer's
-text of a closed form alternating(n, s, t) is returned as the formula
-grid, unparsed (``_closed_form``); any other body is read as one array
-only when it is in the writer's layout (m values in 1..m, each just its
-digits, ``;`` after every (m/n)-th, where ``_token_ends`` places them)
-and the grid goes to the fully validating constructor; every other body
-is read token by token, as at every smaller size, so every error and
-its message is the token path's.
+body as one fixed-width uint8 matrix, a row per token (its digits
+right-aligned, then its separator), and compresses it with a keep mask
+of each token's own digits; the result is byte for byte the text of the
+joins it uses below that size.  ``parse_partition`` checks the two
+header words once.  From m = ``_VECTOR_MIN`` on, a body that is byte for
+byte the writer's text of a closed form alternating(n, s, t) is
+returned as the formula grid, unparsed (``_closed_form``); any other
+body is read as one array only when it is in the writer's layout (m
+values in 1..m, each just its digits, ``;`` after every (m/n)-th, where
+``_token_ends`` places them) and the grid goes to the fully validating
+constructor; every other body is read token by token, as at every
+smaller size, so every error and its message is the token path's.
+``_token_widths`` is the one count of digits: the writer's keep mask
+and the reader's ``_token_ends`` both read it, so the layout is stated
+once.
 
 numpy is loaded on the first array operation, not on import: ``np`` is
 a lazy module, and the other modules that use numpy import it from
@@ -526,13 +531,23 @@ def _join_body(p: OrderedPartition) -> str:
     return ";".join(",".join(map(str, b)) for b in p.array.tolist())
 
 
+def _token_widths(q: np.ndarray, m: int) -> np.ndarray:
+    """The digit count of each element of ``q`` in 1..m, as uint8: the one
+    place that counts digits, so the writer's keep mask and the reader's
+    ``_token_ends`` state one layout."""
+    widths = np.ones(q.size, dtype=np.uint8)
+    for d in range(1, len(str(m))):
+        widths += (q >= 10**d).view(np.uint8)
+    return widths
+
+
 def _token_ends(q: np.ndarray, m: int) -> np.ndarray:
     """The writer's layout of elements ``q`` in 1..m, each token just its
-    digits: ``ends[i] - 1`` is the offset of the separator after token i."""
-    digits = np.ones(q.size, dtype=np.int64)
-    for d in range(1, len(str(m))):
-        digits += q >= 10**d
-    return np.cumsum(digits + 1)
+    digits (``_token_widths``) and one separator: ``ends[i] - 1`` is the
+    offset of the separator after token i."""
+    widths = _token_widths(q, m)
+    widths += 1
+    return np.cumsum(widths, dtype=np.int64)
 
 
 def _body_length(m: int) -> int:
@@ -546,31 +561,35 @@ def _body_length(m: int) -> int:
 
 
 def _vector_body(p: OrderedPartition) -> str:
-    """The same body as ``_join_body``, written into one uint8 buffer.
+    """The same body as ``_join_body``, written as one fixed-width matrix.
 
-    Token i ends just before its separator at ``ends[i] - 1``; digit
-    place d of it goes to ``ends[i] - 2 - d``.  Every token is written
-    at every place, highest first: a place a token lacks lands on an
-    earlier token's byte at a lower place (or on the front padding), and
-    that token's own digit is written later.  Separators go in last.
+    Row i of the (m, places + 1) uint8 matrix is token i right-aligned
+    in ``places`` digit columns, m's digit count, then its separator:
+    ``,``, or ``;`` on the last row of every block.  A same-shape keep
+    mask marks every separator and the token's own digits: the digit
+    column of place j is kept where q >= 10**j, that is, row i of the
+    mask is row w of a small table, w being token i's ``_token_widths``
+    count.  One boolean compress reads the body out, and the final
+    separator is dropped.
     Elements lie in 1..m, so they are divided in the narrowest unsigned
     type that holds m.
     """
-    places = len(str(p.ground_size))
-    q = p.array.ravel().astype(np.min_scalar_type(p.ground_size))
-    ends = _token_ends(q, p.ground_size) + places
-    place_digits = np.empty((places, q.size), dtype=np.uint8)
-    for d in range(places):
+    m = p.ground_size
+    places = len(str(m))
+    q = p.array.ravel().astype(np.min_scalar_type(m))
+    # Row w keeps the last w digit columns and the separator column.
+    keep = np.greater.outer(np.arange(places + 1), np.arange(places - 1, -2, -1))
+    keep = keep.take(_token_widths(q, m), axis=0)
+    text = np.empty(keep.shape, dtype=np.uint8)
+    for column in range(places - 1, 0, -1):
         higher = q // 10
-        place_digits[d] = q - 10 * higher
+        np.subtract(q, 10 * higher, out=text[:, column], casting="unsafe")
         q = higher
-    place_digits += _ZERO
-    buf = np.empty(int(ends[-1]), dtype=np.uint8)
-    for d in range(places - 1, -1, -1):
-        buf[ends - 2 - d] = place_digits[d]
-    buf[ends - 1] = _COMMA
-    buf[ends[p.block_size - 1 :: p.block_size] - 1] = _SEMICOLON
-    return buf[places:-1].tobytes().decode("ascii")
+    text[:, 0] = q  # below 10 after places - 1 divisions: the top digit
+    text += _ZERO
+    text[:, places] = _COMMA
+    text[p.block_size - 1 :: p.block_size, places] = _SEMICOLON
+    return text[keep][:-1].tobytes().decode("ascii")
 
 
 def format_partition(p: OrderedPartition) -> str:

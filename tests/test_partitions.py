@@ -4,6 +4,7 @@ import ast
 import hashlib
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -667,14 +668,37 @@ def test_array_text_path_agrees_with_the_reference(p, seed):
 
 def test_writer_handles_every_digit_count():
     # m = 10^d - 1 and 10^d: the elements take every count of digits up
-    # to d + 1, so short tokens follow long ones at every place.
-    for m in (9, 10, 99, 100, 999, 1000, 9999, 10000):
-        for k, s in itertools.product((1, 3, 10, 50), (1, 2, 5, 9)):
-            if m % (k * s) == 0:
-                p = alternating(k, s, m // (k * s)).diag
-                assert _vector_body(p) == _join_body(p)
-        p = random_ordered_partition(random.Random(m), m, 2 - m % 2)
-        assert _vector_body(p) == _join_body(p)
+    # to d + 1, so short tokens follow long ones at every place.  At
+    # 65535 / 65536 the elements' dtype widens from uint16 to uint32.
+    for m in (9, 10, 99, 100, 999, 1000, 9999, 10000, 65535, 65536, 99999, 100000, 10**6):
+        # n = 1, and n = m: block size 1, so every separator is ";"
+        forms = [(1, 1, m), (m, 1, 1)]
+        if m <= 10**5:
+            forms += [
+                (k, s, m // (k * s))
+                for k, s in itertools.product((1, 3, 10, 50), (1, 2, 5, 9))
+                if m % (k * s) == 0
+            ]
+        partitions_of_m = [alternating(*kst).diag for kst in forms]
+        if m <= 10**5:
+            partitions_of_m.append(random_ordered_partition(random.Random(m), m, 2 - m % 2))
+        for p in partitions_of_m:
+            assert _vector_body(p) == _join_body(p)
+            assert parse_partition(format_partition(p)) == p
+
+
+def test_writer_memory_per_element_is_bounded():
+    # m = 2^20, seven digits a token.  39.8 bytes an element is the peak
+    # of the writer that scattered one digit place at a time; a faster
+    # writer may not spend more memory than it did.
+    p = alternating(2**18, 2, 2).diag
+    tracemalloc.start()
+    try:
+        _vector_body(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 39.8 * p.ground_size, peak / p.ground_size
 
 
 _BIG = alternating(4, 16, 8).diag  # m = 512 = _VECTOR_MIN, n = 4
@@ -772,11 +796,13 @@ def test_large_text_takes_the_array_path(monkeypatch):
 
 
 # alt(k, s, t) with each factor 1 in turn, and at the digit boundaries
-# m = 1000 and 10000, where one element has one digit more than the rest
+# m = 1000, 10000, 100000 and 10^6, where one element has one digit more
+# than the rest; m = 999999 has six digits throughout its top nine tenths
 _CLOSED_FORMS = [
     (1, 1, 512), (1, 512, 1), (512, 1, 1), (1, 32, 16), (16, 1, 32), (16, 32, 1),
     (4, 16, 8), (1, 1, 1000), (1000, 1, 1), (8, 125, 1), (10, 10, 10), (4, 2, 125),
     (1, 1, 10000), (10000, 1, 1), (16, 25, 25), (2, 625, 8), (5, 2, 1000),
+    (1, 1, 100000), (100000, 1, 1), (8, 125, 100), (27, 37, 1001), (10, 1000, 100),
 ]
 
 
@@ -850,7 +876,7 @@ def test_a_short_body_under_a_large_header_builds_nothing(text, error, message, 
     def refuse(*args):
         raise AssertionError("an array sized by the header was built")
 
-    for name in ("_alternating_grid", "_token_ends", "_vector_body"):
+    for name in ("_alternating_grid", "_token_widths", "_token_ends", "_vector_body"):
         monkeypatch.setattr(partitions, name, refuse)
     with pytest.raises(error) as exc:
         parse_partition(text)
