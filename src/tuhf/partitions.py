@@ -570,9 +570,8 @@ def _vector_body(p: OrderedPartition) -> str:
     column of place j is kept where q >= 10**j, that is, row i of the
     mask is row w of a small table, w being token i's ``_token_widths``
     count.  One boolean compress reads the body out, and the final
-    separator is dropped.
-    Elements lie in 1..m, so they are divided in the narrowest unsigned
-    type that holds m.
+    separator is dropped.  Elements lie in 1..m, so they are divided in
+    the narrowest unsigned type that holds m.
     """
     m = p.ground_size
     places = len(str(m))

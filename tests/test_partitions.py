@@ -672,17 +672,15 @@ def test_writer_handles_every_digit_count():
     # 65535 / 65536 the elements' dtype widens from uint16 to uint32.
     for m in (9, 10, 99, 100, 999, 1000, 9999, 10000, 65535, 65536, 99999, 100000, 10**6):
         # n = 1, and n = m: block size 1, so every separator is ";"
-        forms = [(1, 1, m), (m, 1, 1)]
-        if m <= 10**5:
-            forms += [
-                (k, s, m // (k * s))
+        cases = [alternating(1, 1, m).diag, alternating(m, 1, 1).diag]
+        if m <= 10**5:  # at 10^6 these alone would take seconds
+            cases += [
+                alternating(k, s, m // (k * s)).diag
                 for k, s in itertools.product((1, 3, 10, 50), (1, 2, 5, 9))
                 if m % (k * s) == 0
             ]
-        partitions_of_m = [alternating(*kst).diag for kst in forms]
-        if m <= 10**5:
-            partitions_of_m.append(random_ordered_partition(random.Random(m), m, 2 - m % 2))
-        for p in partitions_of_m:
+            cases.append(random_ordered_partition(random.Random(m), m, 2 - m % 2))
+        for p in cases:
             assert _vector_body(p) == _join_body(p)
             assert parse_partition(format_partition(p)) == p
 
