@@ -18,6 +18,7 @@ every instance.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -122,19 +123,23 @@ def random_ordered_partition(rng: random.Random, m: int, n: int) -> OrderedParti
     At each ground element choose any block that is still short and not
     ahead of its left neighbour; every valid partition is reachable and
     the walk can never strand itself (the first unfilled block is always
-    admissible).
+    admissible).  The admissible blocks are kept as one ascending list,
+    the one ``rng.choice`` draws from: a draw from block b moves only
+    counts[b], so only b (now full, or level with its left neighbour)
+    can leave it and only b + 1 (now behind b) can join it.
     """
     size = m // n
     counts = [0] * n
     word: list[int] = []
+    allowed = [0] if size else []  # all counts 0: only block 1 is admissible
     for _ in range(m):
-        allowed = [
-            b for b in range(n)
-            if counts[b] < size and (b == 0 or counts[b] < counts[b - 1])
-        ]
         b = rng.choice(allowed)
         counts[b] += 1
         word.append(b + 1)
+        if counts[b] == size or (b and counts[b] == counts[b - 1]):
+            del allowed[bisect.bisect_left(allowed, b)]
+        if b + 1 < n and counts[b + 1] == counts[b] - 1:
+            bisect.insort(allowed, b + 1)
     return OrderedPartition.from_assignment(word, n)
 
 

@@ -47,15 +47,12 @@ of each token's own digits; the result is byte for byte the text of the
 joins it uses below that size.  ``parse_partition`` checks the two
 header words once.  From m = ``_VECTOR_MIN`` on, a body that is byte for
 byte the writer's text of a closed form alternating(n, s, t) is
-returned as the formula grid, unparsed (``_closed_form``); any other
-body is read as one array only when it is in the writer's layout (m
-values in 1..m, each just its digits, ``;`` after every (m/n)-th, where
-``_token_ends`` places them) and the grid goes to the fully validating
-constructor; every other body is read token by token, as at every
-smaller size, so every error and its message is the token path's.
-``_token_widths`` is the one count of digits: the writer's keep mask
-and the reader's ``_token_ends`` both read it, so the layout is stated
-once.
+returned as the formula grid, unparsed (``_closed_form``); every other
+body, at every size, is read token by token (``_token_grid``) and its
+grid goes to the fully validating constructor, so each error and its
+message is the same whatever the text's size.  ``_token_widths`` is
+the one count of digits: the writer's keep mask and ``_closed_form``'s
+length check of block 1 both read it, so the layout is stated once.
 
 numpy is loaded on the first array operation, not on import: ``np`` is
 a lazy module, and the other modules that use numpy import it from
@@ -520,8 +517,9 @@ def ordered_partitions(m: int, n: int) -> Iterator[OrderedPartition]:
 
 # -- text form --------------------------------------------------------
 
-# Ground size from which the text body is written and read as one uint8
-# array; below it the joins and the token path are faster.
+# Ground size from which the text body is written as one uint8 matrix,
+# below which the joins are faster, and from which a closed form's text
+# is recognized by its bytes.
 _VECTOR_MIN = 512
 _COMMA, _SEMICOLON, _ZERO = ord(","), ord(";"), ord("0")
 
@@ -533,21 +531,12 @@ def _join_body(p: OrderedPartition) -> str:
 
 def _token_widths(q: np.ndarray, m: int) -> np.ndarray:
     """The digit count of each element of ``q`` in 1..m, as uint8: the one
-    place that counts digits, so the writer's keep mask and the reader's
-    ``_token_ends`` state one layout."""
+    place that counts digits, so the writer's keep mask and
+    ``_closed_form``'s length check of block 1 state one layout."""
     widths = np.ones(q.size, dtype=np.uint8)
     for d in range(1, len(str(m))):
         widths += (q >= 10**d).view(np.uint8)
     return widths
-
-
-def _token_ends(q: np.ndarray, m: int) -> np.ndarray:
-    """The writer's layout of elements ``q`` in 1..m, each token just its
-    digits (``_token_widths``) and one separator: ``ends[i] - 1`` is the
-    offset of the separator after token i."""
-    widths = _token_widths(q, m)
-    widths += 1
-    return np.cumsum(widths, dtype=np.int64)
 
 
 def _body_length(m: int) -> int:
@@ -597,8 +586,8 @@ def format_partition(p: OrderedPartition) -> str:
 
 
 def _token_grid(body: str) -> np.ndarray | list[list[int]]:
-    """The blocks of a body, read token by token: the reference, and the
-    path of every body outside the writer's layout.  Raises ValueError."""
+    """The blocks of a body, read token by token: the path of every body
+    that is not a closed form's text.  Raises ValueError."""
     tokens = [group.split(",") for group in body.split(";")]
     try:
         return np.sort(np.array(tokens, dtype=np.int64), axis=1)
@@ -606,34 +595,6 @@ def _token_grid(body: str) -> np.ndarray | list[list[int]]:
         # Ragged, huge or malformed: convert token by token, so the
         # first bad token names the error.
         return [sorted(int(x) for x in group) for group in tokens]
-
-
-def _strict_grid(body: str, m: int, n: int) -> Optional[np.ndarray]:
-    """The (n, m/n) grid of a body in the writer's layout, else None: m
-    values in 1..m, read by ``np.fromstring``, with the body's length
-    and its ``,``/``;`` bytes where ``_token_ends`` puts them.  numpy
-    2.4's int64 reader raises ValueError on ``1e3``, ``0x1``, ``1_0``,
-    ``٣`` and an empty token; beyond digits it accepts only a sign,
-    whitespace, a leading zero or a trailing separator, each making the
-    text longer.  So a body of the layout's length holds every token as
-    just its digits, and the token path would read the same grid; every
-    other body (a sign, a leading zero or an element outside 1..m among
-    them) goes to that path, which gives the same grid or error.
-    """
-    try:
-        values = np.fromstring(body.replace(";", ","), dtype=np.int64, sep=",")
-    except ValueError:
-        return None
-    if values.size != m or values.min() < 1 or values.max() > m:
-        return None
-    ends = _token_ends(values, m)
-    if ends[-1] != len(body) + 1:
-        return None
-    # The byte after each token, with a ";" closing the last block.
-    seps = np.frombuffer((body + ";").encode(), dtype=np.uint8)[ends - 1].reshape(n, -1)
-    if (seps[:, :-1] != _COMMA).any() or (seps[:, -1] != _SEMICOLON).any():
-        return None
-    return np.sort(values.reshape(n, -1), axis=1)
 
 
 def _closed_form(body: str, m: int, n: int) -> Optional[OrderedPartition]:
@@ -645,10 +606,10 @@ def _closed_form(body: str, m: int, n: int) -> Optional[OrderedPartition]:
     form is forced: block 2's first token is t + 1 (t = m when n = 1)
     and s = m/(n*t).  Before the grid is built, block 1 must end in that
     form's last element of block 1, m - (n-1)*t, and be as long as its
-    text.  The writer is deterministic, and both readers take its
+    text.  The writer is deterministic, and the token reader takes its
     text back to the grid it wrote, so equal bytes are exactly the
-    partition the readers would return, and any other body is left to
-    them.
+    partition that reader would return, and any other body is left to
+    it.
     """
     if len(body) != _body_length(m):
         return None
@@ -668,7 +629,8 @@ def _closed_form(body: str, m: int, n: int) -> Optional[OrderedPartition]:
     if body[body.rfind(",", 0, end) + 1 : end] != str(m - (n - 1) * t):
         return None
     block_1 = np.arange(0, m, n * t, dtype=np.int64)[:, None] + np.arange(1, t + 1)
-    if _token_ends(block_1.ravel(), m)[-1] - 1 != end:
+    # block 1's text: each token's digits and a separator between tokens
+    if _token_widths(block_1.ravel(), m).sum() + block_1.size - 1 != end:
         return None
     p = OrderedPartition._trusted(_alternating_grid(n, s, t))
     return p if _vector_body(p) == body else None
@@ -683,12 +645,11 @@ def parse_partition(text: str) -> OrderedPartition:
     The two header words are split off and checked once.  From ``m`` of
     ``_VECTOR_MIN`` on, a body that is the writer's text of a closed form
     alternating(n, s, t) gives that form's grid, neither read nor
-    validated (``_closed_form``: equal bytes are the partition either
-    reader returns); another body in the writer's layout is read as one
-    array; any other body is read token by token, so errors and their
-    messages do not depend on the path.  The layout admits no
-    whitespace, so a body it reads is never scanned for it; a header
-    error waits for the field count, the token path's first check.
+    validated (``_closed_form``: equal bytes are the partition the token
+    reader returns); every other body is read token by token.  The
+    writer's text holds no whitespace, so a body taken by its bytes is
+    never scanned for it; a header error waits for the field count, the
+    token reader's first check.
     """
     fields = text.split(None, 2)
     if len(fields) == 3:
@@ -709,9 +670,6 @@ def parse_partition(text: str) -> OrderedPartition:
                 p = _closed_form(body, m, n)
                 if p is not None:
                     return p
-                grid = _strict_grid(body, m, n)
-                if grid is not None:
-                    return OrderedPartition(grid)
     count = len(fields) if len(fields) < 3 else 2 + len(fields[2].split())
     if count != 3:
         raise FormatError(f"expected three fields in partition text, got {count}")

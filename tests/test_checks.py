@@ -10,7 +10,9 @@ alone misses the second way (and, in two of the compose suites, the
 first); their explicit validity checks catch it.  The closed form is
 also compared with ``standard`` and ``nest``, which validate in full.
 The tower that ``check all`` is given joins the shift suites' pool only
-when it carries a usable word.
+when it carries a usable word.  The partition sampler that feeds the
+suites draws what the full-scan walk it replaced drew, from the same
+random state.
 """
 
 import random
@@ -97,3 +99,38 @@ def test_gelfand_agreement_draws_each_tower_when_it_is_compared(monkeypatch):
 def test_word_pool_refuses_a_tower_it_cannot_use(text):
     assert checks._word_pool(load_tower(text)) == []
 
+
+
+def _ballot_walk_by_scan(rng, m, n):
+    """The sampler as it was: every draw rescans all n blocks for the
+    admissible ones."""
+    size = m // n
+    counts = [0] * n
+    word = []
+    for _ in range(m):
+        allowed = [
+            b for b in range(n)
+            if counts[b] < size and (b == 0 or counts[b] < counts[b - 1])
+        ]
+        b = rng.choice(allowed)
+        counts[b] += 1
+        word.append(b + 1)
+    return OrderedPartition.from_assignment(word, n)
+
+
+@pytest.mark.parametrize(
+    "m, n", [(1, 1), (7, 7), (8, 1), (12, 3), (18, 6), (24, 4), (60, 12), (96, 6), (512, 4)]
+)
+def test_sampler_draws_what_the_full_scan_draws(m, n):
+    for seed in range(40):
+        a, b = random.Random(seed), random.Random(seed)
+        assert checks.random_ordered_partition(a, m, n) == _ballot_walk_by_scan(b, m, n)
+        assert a.getstate() == b.getstate()
+
+
+def test_sampler_draws_one_element_per_block_in_linear_time():
+    # n = m leaves one admissible block per step; the full scan took
+    # O(m * n) steps here and did not finish at m = 10^5.
+    m = 10**5
+    p = checks.random_ordered_partition(random.Random(0), m, m)
+    assert np.array_equal(p.array.ravel(), np.arange(1, m + 1))

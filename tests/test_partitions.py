@@ -42,8 +42,6 @@ from tuhf.partitions import (
     _body_length,
     _join_body,
     _scan,
-    _strict_grid,
-    _token_grid,
     _vector_body,
 )
 
@@ -579,8 +577,8 @@ def _large_closed_form(rng):
 def mutated_texts(draw):
     """Partition text of a valid partition after at most one mutation;
     two thirds of the bases have at least _VECTOR_MIN elements, so the
-    array reader sees them, and half of those are closed forms, whose
-    writer text the reader recognizes by its bytes."""
+    closed-form branch sees them, and half of those are closed forms,
+    whose writer text the reader recognizes by its bytes."""
     kind = draw(st.sampled_from(["none", "swap", "bad", "ragged", "empty", "shape"]))
     rng = draw(_RNGS)
     base = draw(st.sampled_from(["small", "random", "closed"]))
@@ -628,7 +626,7 @@ def test_format_parse_round_trip_property(rng):
     assert parse_partition(format_partition(p)) == p
 
 
-# -- the array text path against the joins and the token path ------------
+# -- the matrix writer against the joins ---------------------------------
 
 def _divisors(m):
     return [d for d in range(1, m + 1) if m % d == 0]
@@ -640,7 +638,7 @@ _SEEDS = st.integers(0, 2**32)
 @st.composite
 def partitions_around_the_threshold(draw):
     """A random ordered partition or an alternating pattern, with ground
-    sizes on both sides of the array path's threshold."""
+    sizes on both sides of _VECTOR_MIN."""
     if draw(st.booleans()):
         m = draw(st.integers(_VECTOR_MIN // 2, 2 * _VECTOR_MIN))
         n = draw(st.sampled_from(_divisors(m)))
@@ -657,12 +655,10 @@ def test_array_text_path_agrees_with_the_reference(p, seed):
     assert format_partition(p) == f"m={p.ground_size} n={p.block_count} blocks={body}"
     assert parse_partition(format_partition(p)) == p
     m, n = p.ground_size, p.block_count
-    assert np.array_equal(_strict_grid(body, m, n), _token_grid(body))
     # Blocks may be given in any order within a row.
     rng = random.Random(seed)
     rows = [rng.sample(b, len(b)) for b in p.blocks]
     shuffled = ";".join(",".join(map(str, b)) for b in rows)
-    assert np.array_equal(_strict_grid(shuffled, m, n), p.array)
     assert parse_partition(f"m={m} n={n} blocks={shuffled}") == p
 
 
@@ -716,81 +712,86 @@ def _put(i, j, token):
     return lambda rows: rows[i].__setitem__(j, token)
 
 
-# (text, whether the array reader takes it, outcome) where the outcome
-# is "ok" or (class, message), as the token path gives it.
+# (text, outcome) where the outcome is "ok" or (class, message), as the
+# token path gives it.
 _CORRUPTED = {
-    "empty token": (_big_text(_put(1, 5, "")), False,
+    "empty token": (_big_text(_put(1, 5, "")),
                     (FormatError, "bad partition text: invalid literal for int() with base 10: ''")),
-    "leading separator": (_big_text(before=","), False,
+    "leading separator": (_big_text(before=","),
                           (FormatError, "bad partition text: invalid literal for int() with base 10: ''")),
-    "trailing separator": (_big_text(after=";"), False,
+    "trailing separator": (_big_text(after=";"),
                            (FormatError, "bad partition text: invalid literal for int() with base 10: ''")),
-    "plus sign": (_big_text(_put(0, 4, "+5")), False, "ok"),
-    "space": (_big_text(_put(0, 4, " 5")), False,
+    "plus sign": (_big_text(_put(0, 4, "+5")), "ok"),
+    "space": (_big_text(_put(0, 4, " 5")),
               (FormatError, "expected three fields in partition text, got 4")),
-    "minus sign": (_big_text(_put(0, 4, "-5")), False,
+    "minus sign": (_big_text(_put(0, 4, "-5")),
                    (InvalidPartition, "element -5 outside 1..512")),
-    "19 digits": (_big_text(_put(2, 0, "1" + "0" * 18)), False,
+    "19 digits": (_big_text(_put(2, 0, "1" + "0" * 18)),
                   (InvalidPartition, "element 1000000000000000000 outside 1..512")),
-    "20 digits": (_big_text(_put(2, 0, "1" + "0" * 19)), False,
+    "20 digits": (_big_text(_put(2, 0, "1" + "0" * 19)),
                   (InvalidPartition, "element 10000000000000000000 outside 1..512")),
-    "unicode digit": (_big_text(_put(0, 2, "٣")), False, "ok"),
-    "leading zero": (_big_text(_put(0, 4, "05")), False, "ok"),
-    "over m": (_big_text(_put(0, 4, "513")), False,
+    "unicode digit": (_big_text(_put(0, 2, "٣")), "ok"),
+    "leading zero": (_big_text(_put(0, 4, "05")), "ok"),
+    "over m": (_big_text(_put(0, 4, "513")),
                (InvalidPartition, "element 513 outside 1..512")),
-    # the array reader relies on np.fromstring refusing an exponent
-    "exponent": (_big_text(_put(0, _BIG_ROWS[0].index("100"), "1e2")), False,
+    "exponent": (_big_text(_put(0, _BIG_ROWS[0].index("100"), "1e2")),
                  (FormatError, "bad partition text: invalid literal for int() with base 10: '1e2'")),
-    "tab": (_big_text(_put(0, 4, "\t5")), False,
+    "tab": (_big_text(_put(0, 4, "\t5")),
             (FormatError, "expected three fields in partition text, got 4")),
-    "short row": (_big_text(lambda rows: rows[1].pop()), False,
+    "short row": (_big_text(lambda rows: rows[1].pop()),
                   (UnequalBlockSizes, "block sizes differ: [127, 128]")),
-    "long row": (_big_text(lambda rows: rows[3].append("513")), False,
+    "long row": (_big_text(lambda rows: rows[3].append("513")),
                  (UnequalBlockSizes, "block sizes differ: [128, 129]")),
-    "unsorted row": (_big_text(lambda rows: rows[2].reverse()), True, "ok"),
-    "duplicate element": (_big_text(lambda rows: rows[3].__setitem__(7, rows[3][6])), True,
+    "unsorted row": (_big_text(lambda rows: rows[2].reverse()), "ok"),
+    "duplicate element": (_big_text(lambda rows: rows[3].__setitem__(7, rows[3][6])),
                           (InvalidPartition, "block elements must be sorted and distinct")),
-    "swapped rows": (_big_text(lambda rows: rows.reverse()), True,
+    "swapped rows": (_big_text(lambda rows: rows.reverse()),
                      (RankOrderViolation, "rank 1 of block 1 is not below rank 1 of block 2")),
-    "declared m": (_big_text(m=1024), False,
+    "declared m": (_big_text(m=1024),
                    (FormatError, "declared shape m=1024 n=4 does not match blocks (m=512 n=4)")),
-    "declared n": (_big_text(n=8), False,
+    "declared n": (_big_text(n=8),
                    (FormatError, "declared shape m=512 n=8 does not match blocks (m=512 n=4)")),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_CORRUPTED))
 def test_corrupted_large_text_reads_as_the_token_path_does(case):
-    text, strict, expected = _CORRUPTED[case]
+    text, expected = _CORRUPTED[case]
     try:
         got = parse_partition(text) == _BIG and "ok"
     except (InvalidPartition, FormatError) as exc:
         got = type(exc), str(exc)
     assert got == expected
-    fields = text.split()
-    if len(fields) == 3:
-        m, n, body = (field.split("=", 1)[1] for field in fields)
-        assert (_strict_grid(body, int(m), int(n)) is not None) == strict
-        if expected != "ok":
-            assert got == _parse_by_token(text)
+    if len(text.split()) == 3 and expected != "ok":
+        assert got == _parse_by_token(text)
 
 
-def test_large_text_takes_the_array_path(monkeypatch):
+@pytest.mark.parametrize("m, n", [(512, 4), (4096, 16), (65536, 256)])
+def test_large_text_of_another_partition_takes_the_token_reader(m, n, monkeypatch):
     # _BIG is a closed form, which the reader takes by its bytes; a
-    # random partition of its shape is not, so it reaches _strict_grid.
-    p = random_ordered_partition(random.Random(0), 512, 4)
+    # random partition of its shape is not, so _closed_form declines it
+    # before rendering anything and the token reader reads it, once.
+    p = random_ordered_partition(random.Random(0), m, n)
     assert detect_interval_form(p) is None
     text = format_partition(p)
-    body = text.split("blocks=")[1]
-    grids = []
+    returned = {"_closed_form": [], "_token_grid": []}
 
-    def spy(*args):
-        grids.append(_strict_grid(*args))
-        return grids[-1]
+    def spy(name):
+        real = getattr(partitions, name)
 
-    monkeypatch.setattr(partitions, "_strict_grid", spy)
-    assert ";" in body and parse_partition(text) == p
-    assert len(grids) == 1 and np.array_equal(grids[0], p.array)
+        def call(*args):
+            returned[name].append(real(*args))
+            return returned[name][-1]
+
+        return call
+
+    for name in returned:
+        monkeypatch.setattr(partitions, name, spy(name))
+    monkeypatch.setattr(partitions, "_vector_body", None)  # any rendering fails
+    assert parse_partition(text) == p
+    assert returned["_closed_form"] == [None]
+    [grid] = returned["_token_grid"]
+    assert np.array_equal(grid, p.array)
 
 
 # alt(k, s, t) with each factor 1 in turn, and at the digit boundaries
@@ -815,8 +816,7 @@ def test_closed_form_text_round_trips_unread_and_unvalidated(
     def refuse(*args):
         raise AssertionError("a closed form's text went past the byte comparison")
 
-    for name in ("_strict_grid", "_token_grid"):
-        monkeypatch.setattr(partitions, name, refuse)
+    monkeypatch.setattr(partitions, "_token_grid", refuse)
     monkeypatch.setattr(OrderedPartition, "__init__", refuse)
     assert parse_partition(text) == p
 
@@ -874,7 +874,7 @@ def test_a_short_body_under_a_large_header_builds_nothing(text, error, message, 
     def refuse(*args):
         raise AssertionError("an array sized by the header was built")
 
-    for name in ("_alternating_grid", "_token_widths", "_token_ends", "_vector_body"):
+    for name in ("_alternating_grid", "_token_widths", "_vector_body"):
         monkeypatch.setattr(partitions, name, refuse)
     with pytest.raises(error) as exc:
         parse_partition(text)
