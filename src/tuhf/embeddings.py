@@ -19,17 +19,19 @@ factors: ``standard`` is I_mult (x) A, ``nest`` is A (x) I_mult, and
 it records (k, s, t), composes by multiplying multiplicities, reads the
 r-th element of a block and compares with another closed form by
 arithmetic, and builds its partition only when ``diag`` is read.  The
-rank arithmetic, with its range checks, is the one function
-``_alternating_rank(k, s, t, i, r)``: ``rank_image`` of a closed form
-calls it, and so does ``towers.Descriptor.rank_image`` on a
-descriptor's (s, t), without making an embedding.  ``standard`` and
+rank arithmetic is the one formula ``_alternating_step(k, t, i, r)``.
+``_alternating_rank(k, s, t, i, r)`` adds its range checks: ``rank_image``
+of a closed form calls it, and so does ``towers.Descriptor.rank_image``
+on a descriptor's (s, t), without making an embedding; the Gelfand walk
+steps range-checked coordinates by the formula alone.  ``standard`` and
 ``nest`` build their block formulas explicitly and serve as the
 reference the closed form is checked against, so the tensor identities
 relating the three stay honest, independently checkable facts rather
 than definitions.
 
-``_tensor_blocks`` is the one row-major tensor formula: ``tensor_embed``
-and the blockwise automorphisms of tensor towers both build through it.
+``_tensor_blocks`` is the one row-major tensor formula, one numpy
+broadcast over every block: ``tensor_embed`` and the blockwise
+automorphisms of tensor towers both build through it.
 Partitions whose size comes from arithmetic rather than from an input
 (a closed form's ``diag``, a tensor product) are refused with a
 ``DomainError`` above ``MAX_GROUND`` elements instead of exhausting
@@ -68,12 +70,18 @@ def _rank_check(k: int, mult: int, i: int, r: int) -> None:
         raise OutOfRange(f"rank {r} outside 0..{mult - 1}")
 
 
-def _alternating_rank(k: int, s: int, t: int, i: int, r: int) -> int:
+def _alternating_step(k: int, t: int, i: int, r: int) -> int:
     """The r-th smallest element (r from 0) of block i (from 1) of
     alternating(k, s, t), by arithmetic: outer copy r // t, inflation
-    place r % t of slot i."""
-    _rank_check(k, s * t, i, r)
+    place r % t of slot i.  It checks no range: callers hold
+    1 <= i <= k and 0 <= r < s*t."""
     return (r // t) * k * t + (i - 1) * t + r % t + 1
+
+
+def _alternating_rank(k: int, s: int, t: int, i: int, r: int) -> int:
+    """``_alternating_step`` after the range check."""
+    _rank_check(k, s * t, i, r)
+    return _alternating_step(k, t, i, r)
 
 
 class IndexOutOfRange(DomainError):
@@ -259,13 +267,17 @@ def _tensor_blocks(
                 f"and {inner.block_count}|{inner.ground_size}"
             )
     _require_within_budget(outer.ground_size * j_to)
-    # One broadcast per outer block: its slots, as offsets, against every
-    # element of every block of its inner partition.
-    rows = [
-        (offsets[None, :, None] + inner.array[:, None, :]).reshape(inner.block_count, -1)
-        for offsets, inner in zip((outer.array - 1) * j_to, inners, strict=True)
-    ]
-    return OrderedPartition._trusted(np.concatenate(rows))
+    # One broadcast: each outer block's slots, as offsets (K, r), against
+    # every element of every block of its inner partition, the inners
+    # stacked (K, j, b), or one grid (1, j, b) when all are one partition.
+    first = inners[0]
+    if all(inner is first for inner in inners):
+        stack = first.array[None]
+    else:
+        stack = np.stack([inner.array for inner in inners])
+    offsets = (outer.array - 1) * j_to
+    grid = offsets[:, None, :, None] + stack[:, :, None, :]
+    return OrderedPartition._trusted(grid.reshape(len(inners) * j, -1))
 
 
 def tensor_embed(ephi: RegularEmbedding, epsi: RegularEmbedding) -> RegularEmbedding:

@@ -16,14 +16,20 @@ and can differ on interleaving ones, as ``relation_member``'s witness
 shows.
 
 Every reading makes one range check: depths first, then x's
-coordinates, then y's, against sizes k1 and each descriptor's
-multiplicity.  A pair is then walked once, both chains together, up to
-the deepest coordinate disagreement d only, holding k_n and the two
-current chain indices, so a point costs memory linear in its depth.
-Each level steps an index by ``Descriptor.rank_image``: a
-``std``/``nest``/``alt`` level by arithmetic on the descriptor's ints
-(i -> (r // t)*k*t + (i-1)*t + r % t + 1, then k -> k*s*t), building no
-embedding, and a ``part`` level by reading its partition.
+coordinates, then y's, against the sizes k1 and each level's
+multiplicity.  Both come from the tower's step memo,
+``TowerSpec._steps``: one row (multiplicity, t, descriptor) for k1 and
+for each preamble and cycle descriptor, built once per tower object and
+as long as its text; coordinate n reads row n - 1, the cycle rows taken
+modulo the cycle length.  A pair is then walked once, both chains
+together, up to the deepest coordinate disagreement d only, holding k_n
+and the two current chain indices, so a point costs memory linear in
+its depth.  A ``std``/``nest``/``alt`` level steps an index by
+``embeddings._alternating_step``, the one closed-form step formula
+(i -> (r // t)*k*t + (i-1)*t + r % t + 1, then k -> k*s*t), which
+``_alternating_rank`` shares; the walk skips its range check because the
+coordinates were checked first.  A ``part`` level steps by
+``Descriptor.rank_image``, reading its partition.
 ``gelfand_readings`` is the one reading: from the walk's result
 (d, i_d, j_d) it returns all three lines of ``gelfand cmp``, and
 ``gelfand_compare_via_projections`` and ``relation_member`` return its
@@ -35,9 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .embeddings import _alternating_step
 from .errors import DomainError, FormatError
 from .partitions import Order, OutOfRange
-from .towers import TowerSpec
+from .towers import TowerSpec, _Step
 
 
 class DepthMismatch(DomainError):
@@ -74,40 +81,56 @@ def parse_point(text: str, tail: str = "") -> GelfandPoint:
     return GelfandPoint(coords, tail)
 
 
+def _rows(tower: TowerSpec, depth: int) -> tuple[_Step, ...]:
+    """The rows of ``tower._steps`` that coordinates 1..depth read: k1's,
+    then one per level, the cycle rows repeated past the memo's end."""
+    steps = tower._steps
+    if depth > len(steps):
+        cycle = steps[len(steps) - len(tower.cycle):]
+        steps += cycle * -(-(depth - len(steps)) // len(cycle))
+    return steps[:depth]
+
+
 def coordinate_sizes(tower: TowerSpec, depth: int) -> list[int]:
     """k_n / k_{n-1} for n = 1..depth (k_0 = 1): how many values x_n takes."""
-    sizes = [tower.k1] if depth > 0 else []
-    for n in range(1, depth):
-        sizes.append(tower.descriptor_at(n).multiplicity)
-    return sizes
+    return [row[0] for row in _rows(tower, depth)]
 
 
-def _check(tower: TowerSpec, x: GelfandPoint, y: GelfandPoint | None = None) -> None:
-    """Refuse different depths, then x's coordinates, then y's, against one size list."""
+def _check(
+    tower: TowerSpec, x: GelfandPoint, y: GelfandPoint | None = None
+) -> tuple[_Step, ...]:
+    """Refuse different depths, then x's coordinates, then y's, against one
+    row list, and return the rows for the walk."""
     depth = len(x.coords)
     if y is not None and len(y.coords) != depth:
         raise DepthMismatch(f"depths differ: {depth} vs {y.depth}")
-    sizes = coordinate_sizes(tower, depth)
+    rows = _rows(tower, depth)
     for coords in (x.coords,) if y is None else (x.coords, y.coords):
         n = 0  # a counter beside the loop costs less than enumerate's tuples
         for c in coords:
-            if not 0 <= c < sizes[n]:
-                raise OutOfRange(f"coordinate {n + 1} is {c}, allowed range 0..{sizes[n] - 1}")
+            size = rows[n][0]
+            if not 0 <= c < size:
+                raise OutOfRange(f"coordinate {n + 1} is {c}, allowed range 0..{size - 1}")
             n += 1
+    return rows
 
 
 def _walk(
-    tower: TowerSpec, xs: tuple[int, ...], ys: tuple[int, ...], depth: int
+    rows: tuple[_Step, ...], xs: tuple[int, ...], ys: tuple[int, ...], depth: int
 ) -> tuple[int, int]:
     """The checked coordinates' chain indices (i, j) at level ``depth``, from
-    one walk that holds only k_n and the two current indices, each step
-    one ``Descriptor.rank_image``."""
+    one walk that holds only k_n and the two current indices."""
     i, j = xs[0] + 1, ys[0] + 1
-    k = tower.k1
+    k = rows[0][0]
     for n in range(1, depth):
-        d = tower.descriptor_at(n)
-        i, j = d.rank_image(k, i, xs[n]), d.rank_image(k, j, ys[n])
-        k *= d.multiplicity
+        mult, t, d = rows[n]
+        if t is None:
+            i, j = d.rank_image(k, i, xs[n]), d.rank_image(k, j, ys[n])  # type: ignore[union-attr]
+        else:
+            # The coordinates passed ``_check``, so r < mult and i, j stay
+            # in 1..k at every level: the step needs no ``_rank_check``.
+            i, j = _alternating_step(k, t, i, xs[n]), _alternating_step(k, t, j, ys[n])
+        k *= mult
     return i, j
 
 
@@ -136,14 +159,19 @@ def projection_chain(tower: TowerSpec, x: GelfandPoint) -> tuple[int, ...]:
     (x_n + 1)-th smallest element of the image block of i_{n-1} under
     the level-(n-1) embedding.
     """
-    _check(tower, x)
+    rows = _check(tower, x)
     xs = x.coords
-    chain = [xs[0] + 1]
-    k = tower.k1
+    i = xs[0] + 1
+    chain = [i]
+    k = rows[0][0]
     for n in range(1, len(xs)):
-        d = tower.descriptor_at(n)
-        chain.append(d.rank_image(k, chain[-1], xs[n]))
-        k *= d.multiplicity
+        mult, t, d = rows[n]
+        if t is None:
+            i = d.rank_image(k, i, xs[n])  # type: ignore[union-attr]
+        else:
+            i = _alternating_step(k, t, i, xs[n])  # checked as in ``_walk``
+        chain.append(i)
+        k *= mult
     return tuple(chain)
 
 
@@ -157,14 +185,14 @@ def gelfand_readings(
     points).  Distinct points differ at d, in distinct ranks of one
     block or in disjoint blocks, so i_d = j_d iff x = y.
     """
-    _check(tower, x, y)
+    rows = _check(tower, x, y)
     if x.tail != y.tail:
         return Order.INCOMPARABLE, Order.INCOMPARABLE, None
     xs, ys = x.coords, y.coords
     d = len(xs)
     while d > 1 and xs[d - 1] == ys[d - 1]:
         d -= 1
-    i, j = _walk(tower, xs, ys, d)
+    i, j = _walk(rows, xs, ys, d)
     member = RelationPair(x, y, d, i, j) if i <= j else None
     return _order(xs, ys), _order(i, j), member
 

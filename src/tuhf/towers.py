@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from . import supernatural
@@ -142,6 +143,10 @@ class Descriptor:
         return self.embedding(k_from).rank_image(i, r)
 
 
+# A row of ``TowerSpec._steps``: (multiplicity, t, descriptor).
+_Step = tuple[int, Optional[int], Optional[Descriptor]]
+
+
 def parse_descriptor(text: str) -> Descriptor:
     tokens = text.split()
     if not tokens:
@@ -206,8 +211,9 @@ class TowerSpec:
     An omitted side of the split defaults to the cofactor of the other
     in k1, and an omitted split to (1, k1).  Level data (k_n, s_n, t_n)
     are memoized in one table that grows on demand, so per-level queries
-    cost amortized O(1), and the supernatural pair is kept once found;
-    neither takes part in equality or repr.
+    cost amortized O(1), the supernatural pair is kept once found, and
+    the Gelfand walk's step rows are built once (``_steps``); none of
+    them takes part in equality, hash or repr.
     """
 
     k1: int
@@ -268,6 +274,19 @@ class TowerSpec:
         if idx < len(self.preamble):
             return self.preamble[idx]
         return self.cycle[(idx - len(self.preamble)) % len(self.cycle)]
+
+    @cached_property
+    def _steps(self) -> tuple[_Step, ...]:
+        """The Gelfand walk's rows (multiplicity, t, descriptor): k1's row
+        (k1, None, None), then one per preamble and cycle descriptor, t
+        being None at a ``part`` level.  Coordinate n reads row n - 1, and
+        past the preamble the cycle rows repeat modulo the cycle length,
+        so the memo is as long as the tower's text, whatever the depth of
+        the points read against it."""
+        rows: list[_Step] = [(self.k1, None, None)]
+        for d in self.preamble + self.cycle:
+            rows.append((d.multiplicity, None if d.partition is not None else d.t_mult, d))
+        return tuple(rows)
 
     def level_dim(self, n: int) -> int:
         return self.level_dims(n)[0]

@@ -2,6 +2,7 @@
 
 import contextlib
 import decimal
+import functools
 import hashlib
 import io
 import json
@@ -311,26 +312,53 @@ def test_help_is_unchanged(capsys):
 
 
 def test_gelfand_cmp_checks_and_walks_once(files, capsys, monkeypatch):
-    calls = {"sizes": 0, "rank": 0}
-    real_sizes = tuhf.gelfand.coordinate_sizes
-    real_rank = Descriptor.rank_image
+    calls = {"check": 0, "walks": [], "step": 0, "rank": 0, "memo": []}
+    real_check, real_walk = tuhf.gelfand._check, tuhf.gelfand._walk
+    real_step, real_rank = tuhf.gelfand._alternating_step, Descriptor.rank_image
+    real_steps = TowerSpec.__dict__["_steps"].func
 
-    def sizes(tower, depth):
-        calls["sizes"] += 1
-        return real_sizes(tower, depth)
+    def check(*args):
+        calls["check"] += 1
+        return real_check(*args)
 
-    def rank(self, k_from, i, r):
+    def walk(rows, xs, ys, depth):
+        calls["walks"].append(depth)
+        return real_walk(rows, xs, ys, depth)
+
+    def step(*args):
+        calls["step"] += 1
+        return real_step(*args)
+
+    def rank(*args):
         calls["rank"] += 1
-        return real_rank(self, k_from, i, r)
+        return real_rank(*args)
 
-    monkeypatch.setattr(tuhf.gelfand, "coordinate_sizes", sizes)
+    def steps(self):
+        calls["memo"].append(self)
+        return real_steps(self)
+
+    memo = functools.cached_property(steps)
+    memo.__set_name__(TowerSpec, "_steps")
+    monkeypatch.setattr(tuhf.gelfand, "_check", check)
+    monkeypatch.setattr(tuhf.gelfand, "_walk", walk)
+    monkeypatch.setattr(tuhf.gelfand, "_alternating_step", step)
     monkeypatch.setattr(Descriptor, "rank_image", rank)
+    monkeypatch.setattr(TowerSpec, "_steps", memo)
     f = files("two.tower", TWO_INF)
     code, out, _ = run(capsys, "gelfand", "cmp", f, "--x", "0,1", "--y", "1,0")
     assert code == 0 and out.endswith("witness level 2 i 2 j 3\n")
-    # the three printed lines come from one range list and one walk of
-    # both chains, which steps each point once through the level-1 embedding
-    assert calls == {"sizes": 1, "rank": 2}
+    # the three printed lines come from one range check and one walk of
+    # both chains, which steps each point once through the level-1
+    # embedding by the closed-form step, never by a per-level method
+    assert (calls["check"], calls["walks"], calls["step"], calls["rank"]) == (1, [2], 2, 0)
+    assert len(calls["memo"]) == 1
+    # depth 4 on a two-row memo: the walk stops at the deepest disagreement
+    # (level 3), two steps per point, and the command's own tower builds
+    # its own memo once
+    code, out, _ = run(capsys, "gelfand", "cmp", f, "--x", "1,0,1,3", "--y", "0,1,2,3")
+    assert code == 0 and out.endswith("witness level 3 i 6 j 35\n")
+    assert (calls["check"], calls["walks"], calls["step"], calls["rank"]) == (2, [2, 3], 6, 0)
+    assert len(calls["memo"]) == 2 and calls["memo"][0] is not calls["memo"][1]
 
 
 def _spy_walks(monkeypatch):

@@ -1,11 +1,13 @@
 """Regular embeddings: constructors, unit images, composition, tensor."""
 
 import itertools
+import random
 import re
 
+import numpy as np
 import pytest
 
-from tuhf import embeddings, partitions
+from tuhf import checks, embeddings, partitions
 from tuhf import (
     Order,
     OrderedPartition,
@@ -26,6 +28,7 @@ from tuhf.embeddings import (
     _alternating_rank,
     _tensor_blocks,
 )
+from tuhf.errors import DomainError
 from tuhf.partitions import OutOfRange, ShapeMismatch
 
 SMALL = range(1, 5)  # exhaustive ranges of k, s and t for the closed form
@@ -369,3 +372,58 @@ def test_tensor_needs_one_inner_per_outer_block():
             ShapeMismatch, match=rf"^2 outer blocks need 2 inner partitions, got {count}$"
         ):
             _tensor_blocks(outer, [inner] * count)
+
+
+def _tensor_by_block(outer, inners):
+    # the reference: one broadcast per outer block, its slots as offsets
+    # against every element of every block of its inner, then one concatenate
+    j_to = inners[0].ground_size
+    rows = [
+        (offsets[None, :, None] + inner.array[:, None, :]).reshape(inner.block_count, -1)
+        for offsets, inner in zip((outer.array - 1) * j_to, inners, strict=True)
+    ]
+    return OrderedPartition(np.concatenate(rows))
+
+
+@pytest.mark.parametrize("k, r", [(1, 3), (2, 2), (4, 3), (6, 1)])
+@pytest.mark.parametrize("distinct", ["one", "two", "all"])
+def test_tensor_kernel_matches_the_per_block_loop(k, r, distinct):
+    rng = random.Random(f"{k}:{r}:{distinct}")
+    outer = checks.random_ordered_partition(rng, k * r, k)
+    pool = []  # distinct inner partitions of one shape, 3|12
+    while len(pool) < k:
+        p = checks.random_ordered_partition(rng, 12, 3)
+        if p not in pool:
+            pool.append(p)
+    inners = {
+        "one": [pool[0]] * k,  # one object, as tensor_embed passes it
+        "two": [pool[b % 2] if k > 1 else pool[0] for b in range(k)],
+        "all": pool,
+    }[distinct]
+    got = _tensor_blocks(outer, inners)
+    assert got == _tensor_by_block(outer, inners)
+    assert got.array.shape == (k * 3, r * 4)
+    # equal inners that are distinct objects take the stacked path alike
+    copies = [OrderedPartition(inner.array.copy()) for inner in inners]
+    assert _tensor_blocks(outer, copies) == got
+
+
+class _Unread:
+    """A partition's shape whose array must not be read."""
+
+    def __init__(self, n, m):
+        self.block_count, self.ground_size = n, m
+
+    @property
+    def array(self):
+        raise AssertionError("an array was read before the refusal")
+
+
+def test_tensor_refusals_come_before_any_array():
+    with pytest.raises(ShapeMismatch, match=r"^inner partitions differ in shape: 2\|4 and 3\|6$"):
+        _tensor_blocks(_Unread(2, 4), [_Unread(2, 4), _Unread(3, 6)])
+    big = _Unread(2, 1 << 11)
+    with pytest.raises(DomainError, match=r"^refusing to build a partition of 8388608 elements"):
+        _tensor_blocks(_Unread(2, 1 << 12), [big, big])
+    with pytest.raises(DomainError, match=r"^refusing to build a partition of 8388608 elements"):
+        _tensor_blocks(_Unread(2, 1 << 12), [big, _Unread(2, 1 << 11)])

@@ -327,3 +327,51 @@ def test_projection_order_is_relation_membership(case):
         assert order is (Order.LESS if i < j else Order.GREATER)
     if member is not None:
         assert (member.level, member.i, member.j) == (d, i, j)
+
+
+@st.composite
+def mixed_towers(draw):
+    # a part preamble, then a cycle holding one std, one nest and one alt
+    # level in a drawn order, maybe with a closed form between
+    k1 = draw(st.integers(1, 3))
+    part = draw(ordered_partitions(k1, draw(st.integers(1, 3))))
+    preamble = (Descriptor("part", partition=part),) + tuple(
+        draw(st.lists(CLOSED_FORMS, max_size=1))
+    )
+    kinds = (
+        Descriptor("std", draw(st.integers(2, 3))),
+        Descriptor("nest", t_mult=draw(st.integers(2, 3))),
+        Descriptor("alt", draw(st.integers(1, 2)), draw(st.integers(1, 2))),
+    )
+    cycle = tuple(draw(st.permutations(kinds))) + tuple(draw(st.lists(CLOSED_FORMS, max_size=1)))
+    return k1, preamble, cycle
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=mixed_towers(), data=st.data())
+def test_step_memo_reads_alike_at_every_depth(case, data):
+    # one tower object read at depths 3, then 7, then 2 answers as a fresh
+    # tower does, from one memo as long as its text; reading it changes
+    # neither equality, hash nor repr
+    k1, preamble, cycle = case
+
+    def fresh():
+        return TowerSpec(k1, preamble=preamble, cycle=cycle)
+
+    tower = fresh()
+    memo = None
+    for depth in (3, 7, 2):
+        sizes = coordinate_sizes(fresh(), depth)
+        x, y = (
+            GelfandPoint(tuple(data.draw(st.integers(0, size - 1)) for size in sizes))
+            for _ in "xy"
+        )
+        assert coordinate_sizes(tower, depth) == sizes
+        assert gelfand_readings(tower, x, y) == gelfand_readings(fresh(), x, y)
+        for p in (x, y):
+            assert projection_chain(tower, p) == chain_by_hand(fresh(), p)
+        memo = memo or tower._steps
+        assert tower._steps is memo and len(memo) == 1 + len(preamble) + len(cycle)
+    other = fresh()
+    assert "_steps" in vars(tower) and "_steps" not in vars(other)
+    assert tower == other and hash(tower) == hash(other) and repr(tower) == repr(other)
