@@ -87,7 +87,7 @@ def _rows(tower: TowerSpec, depth: int) -> tuple[_Step, ...]:
     steps = tower._steps
     if depth > len(steps):
         cycle = steps[len(steps) - len(tower.cycle):]
-        steps += cycle * -(-(depth - len(steps)) // len(cycle))
+        steps += cycle * ((depth - len(steps)) // len(cycle) + 1)
     return steps[:depth]
 
 
