@@ -21,7 +21,8 @@ the matrix lane's straightening.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -38,9 +39,9 @@ from .partitions import (
     OrderedPartition,
     OutOfRange,
     ShapeMismatch,
-    format_partition,
+    _read_partition,
+    _text_parts,
     np,
-    parse_partition,
 )
 from .supernatural import (
     TRIAL_LIMIT,
@@ -173,11 +174,18 @@ def _split_off(n: int, primes: Iterable[int]) -> tuple[dict[int, int], int]:
 class FiniteAutoData:
     """An automorphism's projection action between two tower levels:
     block i of ``action`` is the level-m' diagonal support of the image
-    of the i-th diagonal unit of level m."""
+    of the i-th diagonal unit of level m.
+
+    ``interval`` is the (s, t) with ``action`` equal to the partition of
+    alternating(k_m, s, t), when that is already known: ``load_auto_data``
+    sets it on a record it took by its bytes as a closed form's text, so
+    ``factor_automorphism`` does not recognize the form again.  A caller
+    that sets it vouches for it.  It takes no part in equality."""
 
     level_from: int
     level_to: int
     action: OrderedPartition
+    interval: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.level_from < 1:
@@ -347,8 +355,11 @@ def factor_automorphism(tower: TowerSpec, data: Sequence[FiniteAutoData]) -> Shi
 
     Each record is read once, in level order, and its shape checked
     against the tower.  Each informative record (k_m > 1) must be an
-    interval pattern; its detected s divided by the tower's own s-growth
-    between the levels is the word, and all records must agree.  Records
+    interval pattern; its s divided by the tower's own s-growth between
+    the levels is the word, and all records must agree.  A record that
+    carries its ``interval`` (a closed form the text reader recognized)
+    is not detected again; every other one goes through
+    ``detect_interval_form``.  Records
     at k_m = 1 are skipped: a single block fits every interval reading.
     Below a record's top level the tower is read no deeper than the
     first level past the record's ground, which already rules the
@@ -371,10 +382,13 @@ def factor_automorphism(tower: TowerSpec, data: Sequence[FiniteAutoData]) -> Shi
             raise ShapeMismatch(f"{shape}, tower expects {k_m}|{k_n}")
         if k_m == 1:
             continue
-        iv = detect_interval_form(q)
-        if iv is None:
-            raise NotIntervalForm(f"action at levels {a}..{b} is not an interval pattern")
-        fractions.append(Fraction(iv.st[0] * s_m, s_n))
+        interval = datum.interval
+        if interval is None:
+            iv = detect_interval_form(q)
+            if iv is None:
+                raise NotIntervalForm(f"action at levels {a}..{b} is not an interval pattern")
+            interval = iv.st
+        fractions.append(Fraction(interval[0] * s_m, s_n))
     pairs = len({(d.level_from, d.level_to) for d in data})
     if pairs < 2:
         raise UnderdeterminedWord(
@@ -506,32 +520,43 @@ def dirichlet_dimension_check(k: int) -> bool:
 # -- auto-data text form ------------------------------------------------
 
 def format_auto_data(data: Sequence[FiniteAutoData]) -> str:
-    lines: list[str] = []
+    """Two lines per record, ``levels <m> <m'>`` and ``action <text of
+    the partition>``, each record's pieces joined once with the rest."""
+    parts: list[str] = []
     for datum in data:
-        lines.append(f"levels {datum.level_from} {datum.level_to}")
-        lines.append(f"action {format_partition(datum.action)}")
-    return "\n".join(lines) + "\n"
+        parts.append(f"levels {datum.level_from} {datum.level_to}\naction ")
+        parts.extend(_text_parts(datum.action))
+        parts.append("\n")
+    return "".join(parts)
+
+
+# A line's directive and the whitespace after it
+_DIRECTIVE = re.compile(r"(\S+)\s*")
 
 
 def load_auto_data(text: str) -> tuple[FiniteAutoData, ...]:
+    """The records of auto-data text.  An action line is read in place
+    after its directive, and a closed form taken by its bytes keeps its
+    (s, t) as the record's ``interval``."""
     records: list[FiniteAutoData] = []
     pending: Optional[tuple[int, int]] = None
     for lineno, line in _content_lines(text):
-        head, *tail = line.split(None, 1)
-        rest = tail[0] if tail else ""
+        directive = _DIRECTIVE.match(line)  # a content line starts with a field
+        head, rest = directive[1], directive.end()
         try:
             if head == "levels":
                 if pending is not None:
                     raise FormatError("levels line without an action")
                 try:
-                    level_from, level_to = map(int, rest.split())
+                    level_from, level_to = map(int, line[rest:].split())
                 except ValueError:
                     raise FormatError("levels needs two integers") from None
                 pending = (level_from, level_to)
             elif head == "action":
                 if pending is None:
                     raise FormatError("action line without levels")
-                records.append(FiniteAutoData(*pending, parse_partition(rest)))
+                action, interval = _read_partition(line, rest)
+                records.append(FiniteAutoData(*pending, action, interval))
                 pending = None
             else:
                 raise FormatError(f"unknown directive {head!r}")

@@ -20,10 +20,31 @@ class DomainError(TuhfError):
     """Structurally valid input that violates an operation's contract."""
 
 
+# Every line boundary of ``str.splitlines`` but "\n"
+_RARE_BOUNDARIES = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def _content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(line number from 1, stripped content) of each line of ``text``
-    that is not blank once its ``#`` comment is cut."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+    r"""(line number from 1, stripped content) of each line of ``text``
+    that is not blank once its ``#`` comment is cut.
+
+    Lines end where ``str.splitlines`` ends them: at "\n", "\r",
+    "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", U+2028 and
+    U+2029.  A text whose only boundary is "\n" is read in place, each
+    line's end and ``#`` found with ``str.find``, so each content line is
+    copied once; any other text is first rejoined from its ``splitlines``
+    with "\n", which keeps every line and its number.
+    """
+    if any(c in text for c in _RARE_BOUNDARIES):
+        text = "\n".join(text.splitlines())
+    lineno, start, size = 0, 0, len(text)
+    while start < size:
+        lineno += 1
+        end = text.find("\n", start)
+        if end < 0:
+            end = size
+        cut = text.find("#", start, end)
+        line = text[start : end if cut < 0 else cut].strip()
         if line:
             yield lineno, line
+        start = end + 1

@@ -44,15 +44,20 @@ blocks.  From m = ``_VECTOR_MIN`` on, ``format_partition`` writes the
 body as one fixed-width uint8 matrix, a row per token (its digits
 right-aligned, then its separator), and compresses it with a keep mask
 of each token's own digits; the result is byte for byte the text of the
-joins it uses below that size.  ``parse_partition`` checks the two
+joins it uses below that size; ``_text_parts`` gives header and body
+apart, for writers of a larger text.  ``parse_partition`` checks the two
 header words once.  From m = ``_VECTOR_MIN`` on, a body that is byte for
 byte the writer's text of a closed form alternating(n, s, t) is
-returned as the formula grid, unparsed (``_closed_form``); every other
+returned as the formula grid, unparsed (``_closed_form``, which compares
+the body where it stands in the text); every other
 body, at every size, is read token by token (``_token_grid``) and its
 grid goes to the fully validating constructor, so each error and its
 message is the same whatever the text's size.  ``_token_widths`` is
 the one count of digits: the writer's keep mask and ``_closed_form``'s
 length check of block 1 both read it, so the layout is stated once.
+``_read_partition`` is the reader itself: it reads the text from an
+offset, in place, and also returns the (s, t) of the closed form it
+took by its bytes, which ``automorphisms.load_auto_data`` keeps.
 
 numpy is loaded on the first array operation, not on import: ``np`` is
 a lazy module, and the other modules that use numpy import it from
@@ -64,6 +69,7 @@ from __future__ import annotations
 import enum
 import importlib.util
 import itertools
+import re
 import sys
 from collections.abc import Sized
 from dataclasses import dataclass
@@ -577,12 +583,18 @@ def _vector_body(p: OrderedPartition) -> str:
     text += _ZERO
     text[:, places] = _COMMA
     text[p.block_size - 1 :: p.block_size, places] = _SEMICOLON
-    return text[keep][:-1].tobytes().decode("ascii")
+    return str(text[keep][:-1], "ascii")
+
+
+def _text_parts(p: OrderedPartition) -> tuple[str, str]:
+    """The header ``m=<m> n=<n> blocks=`` and the body of p's text, for
+    writers that join them into a larger text."""
+    body = _vector_body(p) if p.ground_size >= _VECTOR_MIN else _join_body(p)
+    return f"m={p.ground_size} n={p.block_count} blocks=", body
 
 
 def format_partition(p: OrderedPartition) -> str:
-    body = _vector_body(p) if p.ground_size >= _VECTOR_MIN else _join_body(p)
-    return f"m={p.ground_size} n={p.block_count} blocks={body}"
+    return "".join(_text_parts(p))
 
 
 def _token_grid(body: str) -> np.ndarray | list[list[int]]:
@@ -597,46 +609,109 @@ def _token_grid(body: str) -> np.ndarray | list[list[int]]:
         return [sorted(int(x) for x in group) for group in tokens]
 
 
-def _closed_form(body: str, m: int, n: int) -> Optional[OrderedPartition]:
-    """alternating(n, s, t) when ``body`` is byte for byte the writer's
-    text of it, else None.
+def _closed_form(
+    text: str, begin: int, end: int, m: int, n: int
+) -> Optional[tuple[OrderedPartition, tuple[int, int]]]:
+    """alternating(n, s, t) and its (s, t) when the body ``text[begin:end]``
+    is byte for byte the writer's text of it, else None.
 
-    The body must first be as long as the writer's text of 1..m, so m,
-    which sizes every array built here, is bounded by the body.  The
-    form is forced: block 2's first token is t + 1 (t = m when n = 1)
-    and s = m/(n*t).  Before the grid is built, block 1 must end in that
-    form's last element of block 1, m - (n-1)*t, and be as long as its
-    text.  The writer is deterministic, and the token reader takes its
-    text back to the grid it wrote, so equal bytes are exactly the
-    partition that reader would return, and any other body is left to
-    it.
+    The body is read in place: only its first token of block 2 and the
+    last of block 1 are sliced out.  It must first be as long as the
+    writer's text of 1..m, so m, which sizes every array built here, is
+    bounded by the body.  The form is forced: block 2's first token is
+    t + 1 (t = m when n = 1) and s = m/(n*t).  Before the grid is built,
+    block 1 must end in that form's last element of block 1,
+    m - (n-1)*t, and be as long as its text.  The writer is
+    deterministic, and the token reader takes its text back to the grid
+    it wrote, so equal bytes are exactly the partition that reader would
+    return, and any other body is left to it.
     """
-    if len(body) != _body_length(m):
+    if end - begin != _body_length(m):
         return None
-    end = body.find(";") if n > 1 else len(body)  # block 1 is body[:end]
-    if end < 0:
+    stop = text.find(";", begin, end) if n > 1 else end  # block 1 is text[begin:stop]
+    if stop < 0:
         return None
     if n == 1:
         t = m
     else:
-        token = body[end + 1 : end + 2 + len(str(m))].replace(";", ",").split(",", 1)[0]
+        token = text[stop + 1 : min(end, stop + 2 + len(str(m)))]
+        token = token.replace(";", ",").split(",", 1)[0]
         if not (token.isascii() and token.isdigit()):
             return None
         t = int(token) - 1
     if t < 1 or (m // n) % t:
         return None
     s = m // (n * t)
-    if body[body.rfind(",", 0, end) + 1 : end] != str(m - (n - 1) * t):
+    if text[max(text.rfind(",", begin, stop) + 1, begin) : stop] != str(m - (n - 1) * t):
         return None
     block_1 = np.arange(0, m, n * t, dtype=np.int64)[:, None] + np.arange(1, t + 1)
     # block 1's text: each token's digits and a separator between tokens
-    if _token_widths(block_1.ravel(), m).sum() + block_1.size - 1 != end:
+    if _token_widths(block_1.ravel(), m).sum() + block_1.size - 1 != stop - begin:
         return None
     p = OrderedPartition._trusted(_alternating_grid(n, s, t))
-    return p if _vector_body(p) == body else None
+    return (p, (s, t)) if text.startswith(_vector_body(p), begin) else None
 
 
 _KEYS = ("m=", "n=", "blocks=")
+# The first two fields of partition text and the whitespace around them,
+# whitespace being what ``str.split`` splits at.
+_HEADER = re.compile(r"\s*(\S+)\s+(\S+)\s+")
+
+
+def _read_partition(
+    text: str, start: int = 0
+) -> tuple[OrderedPartition, Optional[tuple[int, int]]]:
+    """The partition ``text[start:]`` holds, read as ``parse_partition``
+    reads it, and the (s, t) of the closed form alternating(n, s, t) it
+    was taken as by its bytes, or None when it was read token by token.
+
+    The text is read in place up to the byte comparison: the header
+    fields are matched at ``start`` and ``_closed_form`` compares the
+    body where it stands.  Only a body that is not a closed form's text
+    is sliced out, for the token reader.
+    """
+    end = len(text.rstrip())
+    head = _HEADER.match(text, start, end)
+    if head is None:  # fewer than three fields
+        count = len(text[start:end].split())
+        raise FormatError(f"expected three fields in partition text, got {count}")
+    m_field, n_field = head.groups()
+    body = head.end()  # where the third field starts
+    error = None
+    for field, key in zip((m_field, n_field), _KEYS):
+        if not field.startswith(key):
+            error = f"expected field {key}..., got {field!r}"
+            break
+    else:
+        if not text.startswith("blocks=", body):
+            error = f"expected field blocks=..., got {text[body:end]!r}"
+    if error is None:
+        try:
+            m, n = int(m_field[2:]), int(n_field[2:])
+        except ValueError as exc:
+            error = f"bad partition text: {exc}"
+        else:
+            if m >= _VECTOR_MIN and n >= 1 and m % n == 0:
+                found = _closed_form(text, body + len("blocks="), end, m, n)
+                if found is not None:
+                    return found
+    rest = text[body:end]
+    count = 2 + len(rest.split())
+    if count != 3:
+        raise FormatError(f"expected three fields in partition text, got {count}")
+    if error is not None:
+        raise FormatError(error)
+    try:
+        grid = _token_grid(rest[len("blocks="):])
+    except ValueError as exc:
+        raise FormatError(f"bad partition text: {exc}") from None
+    p = OrderedPartition(grid)
+    if p.ground_size != m or p.block_count != n:
+        raise FormatError(
+            f"declared shape m={m} n={n} does not match blocks "
+            f"(m={p.ground_size} n={p.block_count})"
+        )
+    return p, None
 
 
 def parse_partition(text: str) -> OrderedPartition:
@@ -651,38 +726,4 @@ def parse_partition(text: str) -> OrderedPartition:
     never scanned for it; a header error waits for the field count, the
     token reader's first check.
     """
-    fields = text.split(None, 2)
-    if len(fields) == 3:
-        fields[2] = fields[2].rstrip()
-    error = None
-    for field, key in zip(fields, _KEYS):
-        if not field.startswith(key):
-            error = f"expected field {key}..., got {field!r}"
-            break
-    if error is None and len(fields) == 3:
-        try:
-            m, n = int(fields[0][2:]), int(fields[1][2:])
-        except ValueError as exc:
-            error = f"bad partition text: {exc}"
-        else:
-            if m >= _VECTOR_MIN and n >= 1 and m % n == 0:
-                body = fields[2][len("blocks="):]
-                p = _closed_form(body, m, n)
-                if p is not None:
-                    return p
-    count = len(fields) if len(fields) < 3 else 2 + len(fields[2].split())
-    if count != 3:
-        raise FormatError(f"expected three fields in partition text, got {count}")
-    if error is not None:
-        raise FormatError(error)
-    try:
-        grid = _token_grid(fields[2][len("blocks="):])
-    except ValueError as exc:
-        raise FormatError(f"bad partition text: {exc}") from None
-    p = OrderedPartition(grid)
-    if p.ground_size != m or p.block_count != n:
-        raise FormatError(
-            f"declared shape m={m} n={n} does not match blocks "
-            f"(m={p.ground_size} n={p.block_count})"
-        )
-    return p
+    return _read_partition(text)[0]

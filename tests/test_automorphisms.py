@@ -48,8 +48,14 @@ from tuhf.automorphisms import (
     UnderdeterminedWord,
     word_action,
 )
-from tuhf.checks import random_shift_instance
-from tuhf.partitions import OutOfRange, ShapeMismatch, ordered_partitions
+from tuhf.checks import random_ordered_partition, random_shift_instance
+from tuhf.partitions import (
+    _VECTOR_MIN,
+    OutOfRange,
+    ShapeMismatch,
+    format_partition,
+    ordered_partitions,
+)
 from tuhf.towers import NotAlternatingTower
 
 IDENT = ShiftWord.identity()
@@ -637,6 +643,45 @@ def test_auto_data_record_errors(text, message):
     with pytest.raises(FormatError) as exc:
         load_auto_data(text)
     assert type(exc.value) is FormatError and str(exc.value) == message
+
+
+def _format_auto_data_reference(data):
+    """The record text by the writer's former formula: lines joined by "\\n"."""
+    lines = []
+    for datum in data:
+        lines.append(f"levels {datum.level_from} {datum.level_to}")
+        lines.append(f"action {format_partition(datum.action)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_auto_data_writer_is_the_joined_lines(seed):
+    # random records and closed forms of about _VECTOR_MIN elements, so
+    # both writers of the body are in each text
+    rng = random.Random(seed)
+    data = []
+    for _ in range(rng.randint(1, 4)):
+        m = rng.choice([_VECTOR_MIN // 2, _VECTOR_MIN - 8, _VECTOR_MIN, _VECTOR_MIN + 16, 2 * _VECTOR_MIN])
+        n = rng.choice([d for d in (1, 2, 4, 8, 16) if m % d == 0])
+        if rng.random() < 0.5:
+            action = random_ordered_partition(rng, m, n)
+        else:
+            t = rng.choice([d for d in (1, 2, 4) if (m // n) % d == 0])
+            action = alternating(n, m // (n * t), t).diag
+        a = rng.randint(1, 5)
+        data.append(FiniteAutoData(a, a + rng.randint(1, 3), action))
+    text = format_auto_data(data)
+    assert text == _format_auto_data_reference(data)
+    assert load_auto_data(text) == tuple(data)
+
+
+def test_auto_data_reads_crlf_and_cr_as_lf(two_inf_alt):
+    data = [materialize_word(two_inf_alt, ShiftWord(2, 1), m, m + 1) for m in (2, 3, 4)]
+    text = format_auto_data(data)  # the last action has m = 1024
+    for newline in ("\r\n", "\r"):
+        back = load_auto_data(text.replace("\n", newline))
+        assert back == tuple(data)
+        assert [d.interval for d in back] == [None, None, (4, 1)]
 
 
 def test_auto_data_reads_past_tabs_and_comments_after_the_directive():

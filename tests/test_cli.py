@@ -14,14 +14,18 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tuhf.automorphisms
 import tuhf.checks
 import tuhf.cli
 import tuhf.embeddings
 import tuhf.gelfand
+import tuhf.partitions
 import tuhf.towers
 from tuhf.cli import main
+from tuhf.errors import _content_lines
 from tuhf.towers import Descriptor, TowerSpec
 
 TWO_INF = "k1 4\ns1 2\nt1 2\ncycle alt 2 2\n"
@@ -193,6 +197,34 @@ def test_factor_detects_each_informative_record_once(files, capsys, monkeypatch)
     assert shapes == [4, 16]
 
 
+def test_factor_takes_a_closed_form_record_by_its_bytes_alone(files, capsys, monkeypatch):
+    # m = 4096 and 16384: each record is recognized once, by the byte
+    # comparison, and its form reaches the factorization
+    f = files("one.tower", "k1 1\ncycle alt 2 2\n")
+    _, record, _ = run(capsys, "shift", f, "-p", "2", "--levels", "6..8")
+    auto = files("deep.auto", record)
+    detected, grids, rendered = [], [], []
+    real_grid, real_body = tuhf.partitions._alternating_grid, tuhf.partitions._vector_body
+
+    def grid(*kst):
+        grids.append((kst, real_grid(*kst)))
+        return grids[-1][1]
+
+    def body(p):
+        rendered.append(p)
+        return real_body(p)
+
+    monkeypatch.setattr(tuhf.automorphisms, "detect_interval_form", detected.append)
+    monkeypatch.setattr(tuhf.partitions, "_alternating_grid", grid)
+    monkeypatch.setattr(tuhf.partitions, "_vector_body", body)
+    code, out, _ = run(capsys, "factor", f, "--auto", auto)
+    assert code == 0 and out.splitlines()[-2:] == ["word 2/1", "status consistent"]
+    assert detected == []
+    assert [kst for kst, _ in grids] == [(1024, 4, 1), (4096, 4, 1)]
+    assert len(rendered) == 2
+    assert all(p.array is g for p, (_, g) in zip(rendered, grids))
+
+
 def test_factor_on_part_tower_names_the_missing_ratios(files, capsys):
     f = files("two.tower", TWO_INF)
     _, record, _ = run(capsys, "shift", f, "-p", "2", "--levels", "1..3")
@@ -232,14 +264,16 @@ def test_factor_names_the_line_of_a_bad_action(files, capsys, action, message):
 
 
 def test_factor_reads_each_action_through_parse_partition(files, capsys, monkeypatch):
+    # _read_partition is parse_partition's reader, which takes the line
+    # and the offset after the directive, so it reads the action in place
     texts = []
-    real = tuhf.automorphisms.parse_partition
+    real = tuhf.automorphisms._read_partition
 
-    def spy(text):
-        texts.append(text)
-        return real(text)
+    def spy(text, start=0):
+        texts.append(text[start:])
+        return real(text, start)
 
-    monkeypatch.setattr(tuhf.automorphisms, "parse_partition", spy)
+    monkeypatch.setattr(tuhf.automorphisms, "_read_partition", spy)
     f = files("two.tower", TWO_INF)
     _, record, _ = run(capsys, "shift", f, "-p", "2", "--levels", "1..3")
     code, _, _ = run(capsys, "factor", f, "--auto", files("two.auto", record))
@@ -403,6 +437,97 @@ def test_factor_counts_a_repeated_level_pair_once(files, capsys):
     code, out, err = run(capsys, "factor", f, "--auto", files("twice.auto", record * 2))
     assert (code, out) == (1, "")
     assert err == "error: need at least two level pairs for a cross-checked word, got 1\n"
+
+
+# -- the line grammar of a record --------------------------------------------
+
+# Every line boundary of str.splitlines
+_BOUNDARIES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _record_of_six_pairs(files, capsys):
+    """The tower k1 = 1, alt 2 2, and its shift record of levels 1..7,
+    as a list of lines: line 4 is the action at m = 16, line 12 the
+    closed form at m = 4096."""
+    f = files("one.tower", "k1 1\ncycle alt 2 2\n")
+    _, record, _ = run(capsys, "shift", f, "-p", "2", "--levels", "1..7")
+    return f, record.splitlines()
+
+
+# A line cut before block 2 leaves block 1 to be read as the whole
+# partition, whose second element is then outside 1..4.
+_CUT = {4: "element 5 outside 1..4", 12: "element 1025 outside 1..4"}
+
+
+@pytest.mark.parametrize("lineno", [4, 12], ids=["m16", "m4096"])
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda a: a + " # note", None),
+        (lambda a: a.replace(";", "#", 1), _CUT),
+        (lambda a: a + "\r", None),
+        (lambda a: a.replace(";", "\r;", 1), _CUT),
+        (lambda a: a.replace(";", "\x0c;", 1), _CUT),
+        (lambda a: a.replace(";", "\x85;", 1), _CUT),
+        (lambda a: a.replace(";", "\u2028;", 1), _CUT),
+        (lambda a: a.replace("action ", "action\t", 1), None),
+        (lambda a: a + " \t ", None),
+        (lambda a: a.replace(";", " ;", 1), "expected three fields in partition text, got 4"),
+        # U+0661, ARABIC-INDIC DIGIT ONE, which int() reads as 1
+        (lambda a: a.replace("blocks=1,", "blocks=\u0661,", 1), None),
+    ],
+    ids=[
+        "comment-after", "comment-inside", "crlf", "cr-inside", "ff-inside", "nel-inside",
+        "u2028-inside", "tab-after-action", "trailing-whitespace", "space-inside",
+        "arabic-indic-digit",
+    ],
+)
+def test_an_edited_action_line_reads_as_pinned(files, capsys, lineno, edit, error):
+    f, lines = _record_of_six_pairs(files, capsys)
+    _, expected, _ = run(capsys, "factor", f, "--auto", files("plain.auto", "\n".join(lines)))
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    auto = files("edited.auto", "\n".join(lines) + "\n")
+    got = run(capsys, "factor", f, "--auto", auto)
+    if error is None:
+        assert got == (0, expected, "")
+    else:
+        message = error[lineno] if isinstance(error, dict) else error
+        assert got == (2, "", f"error: line {lineno}: {message}\n")
+
+
+@pytest.mark.parametrize("boundary", _BOUNDARIES, ids=lambda b: f"U+{ord(b[-1]):04X}-{len(b)}")
+def test_every_line_boundary_ends_one_line(files, capsys, boundary):
+    # a comment broken in two is two lines, so the cut action is line 14
+    f, lines = _record_of_six_pairs(files, capsys)
+    lines[11] = lines[11].replace(";", "#", 1)
+    text = f"# one{boundary}# two\n" + "\n".join(lines) + "\n"
+    got = run(capsys, "factor", f, "--auto", files("shifted.auto", text))
+    assert got == (2, "", f"error: line 14: {_CUT[12]}\n")
+
+
+def _content_lines_reference(text):
+    """What ``_content_lines`` yields, by splitlines and split."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+# line boundaries, "#", whitespace that is no boundary (\x1f and U+00A0
+# among it), and ASCII and other characters of a record
+_LINE_CHARS = "".join(_BOUNDARIES) + "#\t \x1f\xa0ab1;,=\u0661\xe9"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.text(st.sampled_from(_LINE_CHARS), max_size=40),
+        # no boundary but "\n"
+        st.text(st.sampled_from("\n#\t \x1f\xa0ab1;,=\u0661"), max_size=40),
+    )
+)
+def test_content_lines_agree_with_the_splitlines_reference(text):
+    assert list(_content_lines(text)) == list(_content_lines_reference(text))
 
 
 def test_embed_compose(capsys):
@@ -600,6 +725,23 @@ def test_check_all_output_is_pinned(files, capsys):
 def test_missing_file_is_parse_error(capsys):
     code, _, err = run(capsys, "tower", "show", "no-such-file.tower")
     assert code == 2 and "cannot read" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tower", "show", "{bad}", "--levels", "2"),
+        ("factor", "{tower}", "--auto", "{bad}"),
+        ("normalizer", "split", "--matrix", "{bad}"),
+    ],
+    ids=["tower", "auto", "matrix"],
+)
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, files, capsys, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"k1 1\xff\ncycle alt 2 2\n")
+    tower = files("one.tower", "k1 1\ncycle alt 2 2\n")
+    got = run(capsys, *(a.format(bad=bad, tower=tower) for a in argv))
+    assert got == (2, "", f"error: cannot read {bad}: not UTF-8 (invalid start byte)\n")
 
 
 def test_bad_grammar_is_parse_error(files, capsys):

@@ -677,7 +677,8 @@ def test_writer_handles_every_digit_count():
             ]
             cases.append(random_ordered_partition(random.Random(m), m, 2 - m % 2))
         for p in cases:
-            assert _vector_body(p) == _join_body(p)
+            body = _vector_body(p)
+            assert type(body) is str and body == _join_body(p)
             assert parse_partition(format_partition(p)) == p
 
 
@@ -821,6 +822,18 @@ def test_closed_form_text_round_trips_unread_and_unvalidated(
     assert parse_partition(text) == p
 
 
+@pytest.mark.parametrize("kst", _CLOSED_FORMS[:12], ids=lambda kst: "alt{}_{}_{}".format(*kst))
+def test_the_reader_returns_the_form_it_took_by_its_bytes(kst):
+    p = alternating(*kst).diag
+    got, form = partitions._read_partition(format_partition(p))
+    assert got == p and alternating(kst[0], *form).diag == p
+    if kst[0] > 1:  # one block fits every (s, t) of its size
+        assert form == kst[1:]
+    # the same partition read token by token, its first token "01", carries no form
+    text = format_partition(p).replace("blocks=", "blocks=0")
+    assert partitions._read_partition(text) == (p, None)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(rng=_RNGS, data=st.data())
 def test_other_bodies_are_refused_before_rendering(rng, data):
@@ -919,6 +932,39 @@ def test_partition_text_header_errors(text, message):
 def test_partition_text_reads_past_surrounding_whitespace():
     assert parse_partition(f"\t {_big_text(after='  ')}\n") == _BIG
     assert parse_partition(" m=4\tn=2   blocks=1,3;2,4 \n") == from_blocks((1, 3), (2, 4))
+
+
+# every character that str.split splits at, below U+3001, and some others
+_HEADER_CHARS = "".join(c for c in map(chr, range(0x3001)) if c.isspace()) + "mn=b4x"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.text(st.sampled_from(_HEADER_CHARS), max_size=16))
+def test_header_fields_are_the_split_fields(text):
+    fields = text.split(None, 2)
+    head = partitions._HEADER.match(text, 0, len(text.rstrip()))
+    if len(fields) < 3:
+        assert head is None
+    else:
+        assert head.groups() == tuple(fields[:2])
+        assert text[head.end() :].rstrip() == fields[2].rstrip()
+
+
+def _read_outcome(read, text):
+    try:
+        return "ok", read(text)
+    except (InvalidPartition, FormatError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", sorted(_CORRUPTED) + ["closed form", "small"])
+@pytest.mark.parametrize("prefix", ["action ", "action\t \x1f", "x"])
+def test_reading_at_an_offset_reads_the_rest(case, prefix):
+    text = {"closed form": _big_text(), "small": "m=4 n=2 blocks=1,3;2,4"}.get(case)
+    text = text or _CORRUPTED[case][0]
+    whole = _read_outcome(parse_partition, text)
+    at = _read_outcome(lambda t: partitions._read_partition(prefix + t, len(prefix))[0], text)
+    assert at == whole
 
 
 # -- unchecked builds ----------------------------------------------------
