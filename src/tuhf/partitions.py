@@ -570,7 +570,8 @@ def _vector_body(p: OrderedPartition) -> str:
     """
     m = p.ground_size
     places = len(str(m))
-    q = p.array.ravel().astype(np.min_scalar_type(m))
+    # one copy, in C order, also of a strided grid (alternating(k, s, 1))
+    q = p.array.astype(np.min_scalar_type(m), order="C").ravel()
     # Row w keeps the last w digit columns and the separator column.
     keep = np.greater.outer(np.arange(places + 1), np.arange(places - 1, -2, -1))
     keep = keep.take(_token_widths(q, m), axis=0)
@@ -652,7 +653,6 @@ def _closed_form(
     return (p, (s, t)) if text.startswith(_vector_body(p), begin) else None
 
 
-_KEYS = ("m=", "n=", "blocks=")
 # The first two fields of partition text and the whitespace around them,
 # whitespace being what ``str.split`` splits at.
 _HEADER = re.compile(r"\s*(\S+)\s+(\S+)\s+")
@@ -678,7 +678,7 @@ def _read_partition(
     m_field, n_field = head.groups()
     body = head.end()  # where the third field starts
     error = None
-    for field, key in zip((m_field, n_field), _KEYS):
+    for field, key in ((m_field, "m="), (n_field, "n=")):
         if not field.startswith(key):
             error = f"expected field {key}..., got {field!r}"
             break
