@@ -22,6 +22,9 @@ class DomainError(TuhfError):
 
 # Every line boundary of ``str.splitlines`` but "\n"
 _RARE_BOUNDARIES = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# From this length on, a text is scanned for "\n" with ``str.find``, which
+# skips along long lines; below it ``splitlines`` is faster.
+_SCAN_MIN = 4096
 
 
 def _content_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -30,13 +33,23 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
 
     Lines end where ``str.splitlines`` ends them: at "\n", "\r",
     "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", U+2028 and
-    U+2029.  A text whose only boundary is "\n" is read in place, each
-    line's end and ``#`` found with ``str.find``, so each content line is
-    copied once; any other text is first rejoined from its ``splitlines``
-    with "\n", which keeps every line and its number.
+    U+2029.  A text of ``_SCAN_MIN`` characters or more whose only
+    boundary is "\n" is read in place by ``_scan_lines``; any other text
+    is split with ``splitlines``.
     """
-    if any(c in text for c in _RARE_BOUNDARIES):
-        text = "\n".join(text.splitlines())
+    if len(text) >= _SCAN_MIN and not any(c in text for c in _RARE_BOUNDARIES):
+        yield from _scan_lines(text)
+        return
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _scan_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``_content_lines`` of a text whose only line boundary is "\n":
+    each line's end and ``#`` are found with ``str.find``, so the content
+    of a line is its one copy."""
     lineno, start, size = 0, 0, len(text)
     while start < size:
         lineno += 1

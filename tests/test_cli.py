@@ -21,6 +21,7 @@ import tuhf.automorphisms
 import tuhf.checks
 import tuhf.cli
 import tuhf.embeddings
+import tuhf.errors
 import tuhf.gelfand
 import tuhf.partitions
 import tuhf.towers
@@ -524,9 +525,12 @@ _LINE_CHARS = "".join(_BOUNDARIES) + "#\t \x1f\xa0ab1;,=\u0661\xe9"
         st.text(st.sampled_from(_LINE_CHARS), max_size=40),
         # no boundary but "\n"
         st.text(st.sampled_from("\n#\t \x1f\xa0ab1;,=\u0661"), max_size=40),
-    )
+    ),
+    st.booleans(),
 )
-def test_content_lines_agree_with_the_splitlines_reference(text):
+def test_content_lines_agree_with_the_splitlines_reference(text, long):
+    if long:  # a first line long enough that the text is scanned in place
+        text = "#" * tuhf.errors._SCAN_MIN + "\n" + text
     assert list(_content_lines(text)) == list(_content_lines_reference(text))
 
 
