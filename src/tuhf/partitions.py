@@ -635,8 +635,7 @@ def _closed_form(
     if n == 1:
         t = m
     else:
-        token = text[stop + 1 : min(end, stop + 2 + len(str(m)))]
-        token = token.replace(";", ",").split(",", 1)[0]
+        token = text[stop + 1 : stop + 2 + len(str(m))].replace(";", ",").split(",", 1)[0]
         if not (token.isascii() and token.isdigit()):
             return None
         t = int(token) - 1

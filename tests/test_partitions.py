@@ -735,6 +735,9 @@ _CORRUPTED = {
     "leading zero": (_big_text(_put(0, 4, "05")), "ok"),
     "over m": (_big_text(_put(0, 4, "513")),
                (InvalidPartition, "element 513 outside 1..512")),
+    # the writer's text of the closed form but for its last byte
+    "last byte": (_big_text(_put(3, -1, "513")),
+                  (InvalidPartition, "element 513 outside 1..512")),
     "exponent": (_big_text(_put(0, _BIG_ROWS[0].index("100"), "1e2")),
                  (FormatError, "bad partition text: invalid literal for int() with base 10: '1e2'")),
     "tab": (_big_text(_put(0, 4, "\t5")),
