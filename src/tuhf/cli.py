@@ -6,6 +6,12 @@ isomorphic"), 1 when the inputs are well-formed but outside a
 command's domain, 2 when an input cannot be parsed.  Argument errors
 from the parser itself also exit 2.  A reader that closes stdout early
 (``| head``) ends the command with exit code 1 and no message.
+
+Each command imports the modules it calls when it runs, so building
+the parser, ``--help`` and an argument error load no module of the
+calculus, and ``tower show`` loads no automorphism, Gelfand or matrix
+code.  A command line that starts with a whole command is parsed by
+that command's own parser, the one the root parser would hand it to.
 """
 
 from __future__ import annotations
@@ -18,30 +24,17 @@ import re
 import sys
 from itertools import chain
 from pathlib import Path
-from typing import NoReturn, Optional, Sequence
+from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
-from .automorphisms import (
-    factor_report,
-    format_auto_data,
-    load_auto_data,
-    normalize_for_prime,
-    normalize_for_word,
-    out_rank,
-    parse_word,
-    alternating_iso,
-    shift_auto,
-)
-from .embeddings import RegularEmbedding, compare_embeddings, compose_embeddings, tensor_embed
 from .errors import FormatError, TuhfError
-from .gelfand import gelfand_readings, parse_point
-from .matrices import normalizer_split, parse_matrix
-from .partitions import Order, format_partition
-from .towers import format_tower, load_tower, parse_descriptor
+
+if TYPE_CHECKING:
+    from .embeddings import RegularEmbedding
 
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -49,6 +42,8 @@ def _read(path: str) -> str:
 
 
 def _load_tower_file(path: str):
+    from .towers import load_tower
+
     return load_tower(_read(path))
 
 
@@ -109,6 +104,9 @@ def _cmd_tower_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_tower_normalize(args: argparse.Namespace) -> int:
+    from .automorphisms import normalize_for_prime, normalize_for_word, parse_word
+    from .towers import format_tower
+
     tower = _load_tower_file(args.file)
     if args.word is not None:
         result = normalize_for_word(tower, parse_word(args.word))
@@ -119,11 +117,15 @@ def _cmd_tower_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_out_rank(args: argparse.Namespace) -> int:
+    from .automorphisms import out_rank
+
     print(out_rank(_load_tower_file(args.file)))
     return 0
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:
+    from .automorphisms import alternating_iso
+
     a = _load_tower_file(args.file_a)
     b = _load_tower_file(args.file_b)
     r = alternating_iso(a, b)
@@ -135,6 +137,8 @@ def _cmd_iso(args: argparse.Namespace) -> int:
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
+    from .automorphisms import factor_report, load_auto_data
+
     tower = _load_tower_file(args.file)
     data = load_auto_data(_read(args.auto))
     sys.stdout.write(factor_report(tower, data))
@@ -142,6 +146,8 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_shift(args: argparse.Namespace) -> int:
+    from .automorphisms import format_auto_data, shift_auto
+
     tower = _load_tower_file(args.file)
     a, b = _parse_level_range(args.levels)
     for record in shift_auto(tower, args.prime, a, b):
@@ -152,6 +158,8 @@ def _cmd_shift(args: argparse.Namespace) -> int:
 def _print_embedding(emb: RegularEmbedding) -> int:
     """Print k_from, k_to and the partition, and give exit code 0.  The
     partition is formatted first, so a refused build leaves stdout empty."""
+    from .partitions import format_partition
+
     text = format_partition(emb.diag)
     print(f"k_from {emb.k_from}")
     print(f"k_to {emb.k_to}")
@@ -160,6 +168,9 @@ def _print_embedding(emb: RegularEmbedding) -> int:
 
 
 def _cmd_embed_compose(args: argparse.Namespace) -> int:
+    from .embeddings import compose_embeddings
+    from .towers import parse_descriptor
+
     k = args.k
     emb = None
     for text in args.descriptors:
@@ -170,6 +181,10 @@ def _cmd_embed_compose(args: argparse.Namespace) -> int:
 
 
 def _cmd_embed_compare(args: argparse.Namespace) -> int:
+    from .embeddings import compare_embeddings
+    from .partitions import Order
+    from .towers import parse_descriptor
+
     a = parse_descriptor(args.descriptor_a).embedding(args.k)
     b = parse_descriptor(args.descriptor_b).embedding(args.k)
     verdict = compare_embeddings(a, b)
@@ -179,12 +194,17 @@ def _cmd_embed_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_embed_tensor(args: argparse.Namespace) -> int:
+    from .embeddings import tensor_embed
+    from .towers import parse_descriptor
+
     a = parse_descriptor(args.descriptor_a).embedding(args.k)
     b = parse_descriptor(args.descriptor_b).embedding(args.j)
     return _print_embedding(tensor_embed(a, b))
 
 
 def _cmd_gelfand_cmp(args: argparse.Namespace) -> int:
+    from .gelfand import gelfand_readings, parse_point
+
     tower = _load_tower_file(args.file)
     x = parse_point(args.x, args.tail_x)
     y = parse_point(args.y, args.tail_y)
@@ -199,6 +219,8 @@ def _cmd_gelfand_cmp(args: argparse.Namespace) -> int:
 
 
 def _cmd_normalizer_split(args: argparse.Namespace) -> int:
+    from .matrices import normalizer_split, parse_matrix
+
     v = parse_matrix(_read(args.matrix))
     d, w = normalizer_split(v)
     print(
@@ -335,12 +357,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """The parsers of ``parser``'s subcommands by name; empty for a command."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _command_parser(argv: list[str]) -> tuple[argparse.ArgumentParser, list[str]]:
+    """The parser of the command that the first one or two words of
+    ``argv`` name, and the arguments after those words.
+
+    It is the parser that the root would hand the same arguments to, so
+    usage, help and errors are the same, without the root's pass over
+    the whole command line.  Without a whole command in front (no
+    command, a group without its subcommand, a leading option) the root
+    parser takes all of ``argv``.
+    """
+    root = build_parser()
+    choices = _subcommands(root)
+    for depth, word in enumerate(argv[:2], 1):
+        parser = choices.get(word)
+        if parser is None:
+            break
+        choices = _subcommands(parser)
+        if not choices:
+            return parser, argv[depth:]
+    return root, argv
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     # Level data are exact integers of any length; lift Python's default
     # cap on int <-> str conversion (4300 digits) where it exists.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
+    parser, rest = _command_parser(sys.argv[1:] if argv is None else list(argv))
+    args = parser.parse_args(rest)
     try:
         rc = args.fn(args)
         sys.stdout.flush()

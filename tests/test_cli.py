@@ -748,6 +748,34 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, files, capsys, argv)
     assert got == (2, "", f"error: cannot read {bad}: not UTF-8 (invalid start byte)\n")
 
 
+MATRIX = "dim 3\n0,0 0,1 0,0\n0,0 0,0 1,0\n0,0 0,0 0,0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tower", "show", "{tower}", "--levels", "2"),
+        ("factor", "{plain}", "--auto", "{auto}"),
+        ("normalizer", "split", "--matrix", "{matrix}"),
+    ],
+    ids=["tower", "auto", "matrix"],
+)
+def test_a_byte_order_mark_is_read_as_absent(tmp_path, files, capsys, argv):
+    # an editor that saves "UTF-8 with BOM" starts the file with U+FEFF
+    plain = files("plain.tower", TWO_INF)
+    code, auto, _ = run(capsys, "shift", plain, "-p", "2", "--levels", "1..3")
+    assert code == 0
+    texts = {"tower": TWO_INF, "auto": auto, "matrix": MATRIX}
+    marked, unmarked = {"plain": plain}, {"plain": plain}
+    for name, text in texts.items():
+        unmarked[name] = files(f"{name}.txt", text)
+        marked[name] = str(tmp_path / f"{name}.bom")
+        Path(marked[name]).write_bytes(b"\xef\xbb\xbf" + text.encode())
+    want = run(capsys, *(a.format(**unmarked) for a in argv))
+    assert want[0] == 0 and want[1]
+    assert run(capsys, *(a.format(**marked) for a in argv)) == want
+
+
 def test_bad_grammar_is_parse_error(files, capsys):
     f = files("bad.tower", "k1 2\ncycle bogus 3\n")
     code, _, err = run(capsys, "tower", "show", f)
@@ -1006,13 +1034,14 @@ def test_level_table_and_show_share_one_step(files, capsys, monkeypatch):
         next(_unchained_tower()._walk(1, *map(decimal.Decimal, (3, 1, 3))))
     assert str(step.value) == message
 
-    monkeypatch.setattr(tuhf.cli, "load_tower", lambda text: _unchained_tower())
+    load_tower = tuhf.towers.load_tower
+    monkeypatch.setattr(tuhf.towers, "load_tower", lambda text: _unchained_tower())
     code, out, err = run(capsys, "tower", "show", files("t.tower", "k1 3\n"), "--levels", "2")
     assert (code, out, err) == (1, "level 1 k 3 s 1 t 3\n", f"error: {message}\n")
 
     # on a tower that chains, each printed level past the first is one step
     walks = _spy_walks(monkeypatch)
-    monkeypatch.setattr(tuhf.cli, "load_tower", tuhf.towers.load_tower)
+    monkeypatch.setattr(tuhf.towers, "load_tower", load_tower)
     assert run(capsys, "tower", "show", files("two.tower", TWO_INF), "--levels", "6")[0] == 0
     # loading fills the int table to level 3; the show walk steps on decimals
     assert walks == [[(2, int), (3, int)], [(n, decimal.Decimal) for n in range(2, 7)]]
@@ -1101,6 +1130,122 @@ def test_a_reused_parser_still_gives_help_and_argument_errors(files, capsys):
     assert err.startswith("error: the following arguments are required") and err.count("\n") == 1
 
 
+# -- each command parses with its own parser -------------------------------
+
+# Every command and group name, every option and a few values, so that a
+# drawn command line may be whole, cut short, out of order or misspelled.
+_WORDS = (
+    "tower", "show", "normalize", "out-rank", "iso", "factor", "shift", "embed",
+    "compose", "compare", "tensor", "gelfand", "cmp", "normalizer", "split", "check",
+    "all", "nope",
+)
+_OPTIONS = (
+    "-h", "--help", "-p", "--prime", "-p3", "--word", "--levels", "--levels=2", "--lev",
+    "--auto", "--k", "--j", "--x", "--y", "--tail-x", "--tail-y", "--matrix", "--seed",
+    "--cases", "--bogus", "--", "-",
+)
+_VALUES = ("f", "2", "-3", "-1..3", "1..3", "alt 2 2", "std 2", "0,1", "-1,1", "")
+_COMMANDS = [(), ("out-rank",), ("iso",), ("factor",), ("shift",), ("tower",),
+             ("embed",), ("gelfand",), ("normalizer",), ("check",)] + [
+    (group, leaf) for group, leaves in (
+        ("tower", ("show", "normalize")), ("embed", ("compose", "compare", "tensor")),
+        ("gelfand", ("cmp",)), ("normalizer", ("split",)), ("check", ("all",)),
+    ) for leaf in leaves
+]
+
+# Whole command lines, each of which parses.
+_WHOLE = (
+    ("tower", "show", "f", "--levels", "3"), ("tower", "normalize", "f", "-p", "2"),
+    ("tower", "normalize", "f", "--word", "2/1"), ("out-rank", "f"), ("iso", "f", "f"),
+    ("factor", "f", "--auto", "a"), ("shift", "f", "-p", "2", "--levels", "-1..3"),
+    ("embed", "compose", "--k", "2", "std 2", "alt 2 2"),
+    ("embed", "compare", "--k", "2", "std 2", "nest 2"),
+    ("embed", "tensor", "--k", "2", "--j", "3", "std 2", "alt 2 2"),
+    ("gelfand", "cmp", "f", "--x", "-1,1", "--y", "0,1", "--tail-x", "a"),
+    ("normalizer", "split", "--matrix", "m"), ("check", "all", "f", "--seed", "3"),
+)
+
+
+@st.composite
+def _command_lines(draw):
+    """A whole command line with at most one word dropped, replaced or added,
+    or a command's words followed by a drawn tail."""
+    words = _WORDS + _OPTIONS + _VALUES
+    if draw(st.booleans()):
+        argv = list(draw(st.sampled_from(_WHOLE)))
+        i = draw(st.integers(0, len(argv)))
+        how = draw(st.sampled_from(["keep", "drop", "replace", "add"]))
+        if how == "add":
+            argv.insert(i, draw(st.sampled_from(words)))
+        elif how != "keep" and i < len(argv):
+            argv[i:i + 1] = [draw(st.sampled_from(words))] if how == "replace" else []
+        return argv
+    command = draw(st.sampled_from(_COMMANDS))
+    return [*command, *draw(st.lists(st.sampled_from(words), max_size=6))]
+
+
+def _parsed(parse, argv):
+    """(exit code, stdout, stderr, namespace) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    code, namespace = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parse(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+def _by_root_parser(argv):
+    """The reference: the whole command line through the root parser."""
+    return tuhf.cli.build_parser().parse_args(argv)
+
+
+def _by_command_parser(argv):
+    parser, rest = tuhf.cli._command_parser(argv)
+    return parser.parse_args(rest)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_command_lines())
+def test_the_command_parser_parses_as_the_root_parser(argv):
+    want = _parsed(_by_root_parser, argv)
+    got = _parsed(_by_command_parser, argv)
+    assert got[:3] == want[:3]
+    # the root alone records the command's words, which nothing reads
+    if want[3] is not None:
+        want = {k: v for k, v in want[3].items() if k not in ("command", "subcommand")}
+        assert got[3] == want
+    else:
+        assert got[3] is None
+
+
+@pytest.mark.parametrize(
+    "argv, prog",
+    [
+        (["out-rank", "{f}"], "tuhf out-rank"),
+        (["tower", "show", "{f}"], "tuhf tower show"),
+        (["check", "all", "{f}", "--cases", "1"], "tuhf check all"),
+        (["tower", "--help"], "tuhf"),
+        (["--help"], "tuhf"),
+    ],
+)
+def test_main_parses_with_the_parser_of_the_command(files, capsys, monkeypatch, argv, prog):
+    parsed = []
+    parse_args = tuhf.cli._Parser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(tuhf.cli._Parser, "parse_args", spy)
+    f = files("two.tower", TWO_INF)
+    with contextlib.suppress(SystemExit):
+        main([a.format(f=f) for a in argv])
+    capsys.readouterr()
+    assert parsed == [prog]
+
+
 STALLED = "error: the cycle leaves k=2 unchanged; tower dimensions must grow\n"
 
 
@@ -1134,11 +1279,26 @@ def _fresh_python(script, *args):
 
 
 COMMANDS_IN_A_FRESH_PROCESS = """\
-import json, sys
+import contextlib, io, json, sys
+import tuhf.cli
 from tuhf.cli import main
 
-for argv in json.loads(sys.argv[1]):
+def loaded(after):
+    names = sorted(m for m in sys.modules if m.split(".")[0] == "tuhf")
+    print("after", after, "loaded", *names, flush=True)
+
+tuhf.cli.build_parser()
+loaded("build_parser")
+for argv in json.loads(sys.argv[3]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+loaded("refusals")
+for n, argv in enumerate(json.loads(sys.argv[1])):
     main(argv)
+    loaded(f"closed-{n}")
 print("numpy loaded", "numpy._core" in sys.modules, flush=True)
 for argv in json.loads(sys.argv[2]):
     main(argv)
@@ -1157,14 +1317,32 @@ def test_commands_without_arrays_leave_numpy_unloaded(files, capsys):
         ["gelfand", "cmp", f, "--x", "0,1", "--y", "1,0"],
     ]
     arrays = [["shift", f, "-p", "2", "--levels", "1..3"], ["check", "all", f, "--cases", "2"]]
+    # help and argument errors, which exit before any command runs
+    refusals = [["--help"], ["shift", "--help"], ["tower"], ["shift"], ["iso", f], ["nope"]]
+    out = _fresh_python(
+        COMMANDS_IN_A_FRESH_PROCESS, json.dumps(closed), json.dumps(arrays), json.dumps(refusals)
+    )
+    lines = out.splitlines(keepends=True)
+    loaded = {
+        line.split()[1]: set(line.split()[3:]) for line in lines if line.startswith("after ")
+    }
     expected = (
         "".join(run(capsys, *argv)[1] for argv in closed)
         + "numpy loaded False\n"
         + "".join(run(capsys, *argv)[1] for argv in arrays)
     )
-    out = _fresh_python(COMMANDS_IN_A_FRESH_PROCESS, json.dumps(closed), json.dumps(arrays))
-    assert out == expected
+    assert "".join(line for line in lines if not line.startswith("after ")) == expected
     assert out.endswith("all suites passed\n")
+
+    # the parser, help and argument errors load no module of the calculus
+    floor = {"tuhf", "tuhf.cli", "tuhf.errors"}
+    assert loaded["build_parser"] == loaded["refusals"] == floor
+    # `tower show` walks the levels without automorphisms, matrices, the
+    # Gelfand order or the suites
+    shown = loaded["closed-0"]
+    assert shown > floor and "tuhf.towers" in shown
+    unused = {"tuhf.automorphisms", "tuhf.gelfand", "tuhf.matrices", "tuhf.checks"}
+    assert not shown & unused
 
 
 def test_an_imported_numpy_is_reused():
@@ -1173,12 +1351,30 @@ def test_an_imported_numpy_is_reused():
 
 
 def test_a_blocked_numpy_fails_the_import():
+    # The package and the CLI load without numpy; the first module that
+    # needs it fails, however it is reached.
     script = (
         "import sys\n"
         "sys.modules['numpy'] = None\n"
-        "try:\n"
-        "    import tuhf\n"
-        "except Exception as exc:\n"
-        "    print(type(exc).__name__)\n"
+        "import tuhf, tuhf.cli\n"
+        "for statement in ('import tuhf.partitions', 'from tuhf import OrderedPartition'):\n"
+        "    try:\n"
+        "        exec(statement)\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__)\n"
     )
-    assert _fresh_python(script) == "ModuleNotFoundError\n"
+    assert _fresh_python(script) == "ModuleNotFoundError\n" * 2
+
+
+def test_help_runs_without_numpy():
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from tuhf.cli import main\n"
+        "try:\n"
+        "    main(['--help'])\n"
+        "except SystemExit as exc:\n"
+        "    print('help exits', exc.code)\n"
+    )
+    out = _fresh_python(script)
+    assert out.startswith("usage: tuhf [-h]") and out.endswith("\nhelp exits 0\n")
