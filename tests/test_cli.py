@@ -1300,6 +1300,7 @@ for n, argv in enumerate(json.loads(sys.argv[1])):
     main(argv)
     loaded(f"closed-{n}")
 print("numpy loaded", "numpy._core" in sys.modules, flush=True)
+print("ctypes loaded", "ctypes" in sys.modules, flush=True)
 for argv in json.loads(sys.argv[2]):
     main(argv)
 """
@@ -1329,6 +1330,7 @@ def test_commands_without_arrays_leave_numpy_unloaded(files, capsys):
     expected = (
         "".join(run(capsys, *argv)[1] for argv in closed)
         + "numpy loaded False\n"
+        + "ctypes loaded False\n"
         + "".join(run(capsys, *argv)[1] for argv in arrays)
     )
     assert "".join(line for line in lines if not line.startswith("after ")) == expected
@@ -1343,6 +1345,114 @@ def test_commands_without_arrays_leave_numpy_unloaded(files, capsys):
     assert shown > floor and "tuhf.towers" in shown
     unused = {"tuhf.automorphisms", "tuhf.gelfand", "tuhf.matrices", "tuhf.checks"}
     assert not shown & unused
+
+
+FAULTS_OVER_ROUNDS = """\
+import contextlib, io, json, os, resource, sys
+from tuhf.cli import main
+
+os.chdir(sys.argv[1])
+with open("t.tower", "w") as f:
+    f.write("k1 1\\ncycle alt 2 2\\n")
+compose = ["embed", "compose", "--k", "1", *["std 2", "nest 2"] * 7]
+faults = []
+for _ in range(6):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    records = io.StringIO()
+    with contextlib.redirect_stdout(records):
+        main(["shift", "t.tower", "-p", "2", "--levels", "2..9"])
+    with open("t.auto", "w") as f:
+        f.write(records.getvalue())
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["factor", "t.tower", "--auto", "t.auto"])
+        main(compose)
+faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+print(json.dumps(faults))
+"""
+
+
+def test_a_warm_process_reuses_the_memory_of_its_arrays(tmp_path):
+    # With glibc's own thresholds each round faults about 1,400 pages in
+    # again, which the rounds before it had handed back.
+    import ctypes
+
+    try:
+        has_mallopt = hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        has_mallopt = False
+    if not has_mallopt:
+        pytest.skip("no mallopt in this C library")
+    faults = json.loads(_fresh_python(FAULTS_OVER_ROUNDS, str(tmp_path)))
+    assert faults[6] - faults[3] <= 100, faults
+
+
+class _Cdll:
+    """Stands in for ``ctypes.CDLL``; records the names it is opened with."""
+
+    def __init__(self, lib):
+        self.lib, self.names = lib, []
+
+    def __call__(self, name):
+        self.names.append(name)
+        if self.lib is None:
+            raise OSError("no C library")
+        return self.lib
+
+
+@pytest.mark.parametrize("lib", [None, object()], ids=["no-library", "no-mallopt"])
+def test_shift_runs_where_mallopt_cannot_be_resolved(files, capsys, monkeypatch, lib):
+    import ctypes
+
+    f = files("two.tower", TWO_INF)
+    argv = ["shift", f, "-p", "2", "--levels", "1..5"]
+    want = run(capsys, *argv)
+    cdll = _Cdll(lib)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    tuhf.cli._keep_array_memory.cache_clear()
+    try:
+        assert run(capsys, *argv) == want and want[0] == 0
+        assert run(capsys, *argv) == want
+        assert cdll.names == [None]
+        assert tuhf.cli._keep_array_memory() is False
+    finally:
+        tuhf.cli._keep_array_memory.cache_clear()
+
+
+MALLOPT_SPY = """\
+import contextlib, ctypes, io, json, sys, types
+from tuhf.cli import main
+
+calls = []
+
+def mallopt(param, value):
+    calls.append([param, value, "numpy._core" in sys.modules])
+    return 1
+
+ctypes.CDLL = lambda name: types.SimpleNamespace(mallopt=mallopt)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+    print(json.dumps(calls))
+"""
+
+
+def test_main_sets_each_threshold_once_after_numpy_has_run(files):
+    f = files("two.tower", TWO_INF)
+    shift = ["shift", f, "-p", "2", "--levels", "1..4"]
+    commands = [
+        ["tower", "show", f],
+        ["iso", f, f],
+        shift,
+        shift,
+        ["embed", "compose", "--k", "2", "alt 2 2", "std 3"],
+        ["check", "all", f, "--cases", "2"],
+        shift,
+    ]
+    out = _fresh_python(MALLOPT_SPY, json.dumps(commands))
+    # numpy first runs inside the first shift, so the next command sets
+    # M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1), and none after it.
+    settings = [[-3, 1 << 20, True], [-1, 8 << 20, True]]
+    assert [json.loads(line) for line in out.splitlines()] == [[]] * 3 + [settings] * 4
 
 
 def test_an_imported_numpy_is_reused():
