@@ -19,11 +19,9 @@ factors: ``standard`` is I_mult (x) A, ``nest`` is A (x) I_mult, and
 it records (k, s, t), composes by multiplying multiplicities, reads the
 r-th element of a block and compares with another closed form by
 arithmetic, and builds its partition only when ``diag`` is read.  The
-rank arithmetic is the one formula ``_alternating_step(k, t, i, r)``.
-``_alternating_rank(k, s, t, i, r)`` adds its range checks: ``rank_image``
-of a closed form calls it, and so does ``towers.Descriptor.rank_image``
-on a descriptor's (s, t), without making an embedding; the Gelfand walk
-steps range-checked coordinates by the formula alone.  ``standard`` and
+rank arithmetic is the one formula ``_alternating_step(k, t, i, r)``:
+``rank_image`` of a closed form runs it after its range check, and the
+Gelfand walk runs it alone on coordinates it has checked.  ``standard`` and
 ``nest`` build their block formulas explicitly and serve as the
 reference the closed form is checked against, so the tensor identities
 relating the three stay honest, independently checkable facts rather
@@ -78,12 +76,6 @@ def _alternating_step(k: int, t: int, i: int, r: int) -> int:
     return (r // t) * k * t + (i - 1) * t + r % t + 1
 
 
-def _alternating_rank(k: int, s: int, t: int, i: int, r: int) -> int:
-    """``_alternating_step`` after the range check."""
-    _rank_check(k, s * t, i, r)
-    return _alternating_step(k, t, i, r)
-
-
 class IndexOutOfRange(DomainError):
     """A matrix-unit index is outside 1..k_from."""
 
@@ -130,9 +122,9 @@ class RegularEmbedding:
 
     def rank_image(self, i: int, r: int) -> int:
         """The r-th smallest element (r from 0) of block i (from 1)."""
+        _rank_check(self.k_from, self.multiplicity, i, r)
         if self.st is not None:
-            return _alternating_rank(self.k_from, *self.st, i, r)
-        _rank_check(self.k_from, self.diag.block_size, i, r)
+            return _alternating_step(self.k_from, self.st[1], i, r)
         return int(self.diag.array[i - 1, r])
 
     def __eq__(self, other: object) -> bool:

@@ -18,18 +18,17 @@ shows.
 Every reading makes one range check: depths first, then x's
 coordinates, then y's, against the sizes k1 and each level's
 multiplicity.  Both come from the tower's step memo,
-``TowerSpec._steps``: one row (multiplicity, t, descriptor) for k1 and
-for each preamble and cycle descriptor, built once per tower object and
-as long as its text; coordinate n reads row n - 1, the cycle rows taken
+``TowerSpec._steps``: one row (multiplicity, t, grid) for k1 and for
+each preamble and cycle descriptor, built once per tower object and as
+long as its text; coordinate n reads row n - 1, the cycle rows taken
 modulo the cycle length.  A pair is then walked once, both chains
 together, up to the deepest coordinate disagreement d only, holding k_n
 and the two current chain indices, so a point costs memory linear in
 its depth.  A ``std``/``nest``/``alt`` level steps an index by
 ``embeddings._alternating_step``, the one closed-form step formula
-(i -> (r // t)*k*t + (i-1)*t + r % t + 1, then k -> k*s*t), which
-``_alternating_rank`` shares; the walk skips its range check because the
-coordinates were checked first.  A ``part`` level steps by
-``Descriptor.rank_image``, reading its partition.
+(i -> (r // t)*k*t + (i-1)*t + r % t + 1, then k -> k*s*t), and a
+``part`` level reads the row's grid, i -> grid[i - 1, r]; neither makes
+an embedding or checks a range, as the coordinates were checked first.
 ``gelfand_readings`` is the one reading: from the walk's result
 (d, i_d, j_d) it returns all three lines of ``gelfand cmp``, and
 ``gelfand_compare_via_projections`` and ``relation_member`` return its
@@ -119,16 +118,16 @@ def _walk(
     rows: tuple[_Step, ...], xs: tuple[int, ...], ys: tuple[int, ...], depth: int
 ) -> tuple[int, int]:
     """The checked coordinates' chain indices (i, j) at level ``depth``, from
-    one walk that holds only k_n and the two current indices."""
+    one walk that holds only k_n and the two current indices.  The
+    coordinates passed ``_check``, so r < mult and i, j stay in 1..k at
+    every level: no step needs ``_rank_check``."""
     i, j = xs[0] + 1, ys[0] + 1
     k = rows[0][0]
     for n in range(1, depth):
-        mult, t, d = rows[n]
+        mult, t, grid = rows[n]
         if t is None:
-            i, j = d.rank_image(k, i, xs[n]), d.rank_image(k, j, ys[n])  # type: ignore[union-attr]
+            i, j = int(grid[i - 1, xs[n]]), int(grid[j - 1, ys[n]])  # type: ignore[index]
         else:
-            # The coordinates passed ``_check``, so r < mult and i, j stay
-            # in 1..k at every level: the step needs no ``_rank_check``.
             i, j = _alternating_step(k, t, i, xs[n]), _alternating_step(k, t, j, ys[n])
         k *= mult
     return i, j
@@ -165,11 +164,11 @@ def projection_chain(tower: TowerSpec, x: GelfandPoint) -> tuple[int, ...]:
     chain = [i]
     k = rows[0][0]
     for n in range(1, len(xs)):
-        mult, t, d = rows[n]
+        mult, t, grid = rows[n]  # checked as in ``_walk``
         if t is None:
-            i = d.rank_image(k, i, xs[n])  # type: ignore[union-attr]
+            i = int(grid[i - 1, xs[n]])  # type: ignore[index]
         else:
-            i = _alternating_step(k, t, i, xs[n])  # checked as in ``_walk``
+            i = _alternating_step(k, t, i, xs[n])
         chain.append(i)
         k *= mult
     return tuple(chain)

@@ -35,7 +35,6 @@ from typing import Optional
 from . import supernatural
 from .embeddings import (
     RegularEmbedding,
-    _alternating_rank,
     alternating,
     compose_embeddings,
     identity_embedding,
@@ -47,6 +46,7 @@ from .partitions import (
     OrderedPartition,
     OutOfRange,
     format_partition,
+    np,
     parse_partition,
 )
 from .supernatural import INF, SupernaturalNumber
@@ -135,16 +135,9 @@ class Descriptor:
         self.k_to(k_from)  # refuses a partition that does not chain
         return RegularEmbedding(self.partition)
 
-    def rank_image(self, k_from: int, i: int, r: int) -> int:
-        """``embedding(k_from).rank_image(i, r)``; every kind but ``part``
-        steps by arithmetic on (k_from, s, t) and builds no embedding."""
-        if self.partition is None:
-            return _alternating_rank(k_from, self.s_mult, self.t_mult, i, r)
-        return self.embedding(k_from).rank_image(i, r)
 
-
-# A row of ``TowerSpec._steps``: (multiplicity, t, descriptor).
-_Step = tuple[int, Optional[int], Optional[Descriptor]]
+# A row of ``TowerSpec._steps``: (multiplicity, t, grid).
+_Step = tuple[int, Optional[int], Optional["np.ndarray"]]
 
 
 def parse_descriptor(text: str) -> Descriptor:
@@ -277,15 +270,19 @@ class TowerSpec:
 
     @cached_property
     def _steps(self) -> tuple[_Step, ...]:
-        """The Gelfand walk's rows (multiplicity, t, descriptor): k1's row
-        (k1, None, None), then one per preamble and cycle descriptor, t
-        being None at a ``part`` level.  Coordinate n reads row n - 1, and
+        """The Gelfand walk's rows (multiplicity, t, grid): k1's row
+        (k1, None, None), then one per preamble and cycle descriptor with
+        exactly one of t and grid set: t for a closed form, the partition's
+        read-only ``array`` for a ``part`` level.  ``__post_init__`` chained
+        the preamble and two cycle passes, so a ``part`` level sits in the
+        preamble and its grid chains.  Coordinate n reads row n - 1, and
         past the preamble the cycle rows repeat modulo the cycle length,
         so the memo is as long as the tower's text, whatever the depth of
         the points read against it."""
         rows: list[_Step] = [(self.k1, None, None)]
         for d in self.preamble + self.cycle:
-            rows.append((d.multiplicity, None if d.partition is not None else d.t_mult, d))
+            grid = None if d.partition is None else d.partition.array
+            rows.append((d.multiplicity, d.t_mult if grid is None else None, grid))
         return tuple(rows)
 
     def level_dim(self, n: int) -> int:

@@ -347,10 +347,11 @@ def test_help_is_unchanged(capsys):
 
 
 def test_gelfand_cmp_checks_and_walks_once(files, capsys, monkeypatch):
-    calls = {"check": 0, "walks": [], "step": 0, "rank": 0, "memo": []}
+    calls = {"check": 0, "walks": [], "step": 0, "embed": 0, "memo": []}
     real_check, real_walk = tuhf.gelfand._check, tuhf.gelfand._walk
-    real_step, real_rank = tuhf.gelfand._alternating_step, Descriptor.rank_image
-    real_steps = TowerSpec.__dict__["_steps"].func
+    real_step, real_steps = tuhf.gelfand._alternating_step, TowerSpec.__dict__["_steps"].func
+    real_embedding = Descriptor.embedding
+    real_init = tuhf.embeddings.RegularEmbedding.__init__
 
     def check(*args):
         calls["check"] += 1
@@ -364,9 +365,13 @@ def test_gelfand_cmp_checks_and_walks_once(files, capsys, monkeypatch):
         calls["step"] += 1
         return real_step(*args)
 
-    def rank(*args):
-        calls["rank"] += 1
-        return real_rank(*args)
+    def embedding(*args):
+        calls["embed"] += 1
+        return real_embedding(*args)
+
+    def init(*args):
+        calls["embed"] += 1
+        return real_init(*args)
 
     def steps(self):
         calls["memo"].append(self)
@@ -377,22 +382,23 @@ def test_gelfand_cmp_checks_and_walks_once(files, capsys, monkeypatch):
     monkeypatch.setattr(tuhf.gelfand, "_check", check)
     monkeypatch.setattr(tuhf.gelfand, "_walk", walk)
     monkeypatch.setattr(tuhf.gelfand, "_alternating_step", step)
-    monkeypatch.setattr(Descriptor, "rank_image", rank)
+    monkeypatch.setattr(Descriptor, "embedding", embedding)
+    monkeypatch.setattr(tuhf.embeddings.RegularEmbedding, "__init__", init)
     monkeypatch.setattr(TowerSpec, "_steps", memo)
     f = files("two.tower", TWO_INF)
     code, out, _ = run(capsys, "gelfand", "cmp", f, "--x", "0,1", "--y", "1,0")
     assert code == 0 and out.endswith("witness level 2 i 2 j 3\n")
     # the three printed lines come from one range check and one walk of
     # both chains, which steps each point once through the level-1
-    # embedding by the closed-form step, never by a per-level method
-    assert (calls["check"], calls["walks"], calls["step"], calls["rank"]) == (1, [2], 2, 0)
+    # embedding by the closed-form step and never makes an embedding
+    assert (calls["check"], calls["walks"], calls["step"], calls["embed"]) == (1, [2], 2, 0)
     assert len(calls["memo"]) == 1
     # depth 4 on a two-row memo: the walk stops at the deepest disagreement
     # (level 3), two steps per point, and the command's own tower builds
     # its own memo once
     code, out, _ = run(capsys, "gelfand", "cmp", f, "--x", "1,0,1,3", "--y", "0,1,2,3")
     assert code == 0 and out.endswith("witness level 3 i 6 j 35\n")
-    assert (calls["check"], calls["walks"], calls["step"], calls["rank"]) == (2, [2, 3], 6, 0)
+    assert (calls["check"], calls["walks"], calls["step"], calls["embed"]) == (2, [2, 3], 6, 0)
     assert len(calls["memo"]) == 2 and calls["memo"][0] is not calls["memo"][1]
 
 

@@ -25,7 +25,6 @@ from tuhf import (
 from tuhf.embeddings import (
     IndexOutOfRange,
     LowerTriangularRequest,
-    _alternating_rank,
     _tensor_blocks,
 )
 from tuhf.errors import DomainError
@@ -107,18 +106,16 @@ def test_rank_image_matches_diag_exhaustively():
             for r in range(s * t):
                 assert e.rank_image(i, r) == e.diag.block(i)[r]
                 assert explicit.rank_image(i, r) == e.diag.block(i)[r]
-                assert _alternating_rank(k, s, t, i, r) == e.diag.array[i - 1, r]
 
 
 def test_rank_image_ranges():
-    # the closed form, its explicit partition and the shared arithmetic
-    # refuse alike, block index first
+    # the closed form, its explicit partition and an explicit standard
+    # pattern of one shape refuse alike, block index first
     e = alternating(2, 2, 3)
     ranks = (
         e.rank_image,
         RegularEmbedding(e.diag).rank_image,
         standard(2, 6).rank_image,
-        lambda i, r: _alternating_rank(2, 2, 3, i, r),
     )
     for i, r, message in (
         (3, 0, "block index 3 outside 1..2"),

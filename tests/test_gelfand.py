@@ -12,6 +12,7 @@ from tuhf import (
     GelfandPoint,
     Order,
     OrderedPartition,
+    RegularEmbedding,
     TowerSpec,
     gelfand_compare,
     gelfand_compare_via_projections,
@@ -327,6 +328,34 @@ def test_projection_order_is_relation_membership(case):
         assert order is (Order.LESS if i < j else Order.GREATER)
     if member is not None:
         assert (member.level, member.i, member.j) == (d, i, j)
+
+
+def test_part_levels_build_no_embedding_after_the_memo(monkeypatch):
+    # a part row carries its partition's grid, so once the memo is built,
+    # reading a part-preamble tower at depth 5000 makes no embedding
+    tower, x, y = _deep_case()
+    _, t, grid = tower._steps[1]
+    assert t is None and grid is tower.preamble[0].partition.array
+    built = []
+    real_init = RegularEmbedding.__init__
+
+    def init(self, diag):
+        built.append(diag)
+        real_init(self, diag)
+
+    monkeypatch.setattr(RegularEmbedding, "__init__", init)
+    readings = gelfand_readings(tower, x, y)
+    chains = [projection_chain(tower, p) for p in (x, y)]
+    assert built == []
+    monkeypatch.undo()
+    by_hand = [chain_by_hand(tower, p) for p in (x, y)]
+    assert chains == by_hand
+    i, j = by_hand[0][-1], by_hand[1][-1]
+    assert readings == (
+        Order.LESS if x.coords < y.coords else Order.GREATER,
+        Order.LESS if i < j else Order.GREATER,
+        RelationPair(x, y, x.depth, i, j) if i < j else None,
+    )
 
 
 @st.composite
