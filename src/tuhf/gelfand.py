@@ -32,8 +32,11 @@ an embedding or checks a range, as the coordinates were checked first.
 ``gelfand_readings`` is the one reading: from the walk's result
 (d, i_d, j_d) it returns all three lines of ``gelfand cmp``, and
 ``gelfand_compare_via_projections`` and ``relation_member`` return its
-projection order and its witness.  ``projection_chain`` steps one point
-the same way and keeps every level.
+projection order and its witness.  The witness is built without
+``RelationPair``'s checks, because the walk has given d >= 1 and
+i_d <= j_d; ``RelationPair(...)`` called from outside keeps both.
+``projection_chain`` steps one point the same way and keeps every
+level.
 """
 
 from __future__ import annotations
@@ -192,7 +195,12 @@ def gelfand_readings(
     while d > 1 and xs[d - 1] == ys[d - 1]:
         d -= 1
     i, j = _walk(rows, xs, ys, d)
-    member = RelationPair(x, y, d, i, j) if i <= j else None
+    member = None
+    if i <= j:
+        # d >= 1 and i <= j hold, so build the witness past the checks of
+        # ``RelationPair.__post_init__``, as ``OrderedPartition._trusted`` does
+        member = object.__new__(RelationPair)
+        member.__dict__.update(x=x, y=y, level=d, i=i, j=j)
     return _order(xs, ys), _order(i, j), member
 
 

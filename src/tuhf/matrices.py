@@ -171,7 +171,8 @@ def apply_to_matrix(
     """
     if m.k != e.k_from:
         raise ShapeMismatch(f"matrix has k={m.k} but embedding starts at {e.k_from}")
-    a = e.diag.array - 1
+    # intp indices: a grid-dtype index array takes numpy's slower indexing path
+    a = e.diag.array.astype(np.intp) - 1
     out = np.zeros((e.k_to, e.k_to), dtype=complex)
     # Unit (i, j) lands on (a[i, r], a[j, r]) for the diagonal rows a.
     # Distinct (i, j, r) hit distinct slots, and i > j lands strictly

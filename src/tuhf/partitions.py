@@ -17,13 +17,18 @@ supporting operations (prefix restriction, interleaving, run-size
 monotonicity) live here so they can be exercised independently of any
 matrix algebra.
 
-An ordered partition is stored as one read-only (n, m/n) int64 array
-whose row i is block i+1 in ascending order, so construction,
-composition, comparison and the text form are whole-array numpy
-operations.  Every build from input is validated in full, by vectorized
-checks; when they fail, the element-by-element scan ``_scan``, kept as
-the reference, names the offending block or element.  ``blocks`` gives
-the same data as tuples of Python ints.
+An ordered partition is stored as one read-only (n, m/n) array of
+``_GRID``, int32, whose row i is block i+1 in ascending order, so
+construction, composition, comparison and the text form are whole-array
+numpy operations.  Every element lies in 1..m, and no grid is built past
+``embeddings.MAX_GROUND`` = 2**22 elements (the text reader's
+``_closed_form`` is bounded by its body's length instead), so 32 bits
+hold every element and every product of elements the kernels form, and
+each kernel moves half the bytes of int64.  Every build from input is
+validated in full, by vectorized checks; when they fail, the
+element-by-element scan ``_scan``, kept as the reference, names the
+offending block or element.  ``blocks`` gives the same data as tuples
+of Python ints.
 
 Four sites build from partitions already valid, or by formula, and
 wrap their grid with an unchecked private constructor instead:
@@ -95,6 +100,10 @@ def _lazy(name: str):
 
 
 np = _lazy("numpy")
+
+# The dtype of every ``OrderedPartition.array``, named by string so that
+# importing this module does not load numpy.
+_GRID = "int32"
 
 
 class InvalidPartition(DomainError):
@@ -187,12 +196,14 @@ def _rank_scan(blocks: Sequence[Sequence[object]], m: Optional[int] = None) -> N
 
 
 def _int_array(values: Iterable[object], flat: Iterable[object]) -> Optional[np.ndarray]:
-    """``values`` as an int64 array when every item of ``flat`` (its
-    elements) is a Python int and the shape is rectangular, else None."""
+    """``values`` as a ``_GRID`` array when every item of ``flat`` (its
+    elements) is a Python int that fits and the shape is rectangular, else
+    None.  A value past int32 raises OverflowError here, so it reaches the
+    scan, which names it as outside 1..m."""
     try:
         if set(map(type, flat)) != {int}:
             return None
-        return np.array(values, dtype=np.int64)
+        return np.array(values, dtype=_GRID)
     except (TypeError, ValueError, OverflowError):
         return None
 
@@ -216,7 +227,7 @@ def _is_partition_grid(a: np.ndarray) -> bool:
 class OrderedPartition:
     """Equal-size blocks of {1..m} with strictly increasing rank entries.
 
-    The partition is one read-only (n, m/n) int64 ``array`` whose row i
+    The partition is one read-only (n, m/n) ``_GRID`` ``array`` whose row i
     holds block i+1 in ascending order; ``blocks`` is the same data as a
     tuple of tuples of Python ints, built on first read.  Construction
     accepts an integer array or nested sequences of Python ints and
@@ -224,7 +235,10 @@ class OrderedPartition:
     columns increase -- the rank-order condition, transitive, so
     adjacent blocks suffice -- the corners lie in 1..m, and every
     element occurs once).  Input that fails them goes through the
-    element-by-element ``_scan``, which raises the precise error.
+    element-by-element ``_scan``, which raises the precise error.  An
+    integer array is validated in int64 and cast to ``_GRID`` after, once
+    every element is known to lie in 1..m: cast first, [[1, 2**32 + 2]]
+    would wrap to the valid [[1, 2]].
     """
 
     # Every build, validated or trusted, goes through ``__post_init__``,
@@ -242,19 +256,21 @@ class OrderedPartition:
             if isinstance(raw, np.ndarray) and raw.dtype.kind not in "iu":
                 raw = raw.tolist()
             if isinstance(raw, np.ndarray):
-                a = raw.astype(np.int64)
+                a = raw.astype(np.int64, copy=False)
             else:
                 a = _int_array(raw, itertools.chain.from_iterable(raw))
             if a is None or not _is_partition_grid(a):
                 # The scan reads Python ints, so an integer array goes in as lists.
                 _scan(raw.tolist() if isinstance(raw, np.ndarray) else raw)
                 raise AssertionError("vectorized validation rejected a partition the scan accepts")
+            if isinstance(raw, np.ndarray):
+                a = a.astype(_GRID)  # narrowed only once it is known valid
         a.flags.writeable = False
         self.__dict__["array"] = a
 
     @classmethod
     def _trusted(cls, a: np.ndarray) -> "OrderedPartition":
-        """Wrap an int64 grid that is an ordered partition by construction,
+        """Wrap a ``_GRID`` grid that is an ordered partition by construction,
         unchecked: only the four sites named in the module docstring
         call it, each on a grid built from valid partitions or by formula."""
         p = object.__new__(cls)
@@ -334,9 +350,11 @@ class OrderedPartition:
 
 def _assignment(p: OrderedPartition) -> np.ndarray:
     """Entry x-1 is the block (from 1) that holds ground element x."""
-    out = np.empty(p.ground_size, dtype=np.int64)
-    out[p.array.ravel() - 1] = np.repeat(np.arange(1, p.block_count + 1), p.block_size)
-    return out
+    # Slot 0 is padding, so the grid indexes ``out`` once cast to intp: an
+    # index array of another dtype takes numpy's slower indexing path.
+    out = np.empty(p.ground_size + 1, dtype=np.int64)
+    out[p.array.ravel().astype(np.intp)] = np.repeat(np.arange(1, p.block_count + 1), p.block_size)
+    return out[1:]
 
 
 def compare(a: OrderedPartition, b: OrderedPartition) -> Order:
@@ -478,7 +496,7 @@ def _alternating_grid(k: int, s: int, t: int) -> np.ndarray:
     """The blocks of I_s (x) A_k (x) I_t as a (k, s*t) array: the ground
     1..kst laid out as s copies of k slots of t, block i being slot i of
     every copy."""
-    cube = np.arange(1, k * s * t + 1, dtype=np.int64).reshape(s, k, t)
+    cube = np.arange(1, k * s * t + 1, dtype=_GRID).reshape(s, k, t)
     return cube.transpose(1, 0, 2).reshape(k, s * t)
 
 
@@ -488,7 +506,7 @@ def compose(outer: OrderedPartition, inner: OrderedPartition) -> OrderedPartitio
         raise ShapeMismatch(
             f"outer has {outer.block_count} blocks but inner ground is {inner.ground_size}"
         )
-    grid = outer.array[inner.array - 1].reshape(inner.block_count, -1)
+    grid = outer.array.take(inner.array - 1, axis=0).reshape(inner.block_count, -1)
     grid.sort(axis=1)
     return OrderedPartition._trusted(grid)
 

@@ -2,11 +2,10 @@
 
 import sys
 
-import numpy as np
 import pytest
 
 from tuhf import Descriptor, TowerSpec
-from tuhf.partitions import OrderedPartition
+from tuhf.partitions import _GRID, OrderedPartition
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -28,7 +27,7 @@ def trusted_builds_are_checked(monkeypatch):
     unchecked = OrderedPartition.__dict__["_trusted"]
 
     def checked(cls, a):
-        assert a.dtype == np.int64, f"a trusted build has dtype {a.dtype}"
+        assert a.dtype == _GRID, f"a trusted build has dtype {a.dtype}"
         OrderedPartition(a)
         return unchecked.__func__(cls, a)
 

@@ -1,5 +1,6 @@
 """Diagonal-spectrum order: coordinate form, projection form, relation."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -356,6 +357,21 @@ def test_part_levels_build_no_embedding_after_the_memo(monkeypatch):
         Order.LESS if i < j else Order.GREATER,
         RelationPair(x, y, x.depth, i, j) if i < j else None,
     )
+
+
+def test_the_witness_is_the_pair_the_constructor_builds():
+    # gelfand_readings builds its witness past RelationPair's checks, so it
+    # must equal, field by field, the pair the checked constructor builds
+    tower, x, y = _deep_case()
+    i, j = chain_by_hand(tower, x)[-1], chain_by_hand(tower, y)[-1]
+    a, b, i, j = (x, y, i, j) if i < j else (y, x, j, i)
+    member = relation_member(tower, a, b)
+    built = RelationPair(a, b, x.depth, i, j)
+    assert type(member) is RelationPair
+    for field in dataclasses.fields(RelationPair):
+        assert getattr(member, field.name) == getattr(built, field.name), field.name
+    assert member == built and hash(member) == hash(built) and repr(member) == repr(built)
+    assert relation_member(tower, b, a) is None
 
 
 @st.composite

@@ -26,10 +26,10 @@ from tuhf import (
     restrict_prefix,
     runs_of,
 )
-from tuhf import partitions
-from tuhf.automorphisms import detect_interval_form
+from tuhf import Descriptor, ShiftWord, TensorTower, TowerSpec, partitions
+from tuhf.automorphisms import combine_tensor_autos, detect_interval_form
 from tuhf.checks import enumerate_psize_instances, random_ordered_partition, random_psize_instance
-from tuhf.embeddings import alternating
+from tuhf.embeddings import alternating, nest, standard, tensor_embed
 from tuhf.errors import FormatError
 from tuhf.partitions import (
     HypothesisViolated,
@@ -38,6 +38,7 @@ from tuhf.partitions import (
     RankOrderViolation,
     ShapeMismatch,
     UnequalBlockSizes,
+    _GRID,
     _VECTOR_MIN,
     _body_length,
     _join_body,
@@ -392,6 +393,26 @@ def test_compose_associative_concrete():
     assert compose(compose(c, b), a) == compose(c, compose(b, a))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    n=st.integers(1, 5),
+    inner_size=st.integers(1, 5),
+    outer_size=st.integers(1, 6),
+)
+def test_compose_is_the_union_of_outer_blocks(rng, n, inner_size, outer_size):
+    # block i of the composite is the union of the outer blocks that inner
+    # block i names, computed here from ``blocks`` with Python sets
+    k = n * inner_size
+    inner = random_ordered_partition(rng, k, n)
+    outer = random_ordered_partition(rng, k * outer_size, k)
+    expected = tuple(
+        tuple(sorted(set().union(*(outer.blocks[x - 1] for x in block))))
+        for block in inner.blocks
+    )
+    assert compose(outer, inner).blocks == expected
+
+
 # -- serialization ------------------------------------------------------
 
 def test_format_parse_round_trip():
@@ -412,7 +433,7 @@ def test_parse_rejects_garbage():
 
 def test_array_storage_is_read_only_and_blocks_hold_python_ints():
     p = from_blocks((1, 2, 5, 6), (3, 4, 7, 8))
-    assert p.array.shape == (2, 4) and p.array.dtype == np.int64
+    assert p.array.shape == (2, 4) and p.array.dtype == _GRID
     assert not p.array.flags.writeable
     with pytest.raises(ValueError):
         p.array[0, 0] = 3
@@ -429,6 +450,65 @@ def test_input_array_is_copied():
     p = OrderedPartition(grid)
     grid[0, 0] = 9
     assert p.blocks == ((1, 3), (2, 4))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: OrderedPartition(np.array([[1, 2**32 + 2]])), "element 4294967298 outside 1..2"),
+        (
+            lambda: OrderedPartition(np.array([[1, 2**32 + 2]], dtype=np.uint64)),
+            "element 4294967298 outside 1..2",
+        ),
+        (lambda: OrderedPartition([[1, 2**31]]), "element 2147483648 outside 1..2"),
+        (lambda: OrderedPartition([[2**32 + 1], [2]]), "element 4294967297 outside 1..2"),
+        (lambda: parse_partition("m=2 n=1 blocks=1,4294967298"), "element 4294967298 outside 1..2"),
+        (lambda: parse_partition("m=2 n=2 blocks=4294967297;2"), "element 4294967297 outside 1..2"),
+    ],
+    ids=["int64", "uint64", "list-2**31", "list-2**32", "text-one-block", "text-two-blocks"],
+)
+def test_elements_past_the_grid_dtype_are_named_not_wrapped(build, message):
+    # validated before the cast to the grid dtype: cast first, 2**32 + 2
+    # would wrap to the valid 2
+    with pytest.raises(InvalidPartition) as exc:
+        build()
+    assert type(exc.value) is InvalidPartition and str(exc.value) == message
+
+
+def _tensor_action():
+    tower = TowerSpec(2, 1, 2, (), (Descriptor("alt", 2, 2),))
+    tensor = TensorTower(tower, tower)
+    return combine_tensor_autos(tensor, 1, [ShiftWord(2, 1), ShiftWord.identity()], ShiftWord(1, 2)).action
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: OrderedPartition([[1, 3], [2, 4]]),
+        lambda: OrderedPartition(np.array([[1, 3], [2, 4]], dtype=np.int64)),
+        lambda: OrderedPartition(np.array([[1, 3], [2, 4]], dtype=np.int32)),
+        lambda: OrderedPartition(np.array([[1, 3], [2, 4]], dtype=np.uint8)),
+        lambda: OrderedPartition.from_blocks([[3, 1], [2, 4]]),
+        lambda: OrderedPartition.from_assignment([1, 2, 1, 2]),
+        lambda: parse_partition("m=4 n=2 blocks=1,3;2,4"),
+        lambda: parse_partition(format_partition(alternating(4, 16, 8).diag)),
+        lambda: alternating(3, 2, 5).diag,
+        lambda: standard(3, 4).diag,
+        lambda: nest(3, 4).diag,
+        lambda: compose(standard(4, 2).diag, nest(2, 2).diag),
+        lambda: tensor_embed(standard(2, 3), nest(3, 2)).diag,
+        _tensor_action,
+    ],
+    ids=[
+        "lists", "int64", "int32", "uint8", "from_blocks", "from_assignment", "token-text",
+        "closed-form-text", "alternating", "standard", "nest", "compose", "tensor_embed",
+        "combine_tensor_autos",
+    ],
+)
+def test_every_build_path_stores_one_read_only_grid_dtype(build):
+    p = build()
+    assert p.array.dtype == _GRID
+    assert not p.array.flags.writeable
 
 
 def test_true_is_not_a_ground_element():
