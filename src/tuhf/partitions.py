@@ -314,7 +314,9 @@ class OrderedPartition:
             raise InvalidPartition(f"bad block count {n}")
         values = _int_array(assign, assign)
         if values is None or values.min() < 1 or values.max() > n:
-            bad = next(b for b in assign if type(b) is not int or not 1 <= b <= n)
+            bad = next((b for b in assign if type(b) is not int or not 1 <= b <= n), None)
+            if bad is None:  # every value names a block, one of them past int32
+                raise InvalidPartition(f"bad block count {n}")
             raise InvalidPartition(f"assignment value {bad!r} outside 1..{n}")
         # A stable sort lists each block's positions in ascending order.
         order = np.argsort(values, kind="stable") + 1

@@ -546,6 +546,13 @@ def test_assignment_round_trip_and_errors():
         OrderedPartition.from_assignment([2, 1], 2)
 
 
+def test_a_block_number_past_the_grid_dtype_is_refused():
+    # every value lies in 1..block_count, but one is past int32: no
+    # partition with that many blocks can be built
+    with pytest.raises(InvalidPartition, match=r"^bad block count 2147483648$"):
+        OrderedPartition.from_assignment([2**31], 2**31)
+
+
 # -- the vectorized checks against the element-by-element scan ----------
 
 _BAD_ELEMENTS = [0, -1, 1.5, "1", np.int64(1), True, 2**70]
